@@ -41,15 +41,12 @@ from .plan import (
     DecompositionLink,
     OpenCondition,
     Plan,
-    PlanTooLargeError,
     Step,
     Threat,
     UnexpandedComposite,
     add_ordering,
     detect_threats,
     init_plan,
-    linearizations,
-    possibly_between,
 )
 from .search import (
     BudgetExceeded,

@@ -17,9 +17,9 @@ from .oracle import verify_soundness
 from .search import (
     FLAW_POLICIES,
     REUSE_POLICIES,
+    BudgetExceeded,
     Exhausted,
     SearchConfig,
-    Solution,
     solve,
 )
 
@@ -33,7 +33,7 @@ def _read_file(path: str):
     try:
         with open(path, "r", encoding="utf-8") as f:
             return f.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return None
 
@@ -88,56 +88,55 @@ def _config(args) -> SearchConfig:
         max_nodes=args.max_nodes,
         flaw_policy=args.flaw_policy,
         reuse_policy=args.reuse_policy,
-        random_seed=args.seed,
     )
 
 
-def _add_search_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-steps", type=int, default=64)
-    p.add_argument("--max-depth", type=int, default=8)
-    p.add_argument("--max-nodes", type=int, default=100_000)
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
+def _add_solve_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--domain", required=True)
+    p.add_argument("--problem", required=True)
+    p.add_argument("--max-steps", type=_positive_int, default=64)
+    p.add_argument("--max-depth", type=_positive_int, default=8)
+    p.add_argument("--max-nodes", type=_positive_int, default=100_000)
     p.add_argument("--flaw-policy", choices=FLAW_POLICIES, default="threats-first")
     p.add_argument("--reuse-policy", choices=REUSE_POLICIES, default="both-branches")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
 
 
-def cmd_plan(args) -> int:
+def _solve_and_write(args, render) -> int:
+    """Search, write `render(plan)` for a solution, and map each outcome to its exit code."""
     loaded = _load(args)
     if loaded is None:
         return EXIT_INPUT
     domain, problem = loaded
     outcome = solve(domain, problem, _config(args))
-    if isinstance(outcome, Solution):
-        report = classify_effects(outcome.plan)
-        if not _write_out(emit(outcome.plan, report, args.emit), args.out):
-            return EXIT_INPUT
-        return EXIT_OK
     if isinstance(outcome, Exhausted):
         print("no solution within bounds", file=sys.stderr)
         return EXIT_NO_SOLUTION
-    print("node budget exceeded", file=sys.stderr)
-    return EXIT_BUDGET
+    if isinstance(outcome, BudgetExceeded):
+        print("node budget exceeded", file=sys.stderr)
+        return EXIT_BUDGET
+    if not _write_out(render(outcome.plan), args.out):
+        return EXIT_INPUT
+    return EXIT_OK
+
+
+def cmd_plan(args) -> int:
+    return _solve_and_write(args, lambda plan: emit(plan, classify_effects(plan), args.emit))
 
 
 def cmd_analyze(args) -> int:
-    loaded = _load(args)
-    if loaded is None:
-        return EXIT_INPUT
-    domain, problem = loaded
-    outcome = solve(domain, problem, _config(args))
-    if isinstance(outcome, Solution):
-        report = classify_effects(outcome.plan)
-        info = informational_structure(outcome.plan)
-        doc = report_to_dict(outcome.plan, report, info)
-        if not _write_out(json.dumps(doc, indent=2) + "\n", args.out):
-            return EXIT_INPUT
-        return EXIT_OK
-    if isinstance(outcome, Exhausted):
-        print("no solution within bounds", file=sys.stderr)
-        return EXIT_NO_SOLUTION
-    print("node budget exceeded", file=sys.stderr)
-    return EXIT_BUDGET
+    def render(plan):
+        doc = report_to_dict(plan, classify_effects(plan), informational_structure(plan))
+        return json.dumps(doc, indent=2) + "\n"
+
+    return _solve_and_write(args, render)
 
 
 def cmd_verify(args) -> int:
@@ -176,16 +175,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_plan = sub.add_parser("plan", help="search for a plan and emit it")
-    p_plan.add_argument("--domain", required=True)
-    p_plan.add_argument("--problem", required=True)
+    _add_solve_flags(p_plan)
     p_plan.add_argument("--emit", choices=FORMATS, default="json")
-    _add_search_flags(p_plan)
     p_plan.set_defaults(func=cmd_plan)
 
     p_an = sub.add_parser("analyze", help="plan, then emit the intention report")
-    p_an.add_argument("--domain", required=True)
-    p_an.add_argument("--problem", required=True)
-    _add_search_flags(p_an)
+    _add_solve_flags(p_an)
     p_an.set_defaults(func=cmd_analyze)
 
     p_ver = sub.add_parser("verify", help="audit an emitted plan file")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 
 from .intention import CausalHop, IntentionReport
+from .language import parse_literal, parse_term
 from .oracle import PlanView, ViewDecomposition, ViewLink, ViewStep
 from .plan import Plan
 from .sexp import Diagnostic, read
@@ -50,6 +51,19 @@ def _lit(plan: Plan, l: Literal) -> str:
     return str(apply(plan.bindings, l))
 
 
+def _in_order(plan: Plan):
+    """Steps, causal links and decomposition links in the order every format writes them."""
+    return (
+        sorted(plan.steps, key=lambda s: s.sid),
+        sorted(plan.causal_links, key=lambda l: (l.producer, l.consumer, str(l.condition))),
+        sorted(plan.decomposition_links, key=lambda d: d.parent),
+    )
+
+
+def _labels_in_order(report: IntentionReport):
+    return sorted(report.labels, key=lambda l: (l.step, l.effect_index))
+
+
 def _hop_dict(hop) -> dict:
     if isinstance(hop, CausalHop):
         return {
@@ -62,10 +76,26 @@ def _hop_dict(hop) -> dict:
             "effect_index": hop.effect_index}
 
 
+def _label_dicts(report: IntentionReport) -> list[dict]:
+    return [
+        {
+            "step": l.step,
+            "effect_index": l.effect_index,
+            "effect": str(l.effect),
+            "intended": l.intended,
+            "chain": [_hop_dict(h) for h in l.chain] if l.chain else [],
+        }
+        for l in _labels_in_order(report)
+    ]
+
+
 def plan_to_dict(plan: Plan, report: IntentionReport | None = None) -> dict:
-    steps = []
-    for s in sorted(plan.steps, key=lambda s: s.sid):
-        steps.append(
+    steps, links, decos = _in_order(plan)
+    out = {
+        "format": PLAN_FORMAT_TAG,
+        "domain": plan.domain_name,
+        "problem": plan.problem_name,
+        "steps": [
             {
                 "id": s.sid,
                 "name": s.name,
@@ -75,16 +105,8 @@ def plan_to_dict(plan: Plan, report: IntentionReport | None = None) -> dict:
                 "preconditions": [_lit(plan, p) for p in s.preconditions],
                 "effects": [_lit(plan, e) for e in s.effects],
             }
-        )
-    links = sorted(
-        plan.causal_links, key=lambda l: (l.producer, l.consumer, str(l.condition))
-    )
-    decos = sorted(plan.decomposition_links, key=lambda d: d.parent)
-    out = {
-        "format": PLAN_FORMAT_TAG,
-        "domain": plan.domain_name,
-        "problem": plan.problem_name,
-        "steps": steps,
+            for s in steps
+        ],
         "orderings": sorted([a, b] for a, b in plan.orderings),
         "causal_links": [
             {"producer": l.producer, "condition": _lit(plan, l.condition), "consumer": l.consumer}
@@ -110,16 +132,7 @@ def plan_to_dict(plan: Plan, report: IntentionReport | None = None) -> dict:
         },
     }
     if report is not None:
-        out["intention"] = [
-            {
-                "step": l.step,
-                "effect_index": l.effect_index,
-                "effect": str(l.effect),
-                "intended": l.intended,
-                "chain": [_hop_dict(h) for h in l.chain] if l.chain else [],
-            }
-            for l in sorted(report.labels, key=lambda l: (l.step, l.effect_index))
-        ]
+        out["intention"] = _label_dicts(report)
     return out
 
 
@@ -128,14 +141,15 @@ def _quote(s: str) -> str:
 
 
 def _emit_dot(plan: Plan) -> str:
+    steps, links, decos = _in_order(plan)
     lines = ["digraph plan {", "  rankdir=LR;"]
-    for s in sorted(plan.steps, key=lambda s: s.sid):
+    for s in steps:
         lines.append(f"  s{s.sid} [label={_quote(step_label(s, plan.bindings))}];")
-    for l in sorted(plan.causal_links, key=lambda l: (l.producer, l.consumer, str(l.condition))):
+    for l in links:
         lines.append(
             f"  s{l.producer} -> s{l.consumer} [label={_quote(_lit(plan, l.condition))}];"
         )
-    for d in sorted(plan.decomposition_links, key=lambda d: d.parent):
+    for d in decos:
         lines.append(f"  s{d.parent} -> s{d.begin} [style=dashed];")
         lines.append(f"  s{d.parent} -> s{d.end} [style=dashed];")
         for m in sorted(d.members):
@@ -145,9 +159,10 @@ def _emit_dot(plan: Plan) -> str:
 
 
 def _emit_text(plan: Plan, report: IntentionReport | None) -> str:
+    steps, links, decos = _in_order(plan)
     lines = [f"plan for problem {plan.problem_name} (domain {plan.domain_name})"]
     lines.append("steps:")
-    for s in sorted(plan.steps, key=lambda s: s.sid):
+    for s in steps:
         lines.append(f"  [{s.sid}] {step_label(s, plan.bindings)} ({s.kind})")
         for p in s.preconditions:
             lines.append(f"        needs {_lit(plan, p)}")
@@ -157,17 +172,17 @@ def _emit_text(plan: Plan, report: IntentionReport | None) -> str:
     for a, b in sorted(plan.orderings):
         lines.append(f"  {a} < {b}")
     lines.append("causal links:")
-    for l in sorted(plan.causal_links, key=lambda l: (l.producer, l.consumer, str(l.condition))):
+    for l in links:
         lines.append(f"  [{l.producer}] --{_lit(plan, l.condition)}--> [{l.consumer}]")
     lines.append("decomposition links:")
-    for d in sorted(plan.decomposition_links, key=lambda d: d.parent):
+    for d in decos:
         members = " ".join(str(m) for m in sorted(d.members))
         lines.append(f"  {d.schema} [{d.parent}]: begin [{d.begin}], end [{d.end}], members [{members}]")
         for c in d.constraints:
             lines.append(f"    constraint {_lit(plan, c)}")
     if report is not None:
         lines.append("effects:")
-        for l in sorted(report.labels, key=lambda l: (l.step, l.effect_index)):
+        for l in _labels_in_order(report):
             tag = "intended" if l.intended else "side effect"
             lines.append(f"  [{l.step}] {l.effect}: {tag}")
     return "\n".join(lines) + "\n"
@@ -178,16 +193,7 @@ def report_to_dict(plan: Plan, report: IntentionReport, info) -> dict:
         "format": "intention.json/1",
         "domain": plan.domain_name,
         "problem": plan.problem_name,
-        "labels": [
-            {
-                "step": l.step,
-                "effect_index": l.effect_index,
-                "effect": str(l.effect),
-                "intended": l.intended,
-                "chain": [_hop_dict(h) for h in l.chain] if l.chain else [],
-            }
-            for l in sorted(report.labels, key=lambda l: (l.step, l.effect_index))
-        ],
+        "labels": _label_dicts(report),
         "informational": [
             {
                 "parent": e.parent,
@@ -203,30 +209,14 @@ class PlanFileError(Exception):
     """Emitted plan file is malformed."""
 
 
-def _parse_literal_text(text: str) -> Literal:
-    from .language import parse_literal
-
-    forms, diags = read(text, "<plan-literal>")
-    if diags or len(forms) != 1:
-        raise PlanFileError(f"bad literal text {text!r}")
-    lit_diags: list[Diagnostic] = []
-    lit = parse_literal(forms[0], lit_diags)
-    if lit is None or lit_diags:
-        raise PlanFileError(f"bad literal text {text!r}")
-    return lit
-
-
-def _parse_term_text(text: str) -> Term:
-    from .language import parse_term
-
-    forms, diags = read(text, "<plan-term>")
-    if diags or len(forms) != 1:
-        raise PlanFileError(f"bad term text {text!r}")
-    term_diags: list[Diagnostic] = []
-    t = parse_term(forms[0], term_diags)
-    if t is None or term_diags:
-        raise PlanFileError(f"bad term text {text!r}")
-    return t
+def _reload(text: str, parse):
+    """Read one emitted literal or term back with `parse_literal` or `parse_term`."""
+    forms, diags = read(text, "<plan-file>")
+    parse_diags: list[Diagnostic] = []
+    value = parse(forms[0], parse_diags) if len(forms) == 1 and not diags else None
+    if value is None or parse_diags:
+        raise PlanFileError(f"bad {parse.__name__.removeprefix('parse_')} text {text!r}")
+    return value
 
 
 def plan_view_from_dict(data: dict) -> PlanView:
@@ -236,16 +226,16 @@ def plan_view_from_dict(data: dict) -> PlanView:
             ViewStep(
                 sid=s["id"],
                 name=s["name"],
-                params=tuple(_parse_term_text(a) for a in s["args"]),
-                preconditions=tuple(_parse_literal_text(p) for p in s["preconditions"]),
-                effects=tuple(_parse_literal_text(e) for e in s["effects"]),
+                params=tuple(_reload(a, parse_term) for a in s["args"]),
+                preconditions=tuple(_reload(p, parse_literal) for p in s["preconditions"]),
+                effects=tuple(_reload(e, parse_literal) for e in s["effects"]),
                 kind=s["kind"],
             )
             for s in data["steps"]
         )
         orderings = frozenset((a, b) for a, b in data["orderings"])
         links = tuple(
-            ViewLink(l["producer"], _parse_literal_text(l["condition"]), l["consumer"])
+            ViewLink(l["producer"], _reload(l["condition"], parse_literal), l["consumer"])
             for l in data["causal_links"]
         )
         decos = tuple(
@@ -255,14 +245,14 @@ def plan_view_from_dict(data: dict) -> PlanView:
                 end=d["end"],
                 members=tuple(d["members"]),
                 schema=d["schema"],
-                constraints=tuple(_parse_literal_text(c) for c in d["constraints"]),
+                constraints=tuple(_reload(c, parse_literal) for c in d["constraints"]),
             )
             for d in data["decomposition_links"]
         )
         distinct = tuple(
-            (_parse_term_text(a), _parse_term_text(b))
+            (_reload(a, parse_term), _reload(b, parse_term))
             for a, b in data.get("bindings", {}).get("distinct", [])
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise PlanFileError(f"missing or malformed plan field: {exc}") from exc
     return PlanView(steps, orderings, links, decos, BindingSet({}, distinct))

@@ -283,6 +283,31 @@ def _skolemize(lit: Literal, table: dict[Variable, Constant]) -> Literal:
     return Literal(lit.predicate, tuple(sk(a) for a in lit.args), lit.positive)
 
 
+def _match_all(patterns, terms, env: dict[Variable, Term]) -> bool:
+    """One-way matching: extend env so that each pattern under env equals its term."""
+    return len(patterns) == len(terms) and all(
+        _match(p, t, env) for p, t in zip(patterns, terms)
+    )
+
+
+def _match(pattern, term, env: dict[Variable, Term]) -> bool:
+    if isinstance(pattern, Variable):
+        return env.setdefault(pattern, term) == term
+    if isinstance(pattern, Literal):
+        return (
+            isinstance(term, Literal)
+            and (pattern.predicate, pattern.positive) == (term.predicate, term.positive)
+            and _match_all(pattern.args, term.args, env)
+        )
+    if isinstance(pattern, Compound):
+        return (
+            isinstance(term, Compound)
+            and pattern.functor == term.functor
+            and _match_all(pattern.args, term.args, env)
+        )
+    return pattern == term
+
+
 def _all_orders(items: list[int], pred: dict[int, set[int]], cap: int):
     orders: list[tuple[int, ...]] = []
 
@@ -305,12 +330,13 @@ def _all_orders(items: list[int], pred: dict[int, set[int]], cap: int):
 
 
 def verify_soundness(plan, problem: Problem, max_orders: int = 5_000) -> AuditReport:
-    """Audit a claimed solution against first principles.
+    """Audit a claimed solution against first principles and the problem it claims to solve.
 
-    Checks: unique causal support for every precondition, an empty threat set,
-    successful goal-achieving execution of every linearization of the
-    primitive steps, and end-subplan preconditions supported from within or
-    before their subplan. Violations are report content, never exceptions.
+    Checks: the initial step carries the problem's initial state and the final
+    step its goals, unique causal support for every precondition, an empty
+    threat set, successful goal-achieving execution of every linearization of
+    the primitive steps, and end-subplan preconditions supported from within
+    or before their subplan. Violations are report content, never exceptions.
     """
     violations: list[Violation] = []
     bindings = getattr(plan, "bindings", EMPTY_BINDINGS)
@@ -336,6 +362,12 @@ def verify_soundness(plan, problem: Problem, max_orders: int = 5_000) -> AuditRe
     if initial is None or final is None:
         violations.append(Violation("structure", "missing initial or final step"))
         return AuditReport(tuple(violations))
+    if set(initial.effects) != set(problem.init):
+        violations.append(Violation("problem", "initial state differs from the problem's init"))
+    if not _match_all(problem.goals, [apply(bindings, p) for p in final.preconditions], {}):
+        violations.append(
+            Violation("problem", "final preconditions are not the problem's goals")
+        )
 
     def cwa_ok(condition: Literal) -> bool:
         if condition.positive:

@@ -12,7 +12,7 @@ can intersect the protected span of a causal link.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .model import Problem
 from .terms import BindingSet, EMPTY_BINDINGS, Literal, Term, rename_fresh, unify
@@ -23,10 +23,6 @@ KIND_PRIMITIVE = "primitive"
 KIND_COMPOSITE = "composite"
 KIND_BEGIN = "begin-subplan"
 KIND_END = "end-subplan"
-
-
-class PlanTooLargeError(Exception):
-    """Plan exceeds the configured bound for exhaustive linearization."""
 
 
 @dataclass(frozen=True)
@@ -179,21 +175,6 @@ def init_plan(problem: Problem) -> Plan:
     )
 
 
-def possibly_between(plan: Plan, s: int, a: int, b: int) -> bool:
-    """True iff some linearization of all steps places s strictly between a and b.
-
-    Equivalent to: s is not forced before a, nor after b, and a may still
-    precede b.
-    """
-    for sid in (s, a, b):
-        plan.step(sid)
-    if s == a or s == b:
-        raise ValueError("step must be distinct from both interval endpoints")
-    if a == b:
-        return False
-    return not plan.reaches(s, a) and not plan.reaches(b, s) and not plan.reaches(b, a)
-
-
 def cwa_supported(plan: Plan, condition: Literal) -> bool:
     """Closed-world support from the initial step for a negative condition.
 
@@ -264,32 +245,6 @@ def add_ordering(plan: Plan, before: int, after: int) -> Plan | None:
     if plan.reaches(a, b):
         return plan
     return plan.evolve(orderings=plan.orderings | {(a, b)})
-
-
-def linearizations(plan: Plan, limit: int = 10) -> Iterator[tuple[int, ...]]:
-    """All topological orders of the primitive steps.
-
-    Boundary steps and composite parents never execute; only primitive leaves
-    appear. Faults if the primitive count exceeds `limit`.
-    """
-    prims = [s.sid for s in plan.steps if s.kind == KIND_PRIMITIVE]
-    if len(prims) > limit:
-        raise PlanTooLargeError(f"{len(prims)} primitive steps exceeds bound {limit}")
-    pred = {m: {n for n in prims if n != m and plan.reaches(n, m)} for m in prims}
-
-    def rec(done: list[int], left: set[int]) -> Iterator[tuple[int, ...]]:
-        if not left:
-            yield tuple(done)
-            return
-        for m in sorted(left):
-            if pred[m] <= set(done):
-                done.append(m)
-                left.remove(m)
-                yield from rec(done, left)
-                left.add(m)
-                done.pop()
-
-    yield from rec([], set(prims))
 
 
 def scan_flaws(plan: Plan) -> tuple[set, set]:

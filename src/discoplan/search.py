@@ -30,6 +30,7 @@ from .plan import (
     KIND_PRIMITIVE,
     CausalLink,
     DecompositionLink,
+    Flaw,
     OpenCondition,
     Plan,
     Step,
@@ -63,7 +64,6 @@ class SearchConfig:
     max_nodes: int = 100_000
     flaw_policy: str = "threats-first"
     reuse_policy: str = "both-branches"
-    random_seed: int = 0  # reserved for shuffle policies; none is defined
 
     def __post_init__(self):
         if self.max_steps <= 0 or self.max_depth <= 0 or self.max_nodes <= 0:
@@ -78,7 +78,7 @@ class SearchConfig:
 class SearchStats:
     nodes_expanded: int
     backtracks: int
-    max_depth: int
+    max_stack_depth: int
 
 
 @dataclass(frozen=True)
@@ -565,6 +565,25 @@ def _select_flaw(plan: Plan, threats: list[Threat], policy: str):
     return threats[0] if threats else None
 
 
+def successors(
+    plan: Plan, flaw: Flaw, domain: Domain, kb: KnowledgeBase, config: SearchConfig
+) -> list[Plan]:
+    """The resolvers of `flaw`, in search order, that stay within the depth and step bounds.
+
+    A composite at the depth bound gets no expansion; a successor with more
+    than `max_steps` steps is dropped. An empty list is the backtrack signal.
+    """
+    if isinstance(flaw, Threat):
+        out = resolve_threat(plan, flaw)
+    elif isinstance(flaw, OpenCondition):
+        out = refine_causal(plan, flaw, domain)
+    elif plan.step(flaw.step).depth + 1 > config.max_depth:
+        return []
+    else:
+        out = refine_decomposition(plan, flaw, domain, kb, config.reuse_policy)
+    return [p for p in out if len(p.steps) <= config.max_steps]
+
+
 def solve(domain: Domain, problem: Problem, config: SearchConfig | None = None) -> SearchOutcome:
     """Depth-first refinement search; deterministic for a fixed configuration.
 
@@ -580,10 +599,10 @@ def solve(domain: Domain, problem: Problem, config: SearchConfig | None = None) 
 
     nodes = 0
     backtracks = 0
-    max_depth_seen = 0
+    max_stack_depth = 0
     stack: list = [iter([init_plan(problem)])]
     while stack:
-        max_depth_seen = max(max_depth_seen, len(stack))
+        max_stack_depth = max(max_stack_depth, len(stack))
         plan = next(stack[-1], None)
         if plan is None:
             stack.pop()
@@ -591,22 +610,12 @@ def solve(domain: Domain, problem: Problem, config: SearchConfig | None = None) 
             continue
         nodes += 1
         if nodes > config.max_nodes:
-            return BudgetExceeded(SearchStats(nodes - 1, backtracks, max_depth_seen))
+            return BudgetExceeded(SearchStats(nodes - 1, backtracks, max_stack_depth))
         threats = detect_threats(plan)
         flaw = _select_flaw(plan, threats, config.flaw_policy)
         if flaw is None:
             return Solution(
-                prune_unused(plan), SearchStats(nodes, backtracks, max_depth_seen)
+                prune_unused(plan), SearchStats(nodes, backtracks, max_stack_depth)
             )
-        if isinstance(flaw, Threat):
-            successors = resolve_threat(plan, flaw)
-        elif isinstance(flaw, OpenCondition):
-            successors = refine_causal(plan, flaw, domain)
-        else:
-            if plan.step(flaw.step).depth + 1 > config.max_depth:
-                successors = []
-            else:
-                successors = refine_decomposition(plan, flaw, domain, kb, config.reuse_policy)
-        successors = [p for p in successors if len(p.steps) <= config.max_steps]
-        stack.append(iter(successors))
-    return Exhausted(SearchStats(nodes, backtracks, max_depth_seen))
+        stack.append(iter(successors(plan, flaw, domain, kb, config)))
+    return Exhausted(SearchStats(nodes, backtracks, max_stack_depth))

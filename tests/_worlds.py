@@ -9,20 +9,12 @@ from discoplan.plan import (
     KIND_FINAL,
     KIND_INITIAL,
     KIND_PRIMITIVE,
-    OpenCondition,
     Plan,
     Step,
-    Threat,
     detect_threats,
     init_plan,
 )
-from discoplan.search import (
-    SearchConfig,
-    _select_flaw,
-    refine_causal,
-    refine_decomposition,
-    resolve_threat,
-)
+from discoplan.search import SearchConfig, _select_flaw, successors
 from discoplan.terms import Constant, EMPTY_BINDINGS, Literal, Variable
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -75,6 +67,9 @@ def boundary_steps(init_effects=(), final_pre=()):
 def step_leftmost(domain, problem, config=None, stop=None, limit=300):
     """Walk the leftmost search branch; return (visited plans, all successor lists).
 
+    Successors come from `successors`, as in `solve`, so the depth and step
+    bounds of `config` apply.
+
     When `stop` is given, halt as soon as stop(plan, flaw) is true and return
     (plan, flaw) instead.
     """
@@ -90,12 +85,7 @@ def step_leftmost(domain, problem, config=None, stop=None, limit=300):
             return plan, flaw
         if flaw is None:
             break
-        if isinstance(flaw, Threat):
-            succ = resolve_threat(plan, flaw)
-        elif isinstance(flaw, OpenCondition):
-            succ = refine_causal(plan, flaw, domain)
-        else:
-            succ = refine_decomposition(plan, flaw, domain, kb, config.reuse_policy)
+        succ = successors(plan, flaw, domain, kb, config)
         successor_sets.append((plan, flaw, succ))
         if not succ:
             break

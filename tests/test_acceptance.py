@@ -230,7 +230,6 @@ def test_criterion_6_determinism(tmp_path):
             "plan",
             "--domain", str(CORPUS / "discourse.dpd"),
             "--problem", str(CORPUS / "multirole.dpp"),
-            "--seed", "42",
         ]
         assert cli_main(argv + ["--out", str(out_a)]) == 0
         assert cli_main(argv + ["--out", str(out_b)]) == 0

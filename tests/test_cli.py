@@ -149,3 +149,47 @@ def test_search_flags_are_threaded_through(tmp_path):
     duplicated = json.loads(out_b.read_text())
     ctb = lambda d: sum(1 for s in d["steps"] if s["name"] == "cause-to-believe")
     assert ctb(shared) < ctb(duplicated)
+
+
+def test_non_positive_search_bounds_are_input_errors(capsys):
+    base = ["--domain", DISCOURSE, "--problem", LUCENTIO]
+    for command in ("plan", "analyze"):
+        for flag, value in (("--max-nodes", "0"), ("--max-steps", "-1"), ("--max-depth", "0")):
+            assert cli_main([command, *base, flag, value]) == 3
+            assert "must be positive" in capsys.readouterr().err
+
+
+def test_non_utf8_input_file_is_an_input_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.dpd"
+    bad.write_bytes("(domain caf\xe9)".encode("latin-1"))
+    assert cli_main(["check", "--domain", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {bad}") and err.count("\n") == 1
+
+
+def test_verify_rejects_a_non_pair_ordering(tmp_path, capsys):
+    out = tmp_path / "plan.json"
+    cli_main(["plan", "--domain", DISCOURSE, "--problem", LUCENTIO, "--out", str(out)])
+    data = json.loads(out.read_text())
+    data["orderings"].append([1, 2, 3])
+    out.write_text(json.dumps(data))
+    code = cli_main(
+        ["verify", "--domain", DISCOURSE, "--problem", LUCENTIO, "--plan", str(out)]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out}: ") and err.count("\n") == 1
+
+
+def test_verify_rejects_a_plan_whose_goals_were_deleted(tmp_path, capsys):
+    out = tmp_path / "plan.json"
+    cli_main(["plan", "--domain", DISCOURSE, "--problem", LUCENTIO, "--out", str(out)])
+    data = json.loads(out.read_text())
+    final = next(s for s in data["steps"] if s["kind"] == "final")
+    final["preconditions"] = []
+    out.write_text(json.dumps(data))
+    code = cli_main(
+        ["verify", "--domain", DISCOURSE, "--problem", LUCENTIO, "--plan", str(out)]
+    )
+    assert code == 1
+    assert "violation [problem]" in capsys.readouterr().out

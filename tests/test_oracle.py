@@ -1,4 +1,7 @@
 """Executor, brute-force enumerator, and soundness auditor."""
+import itertools
+import random
+
 import pytest
 
 from discoplan.model import ActionOperator, BindingConstraint, Domain, Problem
@@ -10,10 +13,11 @@ from discoplan.oracle import (
     ground_actions,
     verify_soundness,
 )
-from discoplan.plan import CausalLink, linearizations
+from discoplan.plan import KIND_COMPOSITE, CausalLink
 from discoplan.search import Solution, solve
 from discoplan.terms import Constant, Variable, apply
-from _worlds import flat_step, lit, load_domain, load_problem
+from _oracles import orders_consistent_with
+from _worlds import boundary_steps, flat_step, lit, load_domain, load_problem, make_plan
 
 A, B = Constant("a"), Constant("b")
 
@@ -63,8 +67,10 @@ def test_every_linearization_of_the_discourse_solution_executes():
     out = solve(domain, problem)
     plan = out.plan
     goals = [apply(plan.bindings, g) for g in plan.final.preconditions]
+    prims = [s.sid for s in plan.steps if s.kind == "primitive"]
+    before = {(a, b) for a in prims for b in prims if plan.reaches(a, b)}
     count = 0
-    for order in linearizations(plan):
+    for order in orders_consistent_with(prims, before):
         steps = []
         for sid in order:
             s = plan.step(sid)
@@ -81,6 +87,22 @@ def test_every_linearization_of_the_discourse_solution_executes():
             assert g.atom() in trace.final_state if g.positive else g.atom() not in trace.final_state
         count += 1
     assert count >= 1
+
+
+def test_audit_checks_every_order_a_permutation_filter_accepts():
+    # the audit's enumerator against brute force; the composite step is
+    # phantom and must not appear in any order
+    rng = random.Random(13)
+    for _ in range(25):
+        prims = list(range(2, 8))
+        orderings = {(0, s) for s in prims + [8]} | {(s, 1) for s in prims + [8]}
+        orderings |= {(a, b) for a, b in itertools.combinations(prims, 2) if rng.random() < 0.3}
+        steps = boundary_steps() + tuple(flat_step(s, f"s{s}") for s in prims)
+        steps += (flat_step(8, "top", kind=KIND_COMPOSITE),)
+        plan = make_plan(steps, orderings)
+        want = orders_consistent_with(prims, orderings)
+        report = verify_soundness(plan, Problem("p", "d"))
+        assert report.linearizations_checked == len(want)
 
 
 def _paint_domain():
@@ -193,6 +215,20 @@ def test_audit_flags_exactly_one_violation_for_a_deleted_link():
     report = verify_soundness(corrupted, problem)
     assert len(report.violations) == 1
     assert report.violations[0].code == "support"
+
+
+def test_audit_flags_a_plan_for_another_problem():
+    domain = load_domain("switches.dpd")
+    problem = Problem("t", "switches", init=(lit("off", A),), goals=(lit("on", A),))
+    plan = solve(domain, problem).plan
+    assert verify_soundness(plan, problem).ok
+    for other in (
+        Problem("t", "switches", init=(lit("off", B),), goals=(lit("on", A),)),
+        Problem("t", "switches", init=(lit("off", A),), goals=(lit("on", A), lit("on", B))),
+        Problem("t", "switches", init=(lit("off", A),), goals=(lit("on", B),)),
+    ):
+        report = verify_soundness(plan, other)
+        assert [v.code for v in report.violations] == ["problem"]
 
 
 def test_audit_flags_an_injected_unordered_deleter():

@@ -1,21 +1,14 @@
-"""Plan structure: orderings, threats, linearizations, flaw agenda."""
+"""Plan structure: orderings, threats, flaw agenda."""
 import itertools
 import random
 
-import pytest
-
 from discoplan.plan import (
-    KIND_COMPOSITE,
     CausalLink,
     OpenCondition,
-    PlanTooLargeError,
-    Step,
     add_ordering,
     check_invariants,
     detect_threats,
     init_plan,
-    linearizations,
-    possibly_between,
     scan_flaws,
 )
 from discoplan.model import Problem
@@ -24,7 +17,6 @@ from _oracles import (
     brute_force_threats,
     conflict_by_enumeration,
     floyd_warshall,
-    orders_consistent_with,
 )
 from _worlds import boundary_steps, flat_step, lit, make_plan
 
@@ -61,24 +53,6 @@ def _chain_plan():
     return make_plan(steps, orderings)
 
 
-def test_possibly_between_unordered_step():
-    plan = _chain_plan()
-    assert possibly_between(plan, 4, 2, 3)
-
-
-def test_possibly_between_false_when_ordered_out():
-    plan = _chain_plan()
-    plan2 = add_ordering(plan, 4, 2)
-    assert not possibly_between(plan2, 4, 2, 3)
-
-
-def test_possibly_between_unknown_id_faults():
-    with pytest.raises(ValueError):
-        possibly_between(_chain_plan(), 9, 2, 3)
-    with pytest.raises(ValueError):
-        possibly_between(_chain_plan(), 2, 2, 3)
-
-
 def _random_flat_plan(rng, n_mid=5):
     mids = []
     for i in range(2, 2 + n_mid):
@@ -98,17 +72,6 @@ def _random_flat_plan(rng, n_mid=5):
         if rng.random() < 0.5:
             links.append(CausalLink(a, lit("on", rng.choice([L, B])), b))
     return make_plan(steps, orderings, links)
-
-
-def test_possibly_between_agrees_with_permutation_oracle():
-    rng = random.Random(3)
-    for _ in range(40):
-        plan = _random_flat_plan(rng)
-        sids = [s.sid for s in plan.steps]
-        orders = orders_consistent_with(sids, plan.orderings)
-        for s, a, b in itertools.permutations(sids, 3):
-            want = any(o.index(a) < o.index(s) < o.index(b) for o in orders)
-            assert possibly_between(plan, s, a, b) == want
 
 
 def test_detect_threats_unordered_deleter():
@@ -173,7 +136,8 @@ def test_add_ordering_enables_betweenness():
     plan = _chain_plan()
     plan2 = add_ordering(plan, 2, 4)
     plan3 = add_ordering(plan2, 4, 3)
-    assert possibly_between(plan3, 4, 2, 3)
+    assert plan3.reaches(2, 4) and plan3.reaches(4, 3)
+    assert not plan3.reaches(4, 2) and not plan3.reaches(3, 4)
 
 
 def test_transitive_closure_matches_floyd_warshall():
@@ -185,55 +149,6 @@ def test_transitive_closure_matches_floyd_warshall():
         for a in sids:
             for b in sids:
                 assert plan.reaches(a, b) == want[(a, b)]
-
-
-def test_linearizations_chain_is_unique():
-    steps = boundary_steps() + (flat_step(2, "a"), flat_step(3, "b"), flat_step(4, "c"))
-    orderings = {(0, 2), (2, 3), (3, 4), (4, 1)}
-    plan = make_plan(steps, orderings)
-    assert list(linearizations(plan)) == [(2, 3, 4)]
-
-
-def test_linearizations_two_unordered_steps():
-    steps = boundary_steps() + (flat_step(2, "a"), flat_step(3, "b"))
-    orderings = {(0, 2), (0, 3), (2, 1), (3, 1)}
-    plan = make_plan(steps, orderings)
-    assert sorted(linearizations(plan)) == [(2, 3), (3, 2)]
-
-
-def test_linearizations_excludes_phantom_steps():
-    steps = boundary_steps() + (
-        Step(2, "top", (), (), (), KIND_COMPOSITE),
-        flat_step(3, "leaf"),
-    )
-    orderings = {(0, 2), (2, 1), (0, 3), (3, 1)}
-    plan = make_plan(steps, orderings)
-    assert list(linearizations(plan)) == [(3,)]
-
-
-def test_linearizations_bound_fault():
-    steps = boundary_steps() + tuple(flat_step(i, f"s{i}") for i in range(2, 14))
-    orderings = {(0, s.sid) for s in steps[2:]} | {(s.sid, 1) for s in steps[2:]}
-    plan = make_plan(steps, orderings)
-    with pytest.raises(PlanTooLargeError):
-        list(linearizations(plan))
-
-
-def test_linearization_count_matches_permutation_filter():
-    rng = random.Random(13)
-    for _ in range(25):
-        plan = _random_flat_plan(rng, n_mid=6)
-        prims = [s.sid for s in plan.steps if s.kind == "primitive"]
-        want = {
-            perm
-            for perm in itertools.permutations(prims)
-            if all(
-                not plan.reaches(b, a)
-                for i, a in enumerate(perm)
-                for b in perm[i + 1 :]
-            )
-        }
-        assert set(linearizations(plan)) == want
 
 
 def test_invariant_checker_accepts_healthy_plan():
