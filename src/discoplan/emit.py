@@ -219,12 +219,18 @@ def _reload(text: str, parse):
     return value
 
 
+def _sid(value) -> int:
+    if type(value) is not int:
+        raise PlanFileError(f"step id {value!r} is not an integer")
+    return value
+
+
 def plan_view_from_dict(data: dict) -> PlanView:
     """Rebuild an auditable plan view from an emitted json document."""
     try:
         steps = tuple(
             ViewStep(
-                sid=s["id"],
+                sid=_sid(s["id"]),
                 name=s["name"],
                 params=tuple(_reload(a, parse_term) for a in s["args"]),
                 preconditions=tuple(_reload(p, parse_literal) for p in s["preconditions"]),
@@ -233,17 +239,19 @@ def plan_view_from_dict(data: dict) -> PlanView:
             )
             for s in data["steps"]
         )
-        orderings = frozenset((a, b) for a, b in data["orderings"])
+        orderings = frozenset((_sid(a), _sid(b)) for a, b in data["orderings"])
         links = tuple(
-            ViewLink(l["producer"], _reload(l["condition"], parse_literal), l["consumer"])
+            ViewLink(
+                _sid(l["producer"]), _reload(l["condition"], parse_literal), _sid(l["consumer"])
+            )
             for l in data["causal_links"]
         )
         decos = tuple(
             ViewDecomposition(
-                parent=d["parent"],
-                begin=d["begin"],
-                end=d["end"],
-                members=tuple(d["members"]),
+                parent=_sid(d["parent"]),
+                begin=_sid(d["begin"]),
+                end=_sid(d["end"]),
+                members=tuple(_sid(m) for m in d["members"]),
                 schema=d["schema"],
                 constraints=tuple(_reload(c, parse_literal) for c in d["constraints"]),
             )

@@ -100,14 +100,23 @@ class Domain:
     operators: tuple[ActionOperator, ...] = ()
     schemata: tuple[DecompositionSchema, ...] = ()
 
-    def operator(self, name: str) -> ActionOperator | None:
+    def __post_init__(self):
+        by_name: dict[str, ActionOperator] = {}
         for op in self.operators:
-            if op.name == name:
-                return op
-        return None
+            by_name.setdefault(op.name, op)
+        by_action: dict[str, tuple[DecompositionSchema, ...]] = {}
+        for s in self.schemata:
+            by_action[s.action] = by_action.get(s.action, ()) + (s,)
+        object.__setattr__(self, "_operators", by_name)
+        object.__setattr__(self, "_schemata", by_action)
+
+    def operator(self, name: str) -> ActionOperator | None:
+        """The first operator declared under `name`, or None."""
+        return self._operators.get(name)
 
     def schemata_for(self, name: str) -> tuple[DecompositionSchema, ...]:
-        return tuple(s for s in self.schemata if s.action == name)
+        """The schemata for action `name`, in declaration order."""
+        return self._schemata.get(name, ())
 
 
 @dataclass(frozen=True)
@@ -132,23 +141,24 @@ def _literal_arity_issues(lit: Literal, arities: dict[str, int], where: str) -> 
 
 
 def _functor_issues(lit: Literal, functors: dict[str, int], where: str) -> list[str]:
-    issues = []
-
-    def walk(t: Term):
-        if isinstance(t, Compound):
-            seen = functors.get(t.functor)
-            if seen is None:
-                functors[t.functor] = len(t.args)
-            elif seen != len(t.args):
-                issues.append(
-                    f"{where}: functor {t.functor} used with arities {seen} and {len(t.args)}"
-                )
-            for a in t.args:
-                walk(a)
-
+    issues: list[str] = []
     for a in lit.args:
-        walk(a)
+        _check_functors(a, functors, where, issues)
     return issues
+
+
+def _check_functors(t: Term, functors: dict[str, int], where: str, issues: list[str]) -> None:
+    """Record each functor's first arity in `functors`; report any later clash to `issues`."""
+    if isinstance(t, Compound):
+        seen = functors.get(t.functor)
+        if seen is None:
+            functors[t.functor] = len(t.args)
+        elif seen != len(t.args):
+            issues.append(
+                f"{where}: functor {t.functor} used with arities {seen} and {len(t.args)}"
+            )
+        for a in t.args:
+            _check_functors(a, functors, where, issues)
 
 
 def validate_domain(domain: Domain) -> list[str]:
@@ -277,26 +287,30 @@ def kb_satisfy(
         if c.predicate not in kb.predicates:
             raise DomainValidationError(f"unknown kb predicate {c.predicate}")
 
-    def rec(i: int, bs: BindingSet) -> Iterator[BindingSet]:
-        if i == len(constraints):
-            yield bs
-            return
-        c = constraints[i]
-        if c.positive:
-            for fact in kb.facts:
-                if fact.predicate != c.predicate:
-                    continue
-                nxt = unify(c, fact, bs)
-                if nxt is not None:
-                    yield from rec(i + 1, nxt)
-        else:
-            atom = c.atom()
-            for fact in kb.facts:
-                if fact.predicate == atom.predicate and unify(atom, fact, bs) is not None:
-                    return
-            yield from rec(i + 1, bs)
+    yield from _kb_extensions(kb, constraints, 0, bindings)
 
-    yield from rec(0, bindings)
+
+def _kb_extensions(
+    kb: KnowledgeBase, constraints: list[Literal], i: int, bs: BindingSet
+) -> Iterator[BindingSet]:
+    """kb_satisfy's matches of constraints[i:] under `bs`."""
+    if i == len(constraints):
+        yield bs
+        return
+    c = constraints[i]
+    if c.positive:
+        for fact in kb.facts:
+            if fact.predicate != c.predicate:
+                continue
+            nxt = unify(c, fact, bs)
+            if nxt is not None:
+                yield from _kb_extensions(kb, constraints, i + 1, nxt)
+    else:
+        atom = c.atom()
+        for fact in kb.facts:
+            if fact.predicate == atom.predicate and unify(atom, fact, bs) is not None:
+                return
+        yield from _kb_extensions(kb, constraints, i + 1, bs)
 
 
 # Instantiation id reserved for probe renamings that must not collide with

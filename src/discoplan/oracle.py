@@ -8,6 +8,7 @@ evidence, not an echo.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -270,17 +271,18 @@ def _reachability(sids, pairs) -> dict[int, set[int]]:
     return out
 
 
-def _skolemize(lit: Literal, table: dict[Variable, Constant]) -> Literal:
-    def sk(t: Term) -> Term:
-        if isinstance(t, Variable):
-            if t not in table:
-                table[t] = Constant(f"sk:{t.name}:{t.iid}")
-            return table[t]
-        if isinstance(t, Compound):
-            return Compound(t.functor, tuple(sk(a) for a in t.args))
-        return t
+def _skolem_term(t: Term, table: dict[Variable, Constant]) -> Term:
+    if isinstance(t, Variable):
+        if t not in table:
+            table[t] = Constant(f"sk:{t.name}:{t.iid}")
+        return table[t]
+    if isinstance(t, Compound):
+        return Compound(t.functor, tuple(_skolem_term(a, table) for a in t.args))
+    return t
 
-    return Literal(lit.predicate, tuple(sk(a) for a in lit.args), lit.positive)
+
+def _skolemize(lit: Literal, table: dict[Variable, Constant]) -> Literal:
+    return Literal(lit.predicate, tuple(_skolem_term(a, table) for a in lit.args), lit.positive)
 
 
 def _match_all(patterns, terms, env: dict[Variable, Term]) -> bool:
@@ -310,37 +312,64 @@ def _match(pattern, term, env: dict[Variable, Term]) -> bool:
 
 def _all_orders(items: list[int], pred: dict[int, set[int]], cap: int):
     orders: list[tuple[int, ...]] = []
-
-    def rec(done: list[int], left: set[int]):
-        if len(orders) > cap:
-            return
-        if not left:
-            orders.append(tuple(done))
-            return
-        for m in sorted(left):
-            if pred[m] <= set(done):
-                done.append(m)
-                left.remove(m)
-                rec(done, left)
-                left.add(m)
-                done.pop()
-
-    rec([], set(items))
+    _extend_orders([], set(items), pred, cap, orders)
     return orders
+
+
+def _extend_orders(done: list[int], left: set[int], pred, cap: int, orders: list) -> None:
+    """Append to `orders` every completion of the prefix `done` by the steps in `left`."""
+    if len(orders) > cap:
+        return
+    if not left:
+        orders.append(tuple(done))
+        return
+    for m in sorted(left):
+        if pred[m] <= set(done):
+            done.append(m)
+            left.remove(m)
+            _extend_orders(done, left, pred, cap, orders)
+            left.add(m)
+            done.pop()
+
+
+def _id_faults(plan, steps) -> list[str]:
+    """One message per step id shared by several steps, and per link naming a missing step."""
+    out = [
+        f"step id {sid} names {n} steps"
+        for sid, n in Counter(s.sid for s in plan.steps).items()
+        if n > 1
+    ]
+    out += [
+        f"link references missing step: {l}"
+        for l in plan.causal_links
+        if l.producer not in steps or l.consumer not in steps
+    ]
+    for d in plan.decomposition_links:
+        missing = [sid for sid in (d.parent, d.begin, d.end, *d.members) if sid not in steps]
+        if missing:
+            out.append(
+                f"decomposition link of step {d.parent} references missing step {missing[0]}"
+            )
+    return out
 
 
 def verify_soundness(plan, problem: Problem, max_orders: int = 5_000) -> AuditReport:
     """Audit a claimed solution against first principles and the problem it claims to solve.
 
-    Checks: the initial step carries the problem's initial state and the final
-    step its goals, unique causal support for every precondition, an empty
-    threat set, successful goal-achieving execution of every linearization of
-    the primitive steps, and end-subplan preconditions supported from within
-    or before their subplan. Violations are report content, never exceptions.
+    Checks: step ids are unique and every link names steps of the plan (if
+    not, the audit stops at those `structure` violations), the initial step
+    carries the problem's initial state and the final step its goals, unique
+    causal support for every precondition, an empty threat set, successful
+    goal-achieving execution of every linearization of the primitive steps,
+    and end-subplan preconditions supported from within or before their
+    subplan. Violations are report content, never exceptions.
     """
     violations: list[Violation] = []
     bindings = getattr(plan, "bindings", EMPTY_BINDINGS)
     steps = {s.sid: s for s in plan.steps}
+    faults = _id_faults(plan, steps)
+    if faults:
+        return AuditReport(tuple(Violation("structure", m) for m in faults))
     pairs = set(plan.orderings)
     reach = _reachability(steps, pairs)
 
@@ -394,9 +423,6 @@ def verify_soundness(plan, problem: Problem, max_orders: int = 5_000) -> AuditRe
                     )
                 )
     for l in plan.causal_links:
-        if l.producer not in steps or l.consumer not in steps:
-            violations.append(Violation("structure", f"link references missing step: {l}"))
-            continue
         if l.consumer not in reach[l.producer]:
             violations.append(
                 Violation("order", f"producer {l.producer} not ordered before {l.consumer}")

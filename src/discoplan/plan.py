@@ -11,7 +11,7 @@ can intersect the protected span of a causal link.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Mapping
 
 from .model import Problem
@@ -133,7 +133,19 @@ class Plan:
         return self.steps[1]
 
     def evolve(self, **changes) -> "Plan":
-        return replace(self, **changes)
+        """A copy with `changes`; it shares the step index and ordering closure
+        unless `steps` or `orderings` change."""
+        if "steps" in changes or "orderings" in changes:
+            return replace(self, **changes)
+        unknown = changes.keys() - _PLAN_FIELDS
+        if unknown:
+            raise TypeError(f"Plan has no field {sorted(unknown)[0]}")
+        child = object.__new__(Plan)
+        child.__dict__.update(self.__dict__, **changes)
+        return child
+
+
+_PLAN_FIELDS = frozenset(f.name for f in fields(Plan))
 
 
 def _closure(index, pairs) -> dict[int, frozenset[int]]:

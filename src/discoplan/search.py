@@ -223,37 +223,39 @@ def _template_choices(plan: Plan, parent: Step, template, policy: str) -> list[i
     return list(reusable) + [None]
 
 
-def _instantiate_links(plan_steps, links, label_sid, bindings, open_map):
+def _instantiate_links(
+    plan_steps, links, label_sid, bindings, open_map, acc=(), consumed=frozenset()
+):
     """Assign each link template a producer effect and a consumer open precondition.
 
     Yields (bindings, causal links, consumed set) for every consistent joint
     assignment, in declaration order. `open_map` maps a step id to the indices
-    of its still-open preconditions.
+    of its still-open preconditions; `acc` holds the links assigned so far and
+    `consumed` the preconditions they took.
     """
-
-    def rec(i, bs, acc, consumed):
-        if i == len(links):
-            yield bs, tuple(acc), consumed
-            return
-        t = links[i]
-        producer = label_sid[t.producer]
-        consumer = label_sid[t.consumer]
-        pstep = plan_steps[producer]
-        cstep = plan_steps[consumer]
-        for e in pstep.effects:
-            b1 = unify(e, t.condition, bs)
-            if b1 is None:
+    if not links:
+        yield bindings, acc, consumed
+        return
+    t = links[0]
+    producer = label_sid[t.producer]
+    consumer = label_sid[t.consumer]
+    pstep = plan_steps[producer]
+    cstep = plan_steps[consumer]
+    for e in pstep.effects:
+        b1 = unify(e, t.condition, bindings)
+        if b1 is None:
+            continue
+        for j in open_map.get(consumer, ()):
+            if (consumer, j) in consumed:
                 continue
-            for j in open_map.get(consumer, ()):
-                if (consumer, j) in consumed:
-                    continue
-                b2 = unify(t.condition, cstep.preconditions[j], b1)
-                if b2 is None:
-                    continue
-                link = CausalLink(producer, cstep.preconditions[j], consumer)
-                yield from rec(i + 1, b2, acc + [link], consumed | {(consumer, j)})
-
-    yield from rec(0, bindings, [], frozenset())
+            b2 = unify(t.condition, cstep.preconditions[j], b1)
+            if b2 is None:
+                continue
+            link = CausalLink(producer, cstep.preconditions[j], consumer)
+            yield from _instantiate_links(
+                plan_steps, links[1:], label_sid, b2, open_map, acc + (link,),
+                consumed | {(consumer, j)},
+            )
 
 
 def refine_decomposition(
@@ -451,28 +453,35 @@ def rename_link(t, sigma):
 
 
 def _separation_pairs(bindings: BindingSet, effect: Literal, negated: Literal):
-    """Argument pairs whose non-codesignation would block the harmful unification."""
-    pairs: list[tuple[Term, Term]] = []
+    """Argument pairs whose non-codesignation would block the harmful unification.
 
-    def rec(x: Term, y: Term):
-        x = bindings.resolve(x)
-        y = bindings.resolve(y)
-        if x == y:
-            return
+    Walks both argument lists side by side, left to right, through every
+    pair of compounds that agree on functor and arity, and collects each
+    disagreeing pair of resolved terms once. A pair of shared subterms is
+    walked once.
+    """
+    pairs: list[tuple[Term, Term]] = []
+    seen = set()
+    stack = list(zip(effect.args, negated.args))[::-1]
+    while stack:
+        x, y = stack.pop()
+        x = bindings.walk(x)
+        y = bindings.walk(y)
+        if x is y:
+            continue
         if (
             isinstance(x, Compound)
             and isinstance(y, Compound)
             and x.functor == y.functor
             and len(x.args) == len(y.args)
         ):
-            for xa, ya in zip(x.args, y.args):
-                rec(xa, ya)
-        else:
-            if (x, y) not in pairs:
-                pairs.append((x, y))
-
-    for xa, ya in zip(effect.args, negated.args):
-        rec(xa, ya)
+            if (id(x), id(y)) not in seen:
+                seen.add((id(x), id(y)))
+                stack.extend(zip(reversed(x.args), reversed(y.args)))
+        elif x != y and not any(
+            bindings.codesignates(x, a) and bindings.codesignates(y, b) for a, b in pairs
+        ):
+            pairs.append((bindings.resolve(x), bindings.resolve(y)))
     return pairs
 
 

@@ -4,6 +4,17 @@ Variables carry an instantiation id so that two copies of one operator
 never share variables. A BindingSet is a persistent value: every
 extending operation returns a new store and leaves its input untouched,
 so backtracking search never has to undo anything.
+
+Cost model. Terms are DAGs: a variable bound to a compound that mentions
+further bound variables can reach one subterm along many paths, so a
+resolved term may be exponentially larger as a tree than the store that
+describes it. Every deep operation here (the occurs check, resolve, the
+codesignation test, decomposition during unification, term ordering and
+apply) therefore visits each distinct subterm, or each distinct pair of
+subterms, once per call: a set or memo keyed by id() stands in for the
+tree walk. Each keyed subterm is reachable from the call's arguments or
+from the assignments, which a call only ever extends, so its id() cannot
+be reused while the table lives; tables last for one call.
 """
 from __future__ import annotations
 
@@ -74,15 +85,6 @@ class Literal:
         return body if self.positive else f"(not {body})"
 
 
-def term_key(t: Term):
-    """Total order over terms, used for canonical representatives and stable output."""
-    if isinstance(t, Constant):
-        return (0, t.name)
-    if isinstance(t, Variable):
-        return (1, t.name, t.iid)
-    return (2, t.functor, tuple(term_key(a) for a in t.args))
-
-
 def variables_in(obj) -> Iterator[Variable]:
     if isinstance(obj, Variable):
         yield obj
@@ -114,6 +116,86 @@ def rename_fresh(literals: Iterable[Literal], iid: int) -> list[Literal]:
     ]
 
 
+def _walk(t: Term, asg: Mapping) -> Term:
+    while isinstance(t, Variable):
+        nxt = asg.get(t)
+        if nxt is None:
+            return t
+        t = nxt
+    return t
+
+
+def _resolve(t: Term, asg: Mapping, memo: dict) -> Term:
+    """`t` with every bound variable substituted; each shared subterm is resolved once."""
+    t = _walk(t, asg)
+    if not isinstance(t, Compound):
+        return t
+    out = memo.get(id(t))
+    if out is None:
+        out = Compound(t.functor, tuple(_resolve(a, asg, memo) for a in t.args))
+        memo[id(t)] = out
+    return out
+
+
+def _occurs(v: Variable, t: Term, asg: Mapping) -> bool:
+    seen = set()
+    stack = [t]
+    while stack:
+        t = _walk(stack.pop(), asg)
+        if isinstance(t, Compound):
+            if id(t) not in seen:
+                seen.add(id(t))
+                stack.extend(t.args)
+        elif t == v:
+            return True
+    return False
+
+
+def _cmp(a, b) -> int:
+    return (a > b) - (a < b)
+
+
+_RANK = {Constant: 0, Variable: 1, Compound: 2}
+
+
+def _compare(x: Term, y: Term, asg: Mapping, memo: dict) -> int:
+    """compare_terms of x and y resolved under `asg`; zero iff they codesignate."""
+    x = _walk(x, asg)
+    y = _walk(y, asg)
+    if x is y:
+        return 0
+    rank = _RANK[type(x)]
+    if rank != _RANK[type(y)]:
+        return rank - _RANK[type(y)]
+    if rank == 0:
+        return _cmp(x.name, y.name)
+    if rank == 1:
+        return _cmp((x.name, x.iid), (y.name, y.iid))
+    c = memo.get((id(x), id(y)))
+    if c is None:
+        c = _cmp(x.functor, y.functor)
+        if not c:
+            for a, b in zip(x.args, y.args):
+                c = _compare(a, b, asg, memo)
+                if c:
+                    break
+            else:
+                c = _cmp(len(x.args), len(y.args))
+        memo[(id(x), id(y))] = c
+    return c
+
+
+def compare_terms(x: Term, y: Term) -> int:
+    """Total order over terms; non-codesignation pairs are stored in this order.
+
+    Constants come before variables, variables before compounds; constants
+    order by name, variables by name then instantiation id, compounds by
+    functor, then their arguments lexicographically, then arity. Negative,
+    zero or positive as x is below, equal to or above y.
+    """
+    return _compare(x, y, {}, {})
+
+
 @dataclass(frozen=True)
 class BindingSet:
     """Codesignation classes plus non-codesignation pairs.
@@ -128,55 +210,34 @@ class BindingSet:
     distinct: tuple[tuple[Term, Term], ...] = ()
 
     def walk(self, t: Term) -> Term:
-        while isinstance(t, Variable) and t in self.assignments:
-            t = self.assignments[t]
-        return t
+        return _walk(t, self.assignments)
 
     def resolve(self, t: Term) -> Term:
         """Deep walk: substitute through compounds."""
-        t = self.walk(t)
-        if isinstance(t, Compound):
-            return Compound(t.functor, tuple(self.resolve(a) for a in t.args))
-        return t
+        return _resolve(t, self.assignments, {})
+
+    def codesignates(self, x: Term, y: Term) -> bool:
+        """True iff x and y resolve to the same term."""
+        return _compare(x, y, self.assignments, {}) == 0
 
     def canonical(self, v: Variable) -> Variable:
         """Display representative of an unbound class: its smallest member."""
         members = [v] + [k for k in self.assignments if self.walk(k) == v]
-        return min(members, key=term_key)
+        # All members are variables, which compare_terms orders by name, then iid.
+        return min(members, key=lambda m: (m.name, m.iid))
 
 
 EMPTY_BINDINGS = BindingSet()
 
 
-def _walk(t: Term, asg: dict) -> Term:
-    while isinstance(t, Variable) and t in asg:
-        t = asg[t]
-    return t
-
-
-def _resolve(t: Term, asg: dict) -> Term:
-    t = _walk(t, asg)
-    if isinstance(t, Compound):
-        return Compound(t.functor, tuple(_resolve(a, asg) for a in t.args))
-    return t
-
-
-def _occurs(v: Variable, t: Term, asg: dict) -> bool:
-    t = _walk(t, asg)
-    if t == v:
-        return True
-    if isinstance(t, Compound):
-        return any(_occurs(v, a, asg) for a in t.args)
-    return False
-
-
 def _unify_pairs(pairs: list[tuple[Term, Term]], asg: dict) -> bool:
+    seen = set()
     stack = list(pairs)
     while stack:
         a, b = stack.pop()
         a = _walk(a, asg)
         b = _walk(b, asg)
-        if a == b:
+        if a is b or (not isinstance(a, Compound) and a == b):
             continue
         if isinstance(a, Variable):
             if _occurs(a, b, asg):
@@ -193,7 +254,11 @@ def _unify_pairs(pairs: list[tuple[Term, Term]], asg: dict) -> bool:
                 raise ArityMismatchError(
                     f"functor {a.functor} used with arities {len(a.args)} and {len(b.args)}"
                 )
-            stack.extend(zip(a.args, b.args))
+            # A pair met again was decomposed already, and all its argument
+            # pairs are unified or still on the stack.
+            if (id(a), id(b)) not in seen:
+                seen.add((id(a), id(b)))
+                stack.extend(zip(a.args, b.args))
         else:
             return False
     return True
@@ -202,7 +267,7 @@ def _unify_pairs(pairs: list[tuple[Term, Term]], asg: dict) -> bool:
 def _finish(bindings: BindingSet, asg: dict) -> BindingSet | None:
     # Eager consistency: reject if any forbidden pair now codesignates.
     for x, y in bindings.distinct:
-        if _resolve(x, asg) == _resolve(y, asg):
+        if _compare(x, y, asg, {}) == 0:
             return None
     return BindingSet(asg, bindings.distinct)
 
@@ -234,27 +299,37 @@ def unify(a: Literal, b: Literal, bindings: BindingSet = EMPTY_BINDINGS) -> Bind
 
 def add_noncodesignation(bindings: BindingSet, x: Term, y: Term) -> BindingSet | None:
     """Forbid x and y from denoting the same object; None if they already do."""
-    if bindings.resolve(x) == bindings.resolve(y):
+    if bindings.codesignates(x, y):
         return None
-    pair = tuple(sorted((x, y), key=term_key))
-    if pair in bindings.distinct:
-        return bindings
-    return BindingSet(dict(bindings.assignments), bindings.distinct + (pair,))
+    first, second = (x, y) if compare_terms(x, y) < 0 else (y, x)
+    for a, b in bindings.distinct:
+        if compare_terms(a, first) == 0 and compare_terms(b, second) == 0:
+            return bindings
+    return BindingSet(dict(bindings.assignments), bindings.distinct + ((first, second),))
+
+
+def _apply(bindings: BindingSet, t: Term, memo: dict) -> Term:
+    w = _walk(t, bindings.assignments)
+    if isinstance(w, Variable):
+        return bindings.canonical(w)
+    if not isinstance(w, Compound):
+        return w
+    out = memo.get(id(w))
+    if out is None:
+        out = Compound(w.functor, tuple(_apply(bindings, a, memo) for a in w.args))
+        memo[id(w)] = out
+    return out
 
 
 def apply_term(bindings: BindingSet, t: Term) -> Term:
-    w = bindings.walk(t)
-    if isinstance(w, Compound):
-        return Compound(w.functor, tuple(apply_term(bindings, a) for a in w.args))
-    if isinstance(w, Variable):
-        return bindings.canonical(w)
-    return w
+    return _apply(bindings, t, {})
 
 
 def apply(bindings: BindingSet, literal: Literal) -> Literal:
     """Substitute each variable by its class representative; idempotent."""
+    memo: dict = {}
     return Literal(
         literal.predicate,
-        tuple(apply_term(bindings, a) for a in literal.args),
+        tuple(_apply(bindings, a, memo) for a in literal.args),
         literal.positive,
     )

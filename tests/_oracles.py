@@ -8,7 +8,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from discoplan.terms import Compound, Literal, Term, Variable, apply
+from discoplan.terms import Compound, Constant, Literal, Term, Variable, apply
 
 
 def ground(t: Term, env: dict):
@@ -40,6 +40,28 @@ def collect_variables(objs) -> list[Variable]:
     for o in objs:
         walk(o)
     return seen
+
+
+def naive_resolve(t: Term, asg) -> Term:
+    """Deep walk that expands the term as a tree, rebuilding every node it meets."""
+    while isinstance(t, Variable) and t in asg:
+        t = asg[t]
+    if isinstance(t, Compound):
+        return Compound(t.functor, tuple(naive_resolve(a, asg) for a in t.args))
+    return t
+
+
+def naive_occurs(v: Variable, t: Term, asg) -> bool:
+    return v in collect_variables([naive_resolve(t, asg)])
+
+
+def naive_term_key(t: Term):
+    """Total order over terms as nested tuples, one tuple per tree node."""
+    if isinstance(t, Constant):
+        return (0, t.name)
+    if isinstance(t, Variable):
+        return (1, t.name, t.iid)
+    return (2, t.functor, tuple(naive_term_key(a) for a in t.args))
 
 
 def consistent_assignments(bindings, variables, constants):

@@ -193,3 +193,31 @@ def test_verify_rejects_a_plan_whose_goals_were_deleted(tmp_path, capsys):
     )
     assert code == 1
     assert "violation [problem]" in capsys.readouterr().out
+
+
+def test_verify_reports_a_decomposition_link_to_a_missing_step(tmp_path, capsys):
+    out = tmp_path / "plan.json"
+    cli_main(["plan", "--domain", DISCOURSE, "--problem", LUCENTIO, "--out", str(out)])
+    data = json.loads(out.read_text())
+    data["decomposition_links"][0]["end"] = 99
+    out.write_text(json.dumps(data))
+    code = cli_main(
+        ["verify", "--domain", DISCOURSE, "--problem", LUCENTIO, "--plan", str(out)]
+    )
+    assert code == 1
+    assert "violation [structure]" in capsys.readouterr().out
+
+
+def test_verify_rejects_a_non_integer_step_id(tmp_path, capsys):
+    out = tmp_path / "plan.json"
+    cli_main(["plan", "--domain", DISCOURSE, "--problem", LUCENTIO, "--out", str(out)])
+    data = json.loads(out.read_text())
+    data["steps"][0]["id"] = [0]
+    out.write_text(json.dumps(data))
+    code = cli_main(
+        ["verify", "--domain", DISCOURSE, "--problem", LUCENTIO, "--plan", str(out)]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "step id [0] is not an integer" in err
+    assert "Traceback" not in err

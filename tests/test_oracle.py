@@ -1,9 +1,11 @@
 """Executor, brute-force enumerator, and soundness auditor."""
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
+from discoplan.emit import plan_to_dict, plan_view_from_dict
 from discoplan.model import ActionOperator, BindingConstraint, Domain, Problem
 from discoplan.oracle import (
     GroundAction,
@@ -215,6 +217,27 @@ def test_audit_flags_exactly_one_violation_for_a_deleted_link():
     report = verify_soundness(corrupted, problem)
     assert len(report.violations) == 1
     assert report.violations[0].code == "support"
+
+
+def test_audit_reports_duplicate_and_dangling_step_ids_instead_of_raising():
+    problem = load_problem("lucentio.dpp")
+    plan = solve(load_domain("discourse.dpd"), problem).plan
+    (deco,) = plan.decomposition_links
+    link = plan.causal_links[0]
+    # A second step under the goal producer's id that undoes the goal: the
+    # audit must not execute one copy and threat-scan the other.
+    producer = plan.step(next(l.producer for l in plan.causal_links if l.consumer == 1))
+    undoer = replace(producer, effects=tuple(e.negate() for e in producer.effects))
+    for broken, culprit in (
+        (plan.evolve(decomposition_links=(replace(deco, end=99),)), "99"),
+        (plan.evolve(decomposition_links=(replace(deco, members=deco.members + (99,)),)), "99"),
+        (plan.evolve(causal_links=(replace(link, consumer=99),) + plan.causal_links[1:]), "99"),
+        (plan.evolve(steps=(undoer,) + plan.steps), f"step id {producer.sid} names 2 steps"),
+    ):
+        for audited in (broken, plan_view_from_dict(plan_to_dict(broken, None))):
+            report = verify_soundness(audited, problem)
+            assert [v.code for v in report.violations] == ["structure"]
+            assert culprit in report.violations[0].message
 
 
 def test_audit_flags_a_plan_for_another_problem():

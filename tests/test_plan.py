@@ -1,6 +1,9 @@
 """Plan structure: orderings, threats, flaw agenda."""
 import itertools
 import random
+from dataclasses import replace
+
+import pytest
 
 from discoplan.plan import (
     CausalLink,
@@ -159,3 +162,16 @@ def test_invariant_checker_accepts_healthy_plan():
     steps[3] = flat_step(3, "b", pre=(lit("on", L),))
     healthy = make_plan(tuple(steps), plan.orderings, (link,))
     assert check_invariants(healthy) == []
+
+
+def test_evolve_reuses_the_closure_only_while_steps_and_orderings_stay():
+    plan = init_plan(Problem("p", "d", goals=(lit("bel", MODELED),)))
+    same = plan.evolve(flaws=(), next_iid=9)
+    assert same._index is plan._index and same._reach is plan._reach
+    assert same == replace(plan, flaws=(), next_iid=9)
+    grown = plan.evolve(
+        steps=plan.steps + (flat_step(2),), orderings=plan.orderings | {(0, 2), (2, 1)}
+    )
+    assert grown.reaches(0, 2) and grown.reaches(2, 1) and not plan.has_step(2)
+    with pytest.raises(TypeError):
+        plan.evolve(no_such_field=1)

@@ -1,6 +1,8 @@
 """The refinement search: causal, decompositional, threats, pruning, determinism."""
+import gc
 import random
 
+from discoplan.language import parse_problem
 from discoplan.model import (
     ActionOperator,
     BindingConstraint,
@@ -9,6 +11,7 @@ from discoplan.model import (
     LinkTemplate,
     Problem,
     StepTemplate,
+    kb_satisfy,
     knowledge_base,
     operators_achieving,
 )
@@ -27,7 +30,9 @@ from discoplan.search import (
     BudgetExceeded,
     Exhausted,
     SearchConfig,
+    SearchStats,
     Solution,
+    _instantiate_links,
     prune_unused,
     refine_causal,
     refine_decomposition,
@@ -35,7 +40,7 @@ from discoplan.search import (
     solve,
 )
 from discoplan.oracle import verify_soundness
-from discoplan.terms import Compound, Constant, Literal, Variable, apply
+from discoplan.terms import EMPTY_BINDINGS, Compound, Constant, Literal, Variable, apply
 from _worlds import (
     boundary_steps,
     flat_step,
@@ -431,6 +436,36 @@ def test_node_budget_exhaustion_is_reported():
     )
     out = solve(domain, impossible, SearchConfig(max_nodes=2))
     assert isinstance(out, BudgetExceeded)
+
+
+def test_regress_search_counts_are_pinned():
+    # Unsolvable: no credible init, so combine-belief regresses through ever
+    # deeper shared terms until the node budget runs out.
+    problem, diags = parse_problem(
+        "(problem r (domain discourse) (facts (causes c g)) (init) (goal (bel g)))", "r"
+    )
+    assert problem is not None, diags
+    out = solve(load_domain("discourse.dpd"), problem, SearchConfig(max_depth=2, max_nodes=1000))
+    assert isinstance(out, BudgetExceeded)
+    assert out.stats == SearchStats(nodes_expanded=1000, backtracks=968, max_stack_depth=35)
+
+
+def test_kb_matching_and_link_assignment_leave_no_reference_cycles():
+    kb = knowledge_base(load_domain("discourse.dpd"), load_problem("multirole.dpp"))
+    x = Variable("x")
+    steps = {0: flat_step(0, eff=(lit("p", L), lit("p", B))), 1: flat_step(1, pre=(lit("p", x),))}
+    links = [LinkTemplate("start", lit("p", x), "final")]
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(list(kb_satisfy(kb, [lit("causes", x, Variable("y"))], EMPTY_BINDINGS))) > 1
+        assignment = next(
+            _instantiate_links(steps, links, {"start": 0, "final": 1}, EMPTY_BINDINGS, {1: [0]})
+        )
+        assert assignment[1] == (CausalLink(0, lit("p", x), 1),)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_flaw_policies_all_reach_a_solution():

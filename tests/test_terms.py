@@ -1,5 +1,7 @@
 """Unification, binding store, substitution."""
 import random
+import time
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,13 +13,23 @@ from discoplan.terms import (
     EMPTY_BINDINGS,
     Literal,
     Variable,
+    _occurs,
     add_noncodesignation,
     apply,
+    compare_terms,
     rename_fresh,
     unify,
     unify_terms,
 )
-from _oracles import collect_variables, consistent_assignments, ground_literal
+from discoplan.search import _separation_pairs
+from _oracles import (
+    collect_variables,
+    consistent_assignments,
+    ground_literal,
+    naive_occurs,
+    naive_resolve,
+    naive_term_key,
+)
 
 A, B, L = Constant("a"), Constant("b"), Constant("l")
 P = Variable("p")
@@ -221,3 +233,109 @@ def test_operations_never_corrupt_the_store():
             for v in variables:
                 resolved = bs.resolve(v)
                 assert resolved == bs.resolve(resolved)
+
+
+# Bindings ?x0 = (f ?x1 ?x1), ?x1 = (f ?x2 ?x2), ... make ?x0 a DAG of DEPTH + 1
+# distinct subterms whose tree expansion has 2**DEPTH leaves, so any walk that
+# expands it as a tree never finishes.
+DEPTH = 120
+
+
+def _chain(name, bindings, leaf=None):
+    xs = [Variable(name, k) for k in range(DEPTH + 1)]
+    for k in range(DEPTH):
+        bindings = unify_terms(xs[k], Compound("f", (xs[k + 1], xs[k + 1])), bindings)
+    if leaf is not None:
+        bindings = unify_terms(xs[-1], leaf, bindings)
+    return xs, bindings
+
+
+def _within_milliseconds(started):
+    assert time.perf_counter() - started < 0.5
+
+
+def test_unify_visits_each_shared_subterm_once():
+    xs, bs = _chain("x", EMPTY_BINDINGS)
+    ys, bs = _chain("y", bs)
+    w = Variable("w")
+    started = time.perf_counter()
+    both = unify(lit("p", xs[0]), lit("p", ys[0]), bs)
+    assert both is not None and both.codesignates(xs[-1], ys[-1])
+    # The occurs check must search all of ?x0 before it meets ?w.
+    assert unify(lit("p", w), lit("p", Compound("g", (xs[0], w))), bs) is None
+    assert unify(lit("p", w), lit("p", xs[0]), bs) is not None
+    _within_milliseconds(started)
+
+
+def test_noncodesignation_and_distinct_checks_visit_each_shared_subterm_once():
+    xs, bs = _chain("x", EMPTY_BINDINGS)
+    ys, bs = _chain("y", bs)
+    zs, bs = _chain("z", bs, leaf=A)
+    started = time.perf_counter()
+    both = unify_terms(xs[0], ys[0], bs)
+    assert add_noncodesignation(both, xs[0], ys[0]) is None
+    # Resolved, both sides are trees of 2**DEPTH leaves; ordering them for
+    # the stored pair must not expand them. (Each check is a plain bool, so
+    # a failure never prints a resolved term.)
+    rx, rz = bs.resolve(xs[0]), bs.resolve(zs[0])
+    apart = add_noncodesignation(bs, rx, rz)
+    stored_in_order = apart.distinct == ((rz, rx),)
+    assert stored_in_order
+    deduplicated = add_noncodesignation(apart, bs.resolve(xs[0]), bs.resolve(zs[0])) is apart
+    assert deduplicated
+    in_order = sorted([rx, rz], key=cmp_to_key(compare_terms)) == [rz, rx]
+    assert in_order
+    # The forbidden pair codesignates only once the leaves meet, deep in the DAG.
+    assert unify_terms(xs[-1], B, apart) is not None
+    assert unify_terms(xs[-1], A, apart) is None
+    _within_milliseconds(started)
+
+
+def test_separation_pairs_visit_each_shared_subterm_once():
+    xs, bs = _chain("x", EMPTY_BINDINGS)
+    zs, bs = _chain("z", bs, leaf=A)
+    started = time.perf_counter()
+    pairs = _separation_pairs(bs, lit("p", xs[0]), lit("p", zs[0]))
+    assert pairs == [(xs[-1], A)]
+    _within_milliseconds(started)
+
+
+VARS = [Variable(n) for n in "xyzw"]
+ARITY = {"f": 2, "g": 1, "h": 0}
+
+
+@st.composite
+def shared_store(draw):
+    """A pool of terms whose compounds reuse earlier pool members, and a store binding them."""
+    pool = [A, B] + VARS
+    for _ in range(draw(st.integers(0, 8))):
+        functor = draw(st.sampled_from(sorted(ARITY)))
+        arity = ARITY[functor]
+        args = draw(st.lists(st.sampled_from(list(pool)), min_size=arity, max_size=arity))
+        pool.append(Compound(functor, tuple(args)))
+    bs = EMPTY_BINDINGS
+    for _ in range(draw(st.integers(0, 6))):
+        nxt = unify_terms(draw(st.sampled_from(VARS)), draw(st.sampled_from(pool)), bs)
+        bs = bs if nxt is None else nxt
+    return pool, bs
+
+
+def _sign(n):
+    return (n > 0) - (n < 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_store())
+def test_dag_walks_agree_with_tree_expansion(store):
+    pool, bs = store
+    asg = bs.assignments
+    resolved = [naive_resolve(t, asg) for t in pool]
+    for t, expanded in zip(pool, resolved):
+        assert bs.resolve(t) == expanded
+        for v in VARS:
+            assert _occurs(v, t, asg) == naive_occurs(v, t, asg)
+    for x, rx in zip(pool, resolved):
+        for y, ry in zip(pool, resolved):
+            assert bs.codesignates(x, y) == (rx == ry)
+            kx, ky = naive_term_key(rx), naive_term_key(ry)
+            assert _sign(compare_terms(bs.resolve(x), bs.resolve(y))) == (kx > ky) - (kx < ky)
