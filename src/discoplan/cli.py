@@ -38,24 +38,25 @@ def _read_file(path: str):
         return None
 
 
-def _load(args):
-    """Parse and validate domain and problem; None on any input error."""
-    domain_text = _read_file(args.domain)
-    if domain_text is None:
+def _parse_file(path: str, parse):
+    """Read and parse one input file, printing its diagnostics; None on any error."""
+    text = _read_file(path)
+    if text is None:
         return None
-    domain, diags = parse_domain(domain_text, args.domain)
+    value, diags = parse(text, path)
     for d in diags:
         print(str(d), file=sys.stderr)
+    return value
+
+
+def _load(args):
+    """Parse and validate domain and problem; None on any input error."""
+    domain = _parse_file(args.domain, parse_domain)
     if domain is None:
         return None
     problem = None
     if getattr(args, "problem", None):
-        problem_text = _read_file(args.problem)
-        if problem_text is None:
-            return None
-        problem, pdiags = parse_problem(problem_text, args.problem)
-        for d in pdiags:
-            print(str(d), file=sys.stderr)
+        problem = _parse_file(args.problem, parse_problem)
         if problem is None:
             return None
     issues = validate_domain(domain)

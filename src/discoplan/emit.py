@@ -28,12 +28,10 @@ def functional(t: Term) -> str:
     return str(t)
 
 
-def step_label(step, bindings=None) -> str:
-    params = step.params
-    if bindings is not None:
-        params = tuple(apply_term(bindings, a) for a in params)
-    if not params:
+def step_label(step, bindings: BindingSet) -> str:
+    if not step.params:
         return step.name
+    params = (apply_term(bindings, a) for a in step.params)
     return "{}({})".format(step.name, ", ".join(functional(a) for a in params))
 
 

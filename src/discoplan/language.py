@@ -71,13 +71,19 @@ def parse_term(node: SNode, diags: list[Diagnostic], depth: int = 0) -> Term | N
     if not isinstance(head, SAtom):
         _err(diags, node, "compound term functor must be a symbol")
         return None
-    args = []
-    for item in node.items[1:]:
-        t = parse_term(item, diags, depth + 1)
+    args = _parse_terms(node.items[1:], diags, depth + 1)
+    return None if args is None else Compound(head.text, args)
+
+
+def _parse_terms(nodes, diags, depth: int = 0) -> tuple[Term, ...] | None:
+    """Every node as a term; None at the first that fails, after its diagnostic."""
+    out = []
+    for node in nodes:
+        t = parse_term(node, diags, depth)
         if t is None:
             return None
-        args.append(t)
-    return Compound(head.text, tuple(args))
+        out.append(t)
+    return tuple(out)
 
 
 def parse_literal(node: SNode, diags: list[Diagnostic]) -> Literal | None:
@@ -94,22 +100,38 @@ def parse_literal(node: SNode, diags: list[Diagnostic]) -> Literal | None:
     if not isinstance(head, SAtom):
         _err(diags, node, "literal predicate must be a symbol")
         return None
-    args = []
-    for item in node.items[1:]:
-        t = parse_term(item, diags)
-        if t is None:
-            return None
-        args.append(t)
-    return Literal(head.text, tuple(args))
+    args = _parse_terms(node.items[1:], diags)
+    return None if args is None else Literal(head.text, args)
 
 
-def _clause_items(form: SList, diags) -> list[SNode]:
-    return list(form.items[1:])
+def _parse_literals(nodes, diags, ground: str = "") -> list[Literal]:
+    """The literals among `nodes`, skipping each that fails; when `ground`
+    names the clause, a literal with variables is reported and skipped too."""
+    out = []
+    for node in nodes:
+        lit = parse_literal(node, diags)
+        if lit is None:
+            continue
+        if ground and not is_ground(lit):
+            _err(diags, node, f"{ground} literal must be ground: {lit}")
+            continue
+        out.append(lit)
+    return out
+
+
+def _clauses(form: SList, start: int, where: str, diags):
+    """Yield (head, clause) for each `(head ...)` item of `form` from `start` on;
+    report any other item."""
+    for clause in form.items[start:]:
+        if isinstance(clause, SList) and clause.items and isinstance(clause.items[0], SAtom):
+            yield clause.items[0].text, clause
+        else:
+            _err(diags, clause, f"expected a clause list inside {where}")
 
 
 def _parse_predicates(form: SList, diags) -> dict[str, int]:
     out: dict[str, int] = {}
-    for item in _clause_items(form, diags):
+    for item in form.items[1:]:
         if (
             isinstance(item, SList)
             and len(item.items) == 2
@@ -132,18 +154,13 @@ def _parse_header(form: SList, diags) -> tuple[str, tuple[Term, ...]] | None:
     if not isinstance(inner.items[0], SAtom):
         _err(diags, inner, "action name must be a symbol")
         return None
-    args = []
-    for a in inner.items[1:]:
-        t = parse_term(a, diags)
-        if t is None:
-            return None
-        args.append(t)
-    return inner.items[0].text, tuple(args)
+    args = _parse_terms(inner.items[1:], diags)
+    return None if args is None else (inner.items[0].text, args)
 
 
 def _parse_bindings(form: SList, diags) -> tuple[BindingConstraint, ...]:
     out = []
-    for item in _clause_items(form, diags):
+    for item in form.items[1:]:
         if (
             isinstance(item, SList)
             and len(item.items) == 3
@@ -165,21 +182,15 @@ def _parse_action(form: SList, diags) -> ActionOperator | None:
     pre: list[Literal] = []
     eff: list[Literal] = []
     bindings: tuple[BindingConstraint, ...] = ()
-    for clause in form.items[1:]:
-        if not isinstance(clause, SList) or not clause.items or not isinstance(clause.items[0], SAtom):
-            _err(diags, clause, "expected a clause list inside action")
-            continue
-        head = clause.items[0].text
+    for head, clause in _clauses(form, 1, "action", diags):
         if head == "header":
             header = _parse_header(clause, diags)
         elif head == "composite":
             composite = True
-        elif head in ("pre", "eff"):
-            target = pre if head == "pre" else eff
-            for item in clause.items[1:]:
-                lit = parse_literal(item, diags)
-                if lit is not None:
-                    target.append(lit)
+        elif head == "pre":
+            pre += _parse_literals(clause.items[1:], diags)
+        elif head == "eff":
+            eff += _parse_literals(clause.items[1:], diags)
         elif head == "bindings":
             bindings = _parse_bindings(clause, diags)
         else:
@@ -187,19 +198,16 @@ def _parse_action(form: SList, diags) -> ActionOperator | None:
     if header is None:
         _err(diags, form, "action without header")
         return None
-    name, args = header
-    params = []
-    for a in args:
-        if not isinstance(a, Variable):
-            _err(diags, form, f"action {name}: header arguments must be variables")
-            return None
-        params.append(a)
-    return ActionOperator(name, tuple(params), tuple(pre), tuple(eff), bindings, composite)
+    name, params = header
+    if not all(isinstance(a, Variable) for a in params):
+        _err(diags, form, f"action {name}: header arguments must be variables")
+        return None
+    return ActionOperator(name, params, tuple(pre), tuple(eff), bindings, composite)
 
 
 def _parse_steps(form: SList, diags) -> tuple[StepTemplate, ...]:
     out = []
-    for item in _clause_items(form, diags):
+    for item in form.items[1:]:
         if (
             isinstance(item, SList)
             and len(item.items) == 2
@@ -208,18 +216,10 @@ def _parse_steps(form: SList, diags) -> tuple[StepTemplate, ...]:
             and item.items[1].items
             and isinstance(item.items[1].items[0], SAtom)
         ):
-            label = item.items[0].text
             inner = item.items[1]
-            args = []
-            bad = False
-            for a in inner.items[1:]:
-                t = parse_term(a, diags)
-                if t is None:
-                    bad = True
-                    break
-                args.append(t)
-            if not bad:
-                out.append(StepTemplate(label, inner.items[0].text, tuple(args)))
+            args = _parse_terms(inner.items[1:], diags)
+            if args is not None:
+                out.append(StepTemplate(item.items[0].text, inner.items[0].text, args))
         else:
             _err(diags, item, "expected (label (action args...))")
     return tuple(out)
@@ -227,7 +227,7 @@ def _parse_steps(form: SList, diags) -> tuple[StepTemplate, ...]:
 
 def _parse_links(form: SList, diags) -> tuple[LinkTemplate, ...]:
     out = []
-    for item in _clause_items(form, diags):
+    for item in form.items[1:]:
         if (
             isinstance(item, SList)
             and len(item.items) == 3
@@ -244,7 +244,7 @@ def _parse_links(form: SList, diags) -> tuple[LinkTemplate, ...]:
 
 def _parse_orderings(form: SList, diags) -> tuple[tuple[str, str], ...]:
     out = []
-    for item in _clause_items(form, diags):
+    for item in form.items[1:]:
         if (
             isinstance(item, SList)
             and len(item.items) == 2
@@ -263,18 +263,11 @@ def _parse_decomposition(form: SList, diags) -> DecompositionSchema | None:
     links: tuple[LinkTemplate, ...] = ()
     bindings: tuple[BindingConstraint, ...] = ()
     orderings: tuple[tuple[str, str], ...] = ()
-    for clause in form.items[1:]:
-        if not isinstance(clause, SList) or not clause.items or not isinstance(clause.items[0], SAtom):
-            _err(diags, clause, "expected a clause list inside decomposition")
-            continue
-        head = clause.items[0].text
+    for head, clause in _clauses(form, 1, "decomposition", diags):
         if head == "header":
             header = _parse_header(clause, diags)
         elif head == "constraints":
-            for item in clause.items[1:]:
-                lit = parse_literal(item, diags)
-                if lit is not None:
-                    constraints.append(lit)
+            constraints += _parse_literals(clause.items[1:], diags)
         elif head == "steps":
             steps = _parse_steps(clause, diags)
         elif head == "links":
@@ -292,32 +285,35 @@ def _parse_decomposition(form: SList, diags) -> DecompositionSchema | None:
     return DecompositionSchema(name, args, tuple(constraints), steps, links, bindings, orderings)
 
 
-def parse_domain(text: str, filename: str = "<domain>") -> tuple[Domain | None, list[Diagnostic]]:
-    """Lower domain text to a Domain; (None, diagnostics) when structure is broken."""
+def _top_form(text: str, filename: str, keyword: str) -> tuple[SList | None, list[Diagnostic]]:
+    """The text's single `(keyword NAME ...)` form, or None after a diagnostic."""
     forms, diags = read(text, filename)
     if len(forms) != 1 or not isinstance(forms[0], SList):
         _err(diags, forms[0] if forms else SAtom("", SourceSpan(filename, 1, 1)),
-             "expected a single (domain ...) form")
+             f"expected a single ({keyword} ...) form")
         return None, diags
     form = forms[0]
     if (
         len(form.items) < 2
         or not isinstance(form.items[0], SAtom)
-        or form.items[0].text != "domain"
+        or form.items[0].text != keyword
         or not isinstance(form.items[1], SAtom)
     ):
-        _err(diags, form, "expected (domain NAME ...)")
+        _err(diags, form, f"expected ({keyword} NAME ...)")
         return None, diags
-    name = form.items[1].text
+    return form, diags
+
+
+def parse_domain(text: str, filename: str = "<domain>") -> tuple[Domain | None, list[Diagnostic]]:
+    """Lower domain text to a Domain; (None, diagnostics) when structure is broken."""
+    form, diags = _top_form(text, filename, "domain")
+    if form is None:
+        return None, diags
     predicates: dict[str, int] = {}
     kb_predicates: dict[str, int] = {}
     operators: list[ActionOperator] = []
     schemata: list[DecompositionSchema] = []
-    for clause in form.items[2:]:
-        if not isinstance(clause, SList) or not clause.items or not isinstance(clause.items[0], SAtom):
-            _err(diags, clause, "expected a clause list inside domain")
-            continue
-        head = clause.items[0].text
+    for head, clause in _clauses(form, 2, "domain", diags):
         if head == "predicates":
             predicates.update(_parse_predicates(clause, diags))
         elif head == "kb-predicates":
@@ -335,58 +331,34 @@ def parse_domain(text: str, filename: str = "<domain>") -> tuple[Domain | None, 
     if diags:
         return None, diags
     return (
-        Domain(name, predicates, kb_predicates, tuple(operators), tuple(schemata)),
+        Domain(form.items[1].text, predicates, kb_predicates, tuple(operators), tuple(schemata)),
         diags,
     )
 
 
 def parse_problem(text: str, filename: str = "<problem>") -> tuple[Problem | None, list[Diagnostic]]:
-    forms, diags = read(text, filename)
-    if len(forms) != 1 or not isinstance(forms[0], SList):
-        _err(diags, forms[0] if forms else SAtom("", SourceSpan(filename, 1, 1)),
-             "expected a single (problem ...) form")
+    form, diags = _top_form(text, filename, "problem")
+    if form is None:
         return None, diags
-    form = forms[0]
-    if (
-        len(form.items) < 2
-        or not isinstance(form.items[0], SAtom)
-        or form.items[0].text != "problem"
-        or not isinstance(form.items[1], SAtom)
-    ):
-        _err(diags, form, "expected (problem NAME ...)")
-        return None, diags
-    name = form.items[1].text
     domain_name = ""
-    facts: list[Literal] = []
-    init: list[Literal] = []
-    goals: list[Literal] = []
-    for clause in form.items[2:]:
-        if not isinstance(clause, SList) or not clause.items or not isinstance(clause.items[0], SAtom):
-            _err(diags, clause, "expected a clause list inside problem")
-            continue
-        head = clause.items[0].text
+    lits: dict[str, list[Literal]] = {"facts": [], "init": [], "goal": []}
+    for head, clause in _clauses(form, 2, "problem", diags):
         if head == "domain":
             if len(clause.items) == 2 and isinstance(clause.items[1], SAtom):
                 domain_name = clause.items[1].text
             else:
                 _err(diags, clause, "expected (domain NAME)")
-        elif head in ("facts", "init", "goal"):
-            target = {"facts": facts, "init": init, "goal": goals}[head]
-            for item in clause.items[1:]:
-                lit = parse_literal(item, diags)
-                if lit is None:
-                    continue
-                if head in ("facts", "init") and not is_ground(lit):
-                    _err(diags, item, f"{head} literal must be ground: {lit}")
-                    continue
-                target.append(lit)
+        elif head in lits:
+            ground = "" if head == "goal" else head
+            lits[head] += _parse_literals(clause.items[1:], diags, ground)
         else:
             _err(diags, clause, f"unknown problem clause {head}")
     if not domain_name:
         _err(diags, form, "problem without (domain NAME)")
     if diags:
         return None, diags
-    return Problem(name, domain_name, tuple(facts), tuple(init), tuple(goals)), diags
+    facts, init, goals = (tuple(lits[k]) for k in ("facts", "init", "goal"))
+    return Problem(form.items[1].text, domain_name, facts, init, goals), diags
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,12 @@ def _holds(state: frozenset[Literal], condition: Literal) -> bool:
     return condition.atom() not in state
 
 
+def _progress(state: frozenset[Literal], effects) -> frozenset[Literal]:
+    """The state after `effects` under add/delete semantics."""
+    deletes = {e.atom() for e in effects if not e.positive}
+    return (state - deletes) | {e for e in effects if e.positive}
+
+
 def execute(initial_state: Iterable[Literal], steps: Sequence) -> ExecutionTrace:
     """Apply ground primitive steps in order under add/delete semantics.
 
@@ -78,9 +84,7 @@ def execute(initial_state: Iterable[Literal], steps: Sequence) -> ExecutionTrace
         for p in step.preconditions:
             if not _holds(state, p):
                 return ExecutionTrace(tuple(entries), "failed-precondition", initial, sid, p)
-        deletes = {e.atom() for e in step.effects if not e.positive}
-        adds = {e for e in step.effects if e.positive}
-        after = (state - deletes) | adds
+        after = _progress(state, step.effects)
         entries.append(TraceEntry(sid, state, after))
         state = after
     return ExecutionTrace(tuple(entries), "success", initial)
@@ -185,9 +189,7 @@ def brute_force(
                 continue
             for ga in actions:
                 if all(_holds(state, p) for p in ga.preconditions):
-                    deletes = {e.atom() for e in ga.effects if not e.positive}
-                    adds = {e for e in ga.effects if e.positive}
-                    next_frontier.append((seq + (ga,), (state - deletes) | adds))
+                    next_frontier.append((seq + (ga,), _progress(state, ga.effects)))
         frontier = next_frontier
         if not frontier:
             break
@@ -483,20 +485,19 @@ def verify_soundness(plan, problem: Problem, max_orders: int = 5_000) -> AuditRe
     orders = _all_orders(prims, pred, max_orders)
     init_state = [ground(e) for e in initial.effects]
     goals = [ground(g) for g in final.preconditions]
+    grounded = {
+        s.sid: GroundAction(
+            sid=str(s.sid),
+            name=s.name,
+            args=(),
+            preconditions=tuple(ground(p) for p in s.preconditions),
+            effects=tuple(ground(e) for e in s.effects),
+        )
+        for s in plan.steps
+        if s.kind == "primitive"
+    }
     for order in orders:
-        seq = []
-        for sid in order:
-            s = steps[sid]
-            seq.append(
-                GroundAction(
-                    sid=str(sid),
-                    name=s.name,
-                    args=tuple(),
-                    preconditions=tuple(ground(p) for p in s.preconditions),
-                    effects=tuple(ground(e) for e in s.effects),
-                )
-            )
-        trace = execute(init_state, seq)
+        trace = execute(init_state, [grounded[sid] for sid in order])
         if not trace.ok:
             violations.append(
                 Violation(

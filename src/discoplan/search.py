@@ -100,10 +100,6 @@ class BudgetExceeded:
 SearchOutcome = Solution | Exhausted | BudgetExceeded
 
 
-def _remove_flaw(flaws, flaw):
-    return tuple(f for f in flaws if f != flaw)
-
-
 def _instantiate_operator(op, sid: int, iid: int, kind: str, depth: int) -> Step:
     return Step(
         sid=sid,
@@ -117,14 +113,15 @@ def _instantiate_operator(op, sid: int, iid: int, kind: str, depth: int) -> Step
 
 
 def _with_membership(plan: Plan, producer: int, consumer: int) -> Plan | None:
-    """Pull a producer into the subplan whose goals it establishes.
+    """Order a producer before its consumer and pull it into the subplan whose
+    goals it establishes; None iff the ordering makes a cycle.
 
     When a causal link targets an end-subplan step, the producer joins that
     decomposition link's members unless it is the begin step, already a
     member, or already ordered before the whole subplan.
     """
-    consumer_step = plan.step(consumer)
-    if consumer_step.kind != KIND_END:
+    plan = add_ordering(plan, producer, consumer)
+    if plan is None or plan.step(consumer).kind != KIND_END:
         return plan
     for i, d in enumerate(plan.decomposition_links):
         if d.end != consumer:
@@ -152,56 +149,38 @@ def refine_causal(plan: Plan, flaw: OpenCondition, domain: Domain) -> list[Plan]
     """
     out = []
     consumer = plan.step(flaw.consumer)
-    base_flaws = _remove_flaw(plan.flaws, flaw)
-
-    # Reuse, smallest step id first.
-    for s in plan.steps:
+    flaws = tuple(f for f in plan.flaws if f != flaw)
+    new_sid, new_iid = plan.next_sid, plan.next_iid
+    fresh = tuple(
+        _instantiate_operator(
+            op, new_sid, new_iid, KIND_COMPOSITE if op.composite else KIND_PRIMITIVE, consumer.depth
+        )
+        for op in domain.operators
+    )
+    # Reuse, smallest step id first; then a fresh step per operator, declaration order.
+    for s in plan.steps + fresh:
         if s.sid == flaw.consumer or s.kind == KIND_FINAL:
             continue
         b = producer_bindings(plan, s, flaw.condition)
         if b is None:
             continue
-        child = plan.evolve(
-            bindings=b,
-            causal_links=plan.causal_links + (CausalLink(s.sid, flaw.condition, flaw.consumer),),
-            flaws=base_flaws,
-        )
-        child = add_ordering(child, s.sid, flaw.consumer)
-        if child is None:
-            continue
+        link = CausalLink(s.sid, flaw.condition, flaw.consumer)
+        if s.sid != new_sid:
+            child = plan.evolve(bindings=b, causal_links=plan.causal_links + (link,), flaws=flaws)
+        else:
+            opened = tuple(OpenCondition(new_sid, p) for p in s.preconditions)
+            if s.kind == KIND_COMPOSITE:
+                opened += (UnexpandedComposite(new_sid),)
+            child = plan.evolve(
+                steps=plan.steps + (s,),
+                orderings=plan.orderings | {(0, new_sid), (new_sid, 1)},
+                bindings=b,
+                causal_links=plan.causal_links + (link,),
+                flaws=flaws + opened,
+                next_sid=new_sid + 1,
+                next_iid=new_iid + 1,
+            )
         child = _with_membership(child, s.sid, flaw.consumer)
-        if child is not None:
-            out.append(child)
-
-    # Fresh instantiation per operator, declaration order.
-    for op in domain.operators:
-        iid = plan.next_iid
-        sid = plan.next_sid
-        kind = KIND_COMPOSITE if op.composite else KIND_PRIMITIVE
-        step = _instantiate_operator(op, sid, iid, kind, consumer.depth)
-        b = None
-        for e in step.effects:
-            b = unify(e, flaw.condition, plan.bindings)
-            if b is not None:
-                break
-        if b is None:
-            continue
-        new_flaws = base_flaws + tuple(OpenCondition(sid, p) for p in step.preconditions)
-        if op.composite:
-            new_flaws += (UnexpandedComposite(sid),)
-        child = plan.evolve(
-            steps=plan.steps + (step,),
-            orderings=plan.orderings | {(0, sid), (sid, 1)},
-            bindings=b,
-            causal_links=plan.causal_links + (CausalLink(sid, flaw.condition, flaw.consumer),),
-            flaws=new_flaws,
-            next_sid=sid + 1,
-            next_iid=iid + 1,
-        )
-        child = add_ordering(child, sid, flaw.consumer)
-        if child is None:
-            continue
-        child = _with_membership(child, sid, flaw.consumer)
         if child is not None:
             out.append(child)
     return out
@@ -363,7 +342,7 @@ def _expand(plan, parent, flaw, schema, sigma, bindings, combo, constraints, dom
         open_map[sid] = [
             j
             for j, p in enumerate(reused.preconditions)
-            if any(f.consumer == sid and f.condition == p for f in plan.flaws if isinstance(f, OpenCondition))
+            if OpenCondition(sid, p) in plan.flaws
         ]
 
     link_templates = [rename_link(t, sigma) for t in schema.links]
@@ -488,33 +467,25 @@ def _separation_pairs(bindings: BindingSet, effect: Literal, negated: Literal):
 def resolve_threat(plan: Plan, flaw: Threat) -> list[Plan]:
     """Promotion, demotion, then one separation successor per blocking pair.
 
-    Every returned successor provably removes this (step, link) threat;
-    an empty list is the backtrack signal.
+    `flaw` must be a current threat of `plan`, as `detect_threats(plan)`
+    reports it. Every returned successor provably removes this (step, link)
+    threat; an empty list is the backtrack signal.
     """
-    out = []
     link = flaw.link
     promoted = add_ordering(plan, link.consumer, flaw.step)
-    if promoted is not None:
-        out.append(promoted)
     demoted = add_ordering(plan, flaw.step, link.producer)
-    if demoted is not None:
-        out.append(demoted)
+    out = [p for p in (promoted, demoted) if p is not None]
     negated = link.condition.negate()
-    threat_step = plan.step(flaw.step)
-    for e in threat_step.effects:
-        if e.predicate != negated.predicate or e.positive != negated.positive:
-            continue
+    effects = plan.step(flaw.step).effects
+    for e in effects:
         if unify(e, negated, plan.bindings) is None:
             continue
         for x, y in _separation_pairs(plan.bindings, e, negated):
             b = add_noncodesignation(plan.bindings, x, y)
-            if b is None:
-                continue
-            child = plan.evolve(bindings=b)
-            # A single pair may leave another effect of the same step harmful;
-            # only keep successors that actually disarm this threat.
-            if flaw not in detect_threats(child):
-                out.append(child)
+            # A pair that blocks this effect may leave another effect of the
+            # same step harmful; keep only separations that disarm them all.
+            if b is not None and all(unify(f, negated, b) is None for f in effects):
+                out.append(plan.evolve(bindings=b))
     return out
 
 
@@ -561,17 +532,11 @@ def prune_unused(plan: Plan) -> Plan:
 
 
 def _select_flaw(plan: Plan, threats: list[Threat], policy: str):
-    if policy == "threats-first":
-        if threats:
-            return threats[0]
-        return plan.flaws[0] if plan.flaws else None
-    if policy == "fifo":
-        if plan.flaws:
-            return plan.flaws[0]
-        return threats[0] if threats else None
-    if plan.flaws:
-        return plan.flaws[-1]
-    return threats[0] if threats else None
+    """The first threat, else the agenda's first flaw ("threats-first"); the
+    agenda's first ("fifo") or last ("lifo") flaw, else the first threat."""
+    agenda = plan.flaws[::-1] if policy == "lifo" else plan.flaws
+    queue = (threats, agenda) if policy == "threats-first" else (agenda, threats)
+    return next(itertools.chain(*queue), None)
 
 
 def successors(

@@ -1,13 +1,15 @@
 """The benchmark's per-layer tracer still finds every name it wraps.
 
 `bench/layers.py` wraps discoplan functions by name at run time, so renaming
-or deleting one of them silently breaks `bench/run.py --trace 1`.
+or deleting one of them silently breaks `bench/run.py --trace 1`. Its
+counting hooks also call `len()` on some results, which a generator lacks.
 """
 import importlib
 import importlib.util
 import inspect
 from pathlib import Path
 
+from discoplan import plan, search
 from discoplan.oracle import verify_soundness
 
 LAYERS = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
@@ -33,3 +35,13 @@ def test_every_traced_name_resolves():
 
 def test_verify_soundness_keeps_its_order_cap():
     assert "max_orders" in inspect.signature(verify_soundness).parameters
+
+
+def test_functions_whose_results_are_counted_return_lists():
+    for fn in (
+        plan.detect_threats,
+        search.refine_causal,
+        search.refine_decomposition,
+        search.resolve_threat,
+    ):
+        assert not inspect.isgeneratorfunction(fn), fn.__name__

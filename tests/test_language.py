@@ -1,13 +1,16 @@
 """Domain/problem language: lowering, diagnostics, round-trips, fuzz."""
 import random
 
+import pytest
+
 from discoplan.language import (
     parse_domain,
     parse_problem,
+    parse_term,
     serialize_domain,
     serialize_problem,
 )
-from discoplan.sexp import read
+from discoplan.sexp import SAtom, SourceSpan, read
 from discoplan.terms import Compound, Constant, Variable
 from _worlds import CORPUS, lit, load_domain, load_problem
 
@@ -168,3 +171,107 @@ def test_parser_survives_pathological_nesting():
     problem, diags = parse_problem(text)
     assert problem is None
     assert any("nesting" in d.message for d in diags)
+
+
+# One row per diagnostic the lowering can report: (parser, input, every
+# diagnostic as `file:line:col: message`). Each input is otherwise well
+# formed, so the listed diagnostics are all it produces and the parse
+# returns None. The last rows pin where a term list stops (at its first bad
+# term), which clauses keep going after a bad item, and line tracking.
+_DEEP = "(f " * 201 + "a" + ")" * 201
+_ACT = "(domain d (action (header (go ?x)) {}))"
+_DEC = "(domain d (decomposition (header (go ?x)) {}))"
+_PROB = "(problem p (domain d) {})"
+DIAGNOSTICS = [
+    ("problem", _PROB.format("(goal (p ?))"), ["f:1:32: variable with empty name"]),
+    ("problem", _PROB.format(f"(goal (p {_DEEP}))"), ["f:1:632: term nesting deeper than 200"]),
+    ("problem", _PROB.format("(goal (p ()))"), ["f:1:32: empty compound term"]),
+    ("problem", _PROB.format("(goal (p ((f) a)))"),
+     ["f:1:32: compound term functor must be a symbol"]),
+    ("problem", _PROB.format("(goal a)"), ["f:1:29: literal must be a non-empty list"]),
+    ("problem", _PROB.format("(goal (not (p a) (q b)))"),
+     ["f:1:29: negation takes exactly one literal"]),
+    ("problem", _PROB.format("(goal ((p) a))"), ["f:1:29: literal predicate must be a symbol"]),
+    ("domain", "(domain d (predicates (p x)))", ["f:1:23: expected (predicate arity)"]),
+    ("domain", "(domain d (action (header)))",
+     ["f:1:19: expected (header (name args...))", "f:1:11: action without header"]),
+    ("domain", "(domain d (action (header ((go) ?x))))",
+     ["f:1:27: action name must be a symbol", "f:1:11: action without header"]),
+    ("domain", _ACT.format("(bindings (same ?x ?x))"), ["f:1:46: expected (eq T T) or (neq T T)"]),
+    ("domain", _ACT.format("junk"), ["f:1:36: expected a clause list inside action"]),
+    ("domain", _ACT.format("(frob)"), ["f:1:36: unknown action clause frob"]),
+    ("domain", "(domain d (action (pre (p a))))", ["f:1:11: action without header"]),
+    ("domain", "(domain d (action (header (go a))))",
+     ["f:1:11: action go: header arguments must be variables"]),
+    ("domain", _DEC.format("(steps (s1 go))"), ["f:1:50: expected (label (action args...))"]),
+    ("domain", _DEC.format("(links (s1 (p ?x)))"),
+     ["f:1:50: expected (producer-label LIT consumer-label)"]),
+    ("domain", _DEC.format("(orderings (s1))"), ["f:1:54: expected (before-label after-label)"]),
+    ("domain", _DEC.format("junk"), ["f:1:43: expected a clause list inside decomposition"]),
+    ("domain", _DEC.format("(frob)"), ["f:1:43: unknown decomposition clause frob"]),
+    ("domain", "(domain d (decomposition (steps)))", ["f:1:11: decomposition without header"]),
+    ("domain", "", ["f:1:1: expected a single (domain ...) form"]),
+    ("domain", "(domain d) (domain e)", ["f:1:1: expected a single (domain ...) form"]),
+    ("domain", "(domain)", ["f:1:1: expected (domain NAME ...)"]),
+    ("domain", "(domain d junk)", ["f:1:11: expected a clause list inside domain"]),
+    ("domain", "(domain d (frob))", ["f:1:11: unknown domain clause frob"]),
+    ("problem", "", ["f:1:1: expected a single (problem ...) form"]),
+    ("problem", "(problem)", ["f:1:1: expected (problem NAME ...)"]),
+    ("problem", _PROB.format("junk"), ["f:1:23: expected a clause list inside problem"]),
+    ("problem", _PROB.format("(domain)"), ["f:1:23: expected (domain NAME)"]),
+    ("problem", _PROB.format("(init (on ?x))"), ["f:1:29: init literal must be ground: (on ?x)"]),
+    ("problem", _PROB.format("(frob)"), ["f:1:23: unknown problem clause frob"]),
+    ("problem", "(problem p (goal (on a)))", ["f:1:1: problem without (domain NAME)"]),
+    ("problem", _PROB.format("(goal (p ? ?) (q ?))"),
+     ["f:1:32: variable with empty name", "f:1:40: variable with empty name"]),
+    ("domain", "(domain d (action (header (go ? ?))))",
+     ["f:1:31: variable with empty name", "f:1:11: action without header"]),
+    ("domain", _ACT.format("(bindings (eq ? ?))"),
+     ["f:1:50: variable with empty name", "f:1:52: variable with empty name"]),
+    ("domain", _DEC.format("(steps (s1 (go ? ?)) (s2 (go ?)))"),
+     ["f:1:58: variable with empty name", "f:1:72: variable with empty name"]),
+    ("problem", "(problem p\n  (domain d)\n  (facts (causes ?a b))\n  (goal (not)))",
+     ["f:3:10: facts literal must be ground: (causes ?a b)",
+      "f:4:9: negation takes exactly one literal"]),
+    ("domain",
+     "(domain d\n  (action (header (go ?x)) (pre (p ?)) (eff ()) (eff (q ?x)))\n  7)",
+     ["f:2:36: variable with empty name", "f:2:45: literal must be a non-empty list",
+      "f:3:3: expected a clause list inside domain"]),
+]
+
+
+@pytest.mark.parametrize("kind,text,expected", DIAGNOSTICS)
+def test_every_diagnostic_is_pinned(kind, text, expected):
+    parse = parse_domain if kind == "domain" else parse_problem
+    value, diags = parse(text, "f")
+    assert value is None
+    assert [str(d) for d in diags] == expected
+
+
+def test_empty_symbol_is_a_diagnostic():
+    # The reader never yields an empty atom, so this site is reached directly.
+    diags = []
+    assert parse_term(SAtom("", SourceSpan("f", 1, 1)), diags) is None
+    assert [str(d) for d in diags] == ["f:1:1: empty symbol"]
+
+
+def test_later_clauses_override_or_accumulate():
+    text = """
+    (domain d
+      (action (header (go ?x ?y))
+        (pre (p ?x)) (eff (q ?x)) (pre (p ?y)) (eff (q ?y))
+        (bindings (neq ?x ?y)) (bindings (eq ?x ?y)))
+      (decomposition (header (go ?a ?b))
+        (constraints (k ?a)) (constraints (k ?b))
+        (steps (s1 (go ?a ?b))) (steps (s2 (go ?b ?a)))))
+    """
+    domain, diags = parse_domain(text)
+    assert diags == []
+    (op,) = domain.operators
+    x, y = Variable("x"), Variable("y")
+    assert op.preconditions == (lit("p", x), lit("p", y))
+    assert op.effects == (lit("q", x), lit("q", y))
+    assert [c.kind for c in op.constraints] == ["eq"]
+    (schema,) = domain.schemata
+    assert schema.constraints == (lit("k", Variable("a")), lit("k", Variable("b")))
+    assert [t.label for t in schema.steps] == ["s2"]

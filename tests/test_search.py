@@ -239,6 +239,28 @@ def test_resolve_threat_separation_blocks_unification():
     assert threat not in detect_threats(separated)
 
 
+def test_resolve_threat_drops_a_separation_that_leaves_another_effect_harmful():
+    x, y = Variable("x", 9), Variable("y", 9)
+    steps = boundary_steps() + (
+        flat_step(2, "maker", eff=(lit("on", L),)),
+        flat_step(3, "user", pre=(lit("on", L),)),
+        flat_step(4, "wrecker", eff=(lit("on", x, positive=False), lit("on", y, positive=False))),
+    )
+    orderings = {(0, s) for s in (2, 3, 4)} | {(s, 1) for s in (2, 3, 4)} | {(2, 3)}
+    link = CausalLink(2, lit("on", L), 3)
+    plan = make_plan(steps, orderings, (link,))
+    threat = Threat(4, link)
+    assert detect_threats(plan) == [threat]
+    succ = resolve_threat(plan, threat)
+    # x != l leaves (not (on ?y)) harmful and y != l leaves (not (on ?x)):
+    # only promotion and demotion remain.
+    assert len(succ) == 2
+    assert succ[0].reaches(3, 4) and succ[1].reaches(4, 2)
+    for child in succ:
+        assert not child.bindings.distinct
+        assert threat not in detect_threats(child)
+
+
 def test_resolve_threat_successors_strictly_reduce_link_threats():
     rng = random.Random(23)
     for _ in range(40):
