@@ -8,10 +8,26 @@ interval between its begin and end boundary steps. Ordering constraints are
 therefore recorded between interval endpoints (end of the earlier step,
 begin of the later one), and threat detection asks whether a step's interval
 can intersect the protected span of a causal link.
+
+Incremental maintenance. A plan carries its ordering closure and, once
+`detect_threats` has asked for them, its threats. When `Plan.evolve` only
+appends steps and causal links, only adds ordering pairs and leaves
+`intervals` alone, the child derives its closure from the parent's: each new
+pair (a, b) adds b and everything b reaches to a and to every step that
+reaches a. Its threats then start from the nearest ancestor whose threats
+are known. Under such a change "possibly between" can only become false (the
+closure only grows) and `unify` can only start failing (the bindings only
+grow: `evolve` must only receive bindings that extend the parent's), so no
+old (link, step) pair becomes a threat. The new threats are the ancestor's,
+re-tested when the bindings or orderings changed, plus every new link
+against all steps and every old link against the new steps. Any other
+change (an expansion rewrites `intervals`, pruning drops steps) and direct
+construction compute both from scratch; `check_invariants` compares the
+maintained values with that computation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Mapping
 
 from .model import Problem
@@ -98,8 +114,12 @@ class Plan:
     problem_name: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "_index", {s.sid: s for s in self.steps})
-        object.__setattr__(self, "_reach", _closure(self._index, self.orderings))
+        index = {s.sid: s for s in self.steps}
+        # _threats: one tuple of threats per causal link, once known; _base:
+        # the nearest ancestor with known threats that this plan extends.
+        vars(self).update(
+            _index=index, _reach=_closure(index, self.orderings), _threats=None, _base=None
+        )
 
     def step(self, sid: int) -> Step:
         try:
@@ -133,16 +153,43 @@ class Plan:
         return self.steps[1]
 
     def evolve(self, **changes) -> "Plan":
-        """A copy with `changes`; it shares the step index and ordering closure
-        unless `steps` or `orderings` change."""
-        if "steps" in changes or "orderings" in changes:
-            return replace(self, **changes)
+        """A copy with `changes`, sharing or extending the parent's derived state.
+
+        `bindings`, if given, must extend the parent's, and a step added
+        here may only be ordered by pairs added here too. When the child only
+        appends steps and causal links and only adds orderings, with
+        `intervals` unchanged, its closure is the parent's updated by the new
+        pairs and its threats are later derived from the nearest ancestor's
+        (see the module docstring); otherwise both are computed afresh.
+        """
         unknown = changes.keys() - _PLAN_FIELDS
         if unknown:
             raise TypeError(f"Plan has no field {sorted(unknown)[0]}")
         child = object.__new__(Plan)
-        child.__dict__.update(self.__dict__, **changes)
+        state = vars(child)
+        state.update(vars(self), **changes)
+        added = frozenset() if "orderings" not in changes else child.orderings - self.orderings
+        grows = (
+            child.intervals is self.intervals
+            and _extends(child.steps, self.steps)
+            and _extends(child.causal_links, self.causal_links)
+            and len(child.orderings) == len(self.orderings) + len(added)
+        )
+        if not grows:
+            state["_index"] = {s.sid: s for s in child.steps}
+            state["_reach"] = _closure(state["_index"], child.orderings)
+        elif child.steps is not self.steps or added:
+            state["_index"], state["_reach"] = _extend_closure(
+                self._index, self._reach, child.steps[len(self.steps):], added
+            )
+        base = self if self._threats is not None else self._base
+        state.update(_threats=None, _base=base if grows else None)
         return child
+
+
+def _extends(new: tuple, old: tuple) -> bool:
+    """True iff `new` starts with `old`."""
+    return new is old or new[: len(old)] == old
 
 
 _PLAN_FIELDS = frozenset(f.name for f in fields(Plan))
@@ -165,6 +212,24 @@ def _closure(index, pairs) -> dict[int, frozenset[int]]:
             stack.extend(succ.get(n, ()))
         out[sid] = frozenset(seen)
     return out
+
+
+def _extend_closure(index, reach, fresh, pairs):
+    """`_closure` of the old pairs plus `pairs` over `index` plus the `fresh`
+    steps, given `reach`, the closure of the old pairs over `index`."""
+    index = dict(index)
+    reach = dict(reach)
+    for s in fresh:
+        index[s.sid] = s
+        reach[s.sid] = frozenset()
+    for a, b in pairs:
+        if a not in index or b in reach[a]:
+            continue
+        gain = reach.get(b, frozenset()) | {b}
+        for sid, reached in reach.items():
+            if sid == a or a in reached:
+                reach[sid] = reached | gain
+    return index, reach
 
 
 def init_plan(problem: Problem) -> Plan:
@@ -222,26 +287,52 @@ def detect_threats(plan: Plan) -> list[Threat]:
 
     The protected span runs from the producer's establishment point (its end
     boundary if expanded) to the consumer's start point (its begin boundary).
+    Threats come in causal-link order, then step order, in a fresh list. They
+    are computed once per plan, from the nearest ancestor whose threats are
+    known when the plan extends it (see the module docstring).
     """
+    if plan._threats is None:
+        vars(plan).update(_threats=_scan_threats(plan, plan._base), _base=None)
+    return [t for threats in plan._threats for t in threats]
+
+
+def _scan_threats(plan: Plan, base: Plan | None = None) -> tuple[tuple[Threat, ...], ...]:
+    """The threats of each causal link; from scratch, or from those of `base`,
+    an ancestor that `plan` extends."""
+    known = base._threats if base else ()
+    fresh = plan.steps[len(base.steps):] if base else plan.steps
+    retest = base is not None and (
+        plan.bindings is not base.bindings or plan.orderings is not base.orderings
+    )
     out = []
-    for link in plan.causal_links:
+    for i, link in enumerate(plan.causal_links):
+        kept, candidates = (known[i], fresh) if i < len(known) else ((), plan.steps)
+        if not candidates and not (retest and kept):
+            out.append(kept)
+            continue
         negated = link.condition.negate()
-        p_end = plan.end_of(link.producer)
-        c_begin = plan.begin_of(link.consumer)
-        for s in plan.steps:
-            if s.sid == link.producer or s.sid == link.consumer:
-                continue
-            s_begin = plan.begin_of(s.sid)
-            s_end = plan.end_of(s.sid)
-            if s_end == p_end or plan.reaches(s_end, p_end):
-                continue
-            if c_begin == s_begin or plan.reaches(c_begin, s_begin):
-                continue
-            for e in s.effects:
-                if unify(e, negated, plan.bindings) is not None:
-                    out.append(Threat(s.sid, link))
-                    break
-    return out
+        p_end, c_begin = plan.end_of(link.producer), plan.begin_of(link.consumer)
+
+        def threatens(s: Step) -> bool:
+            return _threatens(plan, s, negated, p_end, c_begin)
+
+        if retest:
+            kept = tuple(t for t in kept if threatens(plan.step(t.step)))
+        out.append(kept + tuple(Threat(s.sid, link) for s in candidates if threatens(s)))
+    return tuple(out)
+
+
+def _threatens(plan: Plan, s: Step, negated: Literal, p_end: int, c_begin: int) -> bool:
+    """Whether `s` may fall inside a link's span, from its producer's end
+    `p_end` to its consumer's begin `c_begin`, with an effect that unifies
+    with `negated`. The producer and the consumer themselves never do."""
+    s_end = plan.end_of(s.sid)
+    if s_end == p_end or plan.reaches(s_end, p_end):
+        return False
+    s_begin = plan.begin_of(s.sid)
+    if c_begin == s_begin or plan.reaches(c_begin, s_begin):
+        return False
+    return any(unify(e, negated, plan.bindings) is not None for e in s.effects)
 
 
 def add_ordering(plan: Plan, before: int, after: int) -> Plan | None:
@@ -262,8 +353,7 @@ def add_ordering(plan: Plan, before: int, after: int) -> Plan | None:
 def scan_flaws(plan: Plan) -> tuple[set, set]:
     """From-scratch flaw computation: (open conditions, unexpanded composites).
 
-    The maintained agenda must always equal this scan; threats are recomputed
-    by detect_threats as needed.
+    The maintained agenda must always equal this scan.
     """
     supported = {(l.consumer, l.condition) for l in plan.causal_links}
     opens = {
@@ -316,4 +406,8 @@ def check_invariants(plan: Plan) -> list[str]:
     agenda = set(plan.flaws)
     if agenda != opens | unexpanded:
         issues.append("flaw agenda differs from from-scratch scan")
+    if plan._reach != _closure(plan._index, plan.orderings):
+        issues.append("ordering closure differs from from-scratch closure")
+    if detect_threats(plan) != [t for threats in _scan_threats(plan) for t in threats]:
+        issues.append("threats differ from from-scratch scan")
     return issues

@@ -59,6 +59,9 @@ class Compound:
             return f"({self.functor})"
         return "({} {})".format(self.functor, " ".join(str(a) for a in self.args))
 
+    def __repr__(self) -> str:
+        return _bounded_repr(self)
+
 
 Term = Constant | Variable | Compound
 
@@ -83,6 +86,53 @@ class Literal:
         else:
             body = f"({self.predicate})"
         return body if self.positive else f"(not {body})"
+
+    def __repr__(self) -> str:
+        return _bounded_repr(self)
+
+
+# Characters a term's or literal's repr may print before it is cut off.
+REPR_LIMIT = 2000
+
+
+def _bounded_repr(obj: Compound | Literal) -> str:
+    """The dataclass repr of `obj`, cut off after REPR_LIMIT characters.
+
+    Only the first occurrence of a compound is spelled out; a shared
+    subterm met again prints as `Compound(functor='f', ...)`. So the walk
+    visits each distinct subterm at most once, however large the tree.
+    (`__str__` expands terms in full, since emitted plans are made of it.)
+    """
+    parts: list[str] = []
+    size = 0
+    seen = set()
+    stack: list = [obj]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            text = item
+        elif isinstance(item, Compound) and id(item) in seen:
+            text = f"Compound(functor={item.functor!r}, ...)"
+        elif isinstance(item, (Compound, Literal)):
+            seen.add(id(item))
+            if isinstance(item, Compound):
+                text = f"Compound(functor={item.functor!r}, args=("
+                tail = ")"
+            else:
+                text = f"Literal(predicate={item.predicate!r}, args=("
+                tail = f", positive={item.positive})"
+            stack.append((",)" if len(item.args) == 1 else ")") + tail)
+            for k in range(len(item.args) - 1, -1, -1):
+                stack.append(item.args[k])
+                if k:
+                    stack.append(", ")
+        else:
+            text = repr(item)
+        parts.append(text)
+        size += len(text)
+        if size > REPR_LIMIT:
+            return "".join(parts)[:REPR_LIMIT] + "..."
+    return "".join(parts)
 
 
 def variables_in(obj) -> Iterator[Variable]:

@@ -2,7 +2,9 @@
 
 `bench/layers.py` wraps discoplan functions by name at run time, so renaming
 or deleting one of them silently breaks `bench/run.py --trace 1`. Its
-counting hooks also call `len()` on some results, which a generator lacks.
+counting hooks also call `len()` on some results, which a generator lacks,
+and it starts a search node's timer on each `detect_threats` call `solve`
+makes.
 """
 import importlib
 import importlib.util
@@ -10,7 +12,9 @@ import inspect
 from pathlib import Path
 
 from discoplan import plan, search
+from discoplan.language import parse_problem
 from discoplan.oracle import verify_soundness
+from _worlds import load_domain, load_problem
 
 LAYERS = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
 
@@ -45,3 +49,28 @@ def test_functions_whose_results_are_counted_return_lists():
         search.resolve_threat,
     ):
         assert not inspect.isgeneratorfunction(fn), fn.__name__
+
+
+def test_solve_calls_detect_threats_once_per_node_for_a_fresh_list(monkeypatch):
+    calls = 0
+    detect_threats = search.detect_threats
+
+    def counted(p):
+        nonlocal calls
+        calls += 1
+        threats = detect_threats(p)
+        again = detect_threats(p)
+        assert type(threats) is list and threats == again and threats is not again
+        return threats
+
+    monkeypatch.setattr(search, "detect_threats", counted)
+    regress, _ = parse_problem(
+        "(problem r (domain discourse) (facts (causes c g)) (init) (goal (bel g)))", "r"
+    )
+    for problem, config in [
+        (load_problem("lucentio.dpp"), search.SearchConfig()),
+        (regress, search.SearchConfig(max_depth=2, max_nodes=50)),
+    ]:
+        calls = 0
+        out = search.solve(load_domain("discourse.dpd"), problem, config)
+        assert calls == out.stats.nodes_expanded > 1

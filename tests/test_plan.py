@@ -1,6 +1,8 @@
 """Plan structure: orderings, threats, flaw agenda."""
+import gc
 import itertools
 import random
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from discoplan.plan import (
     CausalLink,
     OpenCondition,
+    Threat,
     add_ordering,
     check_invariants,
     detect_threats,
@@ -175,3 +178,54 @@ def test_evolve_reuses_the_closure_only_while_steps_and_orderings_stay():
     assert grown.reaches(0, 2) and grown.reaches(2, 1) and not plan.has_step(2)
     with pytest.raises(TypeError):
         plan.evolve(no_such_field=1)
+
+
+def _deleter_plan(wrecker_after_user=False):
+    """A link 2 -> 3 on (bel l) and a step 4 deleting it, ordered after 3 or not."""
+    steps = boundary_steps() + (
+        flat_step(2, "maker", eff=(lit("bel", L),)),
+        flat_step(3, "user", pre=(lit("bel", L),)),
+        flat_step(4, "wrecker", eff=(lit("bel", L, positive=False),)),
+    )
+    orderings = {(0, s) for s in (2, 3, 4)} | {(s, 1) for s in (2, 3, 4)} | {(2, 3)}
+    if wrecker_after_user:
+        orderings.add((3, 4))
+    return make_plan(steps, orderings, (CausalLink(2, lit("bel", L), 3),))
+
+
+def test_maintained_threats_keep_link_then_step_order():
+    plan = _deleter_plan()
+    link = plan.causal_links[0]
+    assert detect_threats(plan) == [Threat(4, link)]
+    child = plan.evolve(
+        steps=plan.steps + (flat_step(5, "wrecker", eff=(lit("bel", L, positive=False),)),),
+        orderings=plan.orderings | {(0, 5), (5, 1)},
+    )
+    assert detect_threats(child) == [Threat(4, link), Threat(5, link)]
+    assert check_invariants(child) == []
+
+
+def test_threats_are_rescanned_when_intervals_change():
+    plan = _deleter_plan(wrecker_after_user=True)
+    assert detect_threats(plan) == []
+    # Step 4 now spans boundary steps 5..6, and 5 may come before the user.
+    child = plan.evolve(
+        steps=plan.steps + (flat_step(5), flat_step(6)),
+        orderings=plan.orderings | {(0, 5), (5, 4), (4, 6), (6, 1)},
+        intervals={4: (5, 6)},
+    )
+    assert detect_threats(child) == [Threat(4, plan.causal_links[0])]
+    assert check_invariants(child) == []
+
+
+def test_a_plan_drops_its_ancestor_once_its_threats_are_known():
+    plan = _deleter_plan()
+    assert detect_threats(plan)
+    child = plan.evolve(orderings=plan.orderings | {(3, 4)})
+    parent = weakref.ref(plan)
+    del plan
+    gc.collect()
+    assert parent() is not None
+    assert detect_threats(child) == []
+    gc.collect()
+    assert parent() is None

@@ -2,6 +2,9 @@
 import gc
 import random
 
+import pytest
+
+from discoplan import plan as plan_module, search as search_module
 from discoplan.language import parse_problem
 from discoplan.model import (
     ActionOperator,
@@ -57,6 +60,13 @@ L, B = Constant("l"), Constant("b")
 FAIREST = Compound("fairest", (L, B))
 MODELED = Compound("modeled", (L, B))
 CAUSES = Compound("causes", (FAIREST, MODELED))
+REGRESS = "(problem r (domain discourse) (facts (causes c g)) (init) (goal (bel g)))"
+CORPUS_PROBLEMS = [
+    ("discourse.dpd", "lucentio.dpp"),
+    ("discourse.dpd", "multirole.dpp"),
+    ("sidefx.dpd", "sidefx.dpp"),
+    ("switches.dpd", "switches-demo.dpp"),
+]
 
 
 def applied_step_names(plan):
@@ -363,12 +373,7 @@ def test_pruned_plan_still_passes_the_audit():
 
 
 def test_solution_plans_satisfy_solution_invariants():
-    for dname, pname in [
-        ("discourse.dpd", "lucentio.dpp"),
-        ("discourse.dpd", "multirole.dpp"),
-        ("sidefx.dpd", "sidefx.dpp"),
-        ("switches.dpd", "switches-demo.dpp"),
-    ]:
+    for dname, pname in CORPUS_PROBLEMS:
         domain, problem = load_domain(dname), load_problem(pname)
         out = solve(domain, problem)
         assert isinstance(out, Solution)
@@ -470,6 +475,73 @@ def test_regress_search_counts_are_pinned():
     out = solve(load_domain("discourse.dpd"), problem, SearchConfig(max_depth=2, max_nodes=1000))
     assert isinstance(out, BudgetExceeded)
     assert out.stats == SearchStats(nodes_expanded=1000, backtracks=968, max_stack_depth=35)
+
+
+def _regress_problem():
+    problem, diags = parse_problem(REGRESS, "r")
+    assert problem is not None, diags
+    return problem
+
+
+def _audit_every_node(monkeypatch):
+    """Make `solve` run check_invariants on each plan it expands; returns the
+    list of plans audited so far."""
+    audited = []
+
+    def detect_threats_after_audit(plan):
+        assert check_invariants(plan) == []
+        audited.append(plan)
+        return detect_threats(plan)
+
+    monkeypatch.setattr(search_module, "detect_threats", detect_threats_after_audit)
+    return audited
+
+
+def test_maintained_threats_and_closure_match_a_scan_at_every_regress_node(monkeypatch):
+    audited = _audit_every_node(monkeypatch)
+    config = SearchConfig(max_depth=2, max_nodes=300)
+    out = solve(load_domain("discourse.dpd"), _regress_problem(), config)
+    assert isinstance(out, BudgetExceeded)
+    assert len(audited) == out.stats.nodes_expanded == 300
+    # The nodes reach past an expansion, whose threats are scanned afresh,
+    # into incrementally maintained ones.
+    assert any(p.intervals for p in audited) and any(detect_threats(p) for p in audited)
+
+
+@pytest.mark.parametrize("policy", ["threats-first", "fifo", "lifo"])
+def test_maintained_threats_and_closure_match_a_scan_under_each_flaw_policy(monkeypatch, policy):
+    # fifo and lifo pick a threat by its position, so the order must match too.
+    audited = _audit_every_node(monkeypatch)
+    for dname, pname in CORPUS_PROBLEMS:
+        config = SearchConfig(flaw_policy=policy, max_nodes=400)
+        out = solve(load_domain(dname), load_problem(pname), config)
+        assert len(audited) == out.stats.nodes_expanded
+        audited.clear()
+
+
+def test_threat_detection_examines_under_a_tenth_of_the_link_step_pairs(monkeypatch):
+    examined = 0
+    link_step_pairs = 0
+    threatens = plan_module._threatens
+
+    def counted_threatens(*args):
+        nonlocal examined
+        examined += 1
+        return threatens(*args)
+
+    def sized_detect_threats(plan):
+        nonlocal link_step_pairs
+        link_step_pairs += len(plan.causal_links) * len(plan.steps)
+        return detect_threats(plan)
+
+    monkeypatch.setattr(plan_module, "_threatens", counted_threatens)
+    monkeypatch.setattr(search_module, "detect_threats", sized_detect_threats)
+    config = SearchConfig(max_depth=2, max_nodes=1000)
+    out = solve(load_domain("discourse.dpd"), _regress_problem(), config)
+    assert out.stats == SearchStats(nodes_expanded=1000, backtracks=968, max_stack_depth=35)
+    # A rescan of every link against every step at every node examines all
+    # of `link_step_pairs`; only new links, new steps and known threats are examined.
+    assert 0 < examined * 10 < link_step_pairs
 
 
 def test_kb_matching_and_link_assignment_leave_no_reference_cycles():

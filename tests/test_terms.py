@@ -1,4 +1,5 @@
 """Unification, binding store, substitution."""
+import pprint
 import random
 import time
 from functools import cmp_to_key
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from discoplan.terms import (
+    REPR_LIMIT,
     ArityMismatchError,
     Compound,
     Constant,
@@ -298,6 +300,24 @@ def test_separation_pairs_visit_each_shared_subterm_once():
     pairs = _separation_pairs(bs, lit("p", xs[0]), lit("p", zs[0]))
     assert pairs == [(xs[-1], A)]
     _within_milliseconds(started)
+
+
+def test_repr_spells_each_shared_subterm_once_and_is_bounded():
+    xs, bs = _chain("x", EMPTY_BINDINGS)
+    resolved = bs.resolve(xs[0])
+    started = time.perf_counter()
+    # pytest formats a failing comparison with repr and pprint.
+    texts = [repr(resolved), repr(lit("p", resolved)), pprint.pformat([resolved])]
+    _within_milliseconds(started)
+    assert all(len(t) <= REPR_LIMIT + 3 for t in texts[:2])
+    assert texts[0].startswith("Compound(functor='f', args=(Compound(functor='f', args=(")
+    # A short term keeps the dataclass repr, except that a compound met again is elided.
+    g = Compound("g", (A,))
+    assert repr(lit("p", g, g, P, positive=False)) == (
+        "Literal(predicate='p', args=(Compound(functor='g', args=(Constant(name='a'),)), "
+        "Compound(functor='g', ...), Variable(name='p', iid=0)), positive=False)"
+    )
+    assert str(lit("p", g, g)) == "(p (g a) (g a))"
 
 
 VARS = [Variable(n) for n in "xyzw"]
