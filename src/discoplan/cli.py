@@ -6,6 +6,7 @@ Exit codes: 0 solution or clean, 1 exhausted or unsound, 2 budget exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -197,10 +198,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser serves every command of a process: building it costs more
+# than a small command's parse, and parsing leaves it unchanged.
+_parser = functools.cache(build_parser)
+
+
 def cli_main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     return args.func(args)

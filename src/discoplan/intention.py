@@ -49,12 +49,6 @@ class IntentionReport:
                 return l
         raise KeyError((step, effect_index))
 
-    def intended_pairs(self) -> set[tuple[int, int]]:
-        return {(l.step, l.effect_index) for l in self.labels if l.intended}
-
-    def side_effect_pairs(self) -> set[tuple[int, int]]:
-        return {(l.step, l.effect_index) for l in self.labels if not l.intended}
-
 
 @dataclass(frozen=True)
 class ConstraintRecord:

@@ -4,6 +4,11 @@ This module deliberately shares only the term/literal/binding layer with the
 planner. Reachability, linearization enumeration, and threat scanning are
 reimplemented here from the raw plan data so that an agreeing answer is
 evidence, not an echo.
+
+The audit executes linearizations by a depth-first walk that carries the
+state down the tree of orders, so each distinct prefix is applied once
+rather than once per order; ground literals are interned as ints once per
+audit. `execute` is the order-at-a-time executor for callers and tests.
 """
 from __future__ import annotations
 
@@ -61,10 +66,15 @@ def _holds(state: frozenset[Literal], condition: Literal) -> bool:
     return condition.atom() not in state
 
 
+def _transition(state: frozenset, deletes, adds) -> frozenset:
+    """The state after one step: every state change in this module goes through here."""
+    return (state - deletes) | adds
+
+
 def _progress(state: frozenset[Literal], effects) -> frozenset[Literal]:
     """The state after `effects` under add/delete semantics."""
     deletes = {e.atom() for e in effects if not e.positive}
-    return (state - deletes) | {e for e in effects if e.positive}
+    return _transition(state, deletes, {e for e in effects if e.positive})
 
 
 def execute(initial_state: Iterable[Literal], steps: Sequence) -> ExecutionTrace:
@@ -312,26 +322,57 @@ def _match(pattern, term, env: dict[Variable, Term]) -> bool:
     return pattern == term
 
 
-def _all_orders(items: list[int], pred: dict[int, set[int]], cap: int):
-    orders: list[tuple[int, ...]] = []
-    _extend_orders([], set(items), pred, cap, orders)
-    return orders
+def _check_orders(steps, pred, cap: int, state, goals) -> tuple[list[Violation], int]:
+    """Execute every order of the steps that respects `pred`, sharing prefixes.
 
+    Orders are enumerated depth first, the unplaced steps tried in sorted
+    order, and the walk stops taking new orders once more than `cap` are
+    taken. The state after a prefix is computed once and carried down to all
+    of its completions; a prefix that fails a precondition is not executed
+    further, but each of its completions is still taken and reported. States
+    are sets of interned literal ids: `steps[sid]` is `(conditions, deletes,
+    adds)`, and each condition and goal is `(literal, atom id, positive)`.
+    """
+    violations: list[Violation] = []
+    done: list[int] = []
+    left = set(steps)
+    count = 0
 
-def _extend_orders(done: list[int], left: set[int], pred, cap: int, orders: list) -> None:
-    """Append to `orders` every completion of the prefix `done` by the steps in `left`."""
-    if len(orders) > cap:
-        return
-    if not left:
-        orders.append(tuple(done))
-        return
-    for m in sorted(left):
-        if pred[m] <= set(done):
-            done.append(m)
-            left.remove(m)
-            _extend_orders(done, left, pred, cap, orders)
-            left.add(m)
-            done.pop()
+    def walk(state: frozenset[int], failure: str | None) -> None:
+        nonlocal count
+        if count > cap:
+            return
+        if done and failure is None:
+            sid = done[-1]
+            conditions, deletes, adds = steps[sid]
+            for lit, atom, positive in conditions:
+                if (atom in state) != positive:
+                    failure = f"fails at step {sid} needing {lit}"
+                    break
+            else:
+                state = _transition(state, deletes, adds)
+        if not left:
+            count += 1
+            order = tuple(done)
+            if failure is not None:
+                violations.append(Violation("execution", f"linearization {order} {failure}"))
+                return
+            violations.extend(
+                Violation("goal", f"linearization {order} ends without goal {g}")
+                for g, atom, positive in goals
+                if (atom in state) != positive
+            )
+            return
+        for m in sorted(left):
+            if pred[m].isdisjoint(left):
+                done.append(m)
+                left.remove(m)
+                walk(state, failure)
+                left.add(m)
+                done.pop()
+
+    walk(state, None)
+    return violations, count
 
 
 def _id_faults(plan, steps) -> list[str]:
@@ -365,6 +406,11 @@ def verify_soundness(plan, problem: Problem, max_orders: int = 5_000) -> AuditRe
     goal-achieving execution of every linearization of the primitive steps,
     and end-subplan preconditions supported from within or before their
     subplan. Violations are report content, never exceptions.
+
+    Linearizations are taken in lexicographic order, at most `max_orders`
+    plus one; the report gives the count but does not flag a cut-off walk.
+    Their cost is one state transition per distinct prefix taken (see
+    `_check_orders`), not one per step of every order.
     """
     violations: list[Violation] = []
     bindings = getattr(plan, "bindings", EMPTY_BINDINGS)
@@ -480,36 +526,30 @@ def verify_soundness(plan, problem: Problem, max_orders: int = 5_000) -> AuditRe
     def ground(lit: Literal) -> Literal:
         return _skolemize(apply(bindings, lit), table)
 
+    ids: dict[Literal, int] = {}
+
+    def intern(lit: Literal) -> int:
+        return ids.setdefault(lit, len(ids))
+
+    def condition(lit: Literal) -> tuple[Literal, int, bool]:
+        g = ground(lit)
+        return g, intern(g.atom()), g.positive
+
+    def compiled(s) -> tuple:
+        pre = tuple(condition(p) for p in s.preconditions)
+        eff = [ground(e) for e in s.effects]
+        for lit in [g for g, _, _ in pre] + eff:
+            if not is_ground(lit):
+                raise ValueError(f"step {s.sid} is not ground: {lit}")
+        deletes = frozenset(intern(e.atom()) for e in eff if not e.positive)
+        return pre, deletes, frozenset(intern(e) for e in eff if e.positive)
+
     prims = [s.sid for s in plan.steps if s.kind == "primitive"]
     pred = {m: {n for n in prims if n != m and m in reach[n]} for m in prims}
-    orders = _all_orders(prims, pred, max_orders)
-    init_state = [ground(e) for e in initial.effects]
-    goals = [ground(g) for g in final.preconditions]
-    grounded = {
-        s.sid: GroundAction(
-            sid=str(s.sid),
-            name=s.name,
-            args=(),
-            preconditions=tuple(ground(p) for p in s.preconditions),
-            effects=tuple(ground(e) for e in s.effects),
-        )
-        for s in plan.steps
-        if s.kind == "primitive"
-    }
-    for order in orders:
-        trace = execute(init_state, [grounded[sid] for sid in order])
-        if not trace.ok:
-            violations.append(
-                Violation(
-                    "execution",
-                    f"linearization {order} fails at step {trace.failed_step} "
-                    f"needing {trace.failed_condition}",
-                )
-            )
-            continue
-        missing = [g for g in goals if not _holds(trace.final_state, g)]
-        for g in missing:
-            violations.append(
-                Violation("goal", f"linearization {order} ends without goal {g}")
-            )
-    return AuditReport(tuple(violations), linearizations_checked=len(orders))
+    start = frozenset(intern(ground(e)) for e in initial.effects)
+    goals = [condition(g) for g in final.preconditions]
+    found, checked = _check_orders(
+        {sid: compiled(steps[sid]) for sid in prims}, pred, max_orders, start, goals
+    )
+    violations += found
+    return AuditReport(tuple(violations), linearizations_checked=checked)

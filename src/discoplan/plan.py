@@ -127,9 +127,6 @@ class Plan:
         except KeyError:
             raise ValueError(f"no step with id {sid} in plan") from None
 
-    def has_step(self, sid: int) -> bool:
-        return sid in self._index
-
     def reaches(self, a: int, b: int) -> bool:
         """True iff a is strictly ordered before b."""
         return b in self._reach.get(a, ())

@@ -106,6 +106,61 @@ def orders_consistent_with(sids, pairs):
     return out
 
 
+def audit_by_reexecution(plan, max_orders: int):
+    """Reference for the audit's linearization check: execute each order from scratch.
+
+    Takes the first `max_orders + 1` orders of the primitives consistent with
+    the plan's orderings, in lexicographic order, grounds every literal by
+    applying the plan's bindings and naming each free variable as a distinct
+    constant, and runs `execute` on each order from the initial state. Returns
+    the `(code, message)` pairs of the failures and missed goals, and the
+    number of orders run.
+    """
+    from discoplan.oracle import GroundAction, execute
+
+    def grounded(l: Literal) -> Literal:
+        l = apply(plan.bindings, l)
+        env = {v: Constant(f"sk:{v.name}:{v.iid}") for v in collect_variables([l])}
+        return ground_literal(l, env)
+
+    sids = [s.sid for s in plan.steps]
+    reach = floyd_warshall(sids, plan.orderings)
+    prims = sorted(s.sid for s in plan.steps if s.kind == "primitive")
+    before = [(a, b) for a in prims for b in prims if reach[(a, b)]]
+    orders = orders_consistent_with(prims, before)[: max_orders + 1]
+    by_sid = {s.sid: s for s in plan.steps}
+    actions = {
+        sid: GroundAction(
+            str(sid),
+            by_sid[sid].name,
+            (),
+            tuple(grounded(p) for p in by_sid[sid].preconditions),
+            tuple(grounded(e) for e in by_sid[sid].effects),
+        )
+        for sid in prims
+    }
+    initial = next(s for s in plan.steps if s.kind == "initial")
+    final = next(s for s in plan.steps if s.kind == "final")
+    goals = [grounded(g) for g in final.preconditions]
+    found = []
+    for order in orders:
+        trace = execute([grounded(e) for e in initial.effects], [actions[s] for s in order])
+        if not trace.ok:
+            found.append(
+                (
+                    "execution",
+                    f"linearization {order} fails at step {trace.failed_step} "
+                    f"needing {trace.failed_condition}",
+                )
+            )
+            continue
+        state = trace.final_state
+        for g in goals:
+            if (g.atom() in state) != g.positive:
+                found.append(("goal", f"linearization {order} ends without goal {g}"))
+    return found, len(orders)
+
+
 def nested_loop_join(facts, constraints, bindings):
     """Reference for kb_satisfy: join constraint literals over the fact list."""
     from discoplan.terms import unify

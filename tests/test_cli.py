@@ -139,6 +139,21 @@ def test_unknown_flag_is_an_input_error(capsys):
     assert cli_main(["plan", "--nope"]) == 3
 
 
+def test_commands_in_one_process_parse_independently(tmp_path, capsys):
+    out = tmp_path / "plan.json"
+    solve_flags = ["--domain", DISCOURSE, "--problem", LUCENTIO]
+    assert cli_main(["plan", *solve_flags, "--emit", "text", "--max-depth", "3"]) == 0
+    assert "causal links:" in capsys.readouterr().out
+    # Defaults and earlier values do not leak from the first command into the next.
+    assert cli_main(["plan", *solve_flags, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["format"] == "plan.json/1"
+    assert cli_main(["check", "--domain", DISCOURSE]) == 0
+    assert capsys.readouterr().out == "ok\n"
+    assert cli_main(["verify", "--domain", DISCOURSE, "--problem", LUCENTIO]) == 3
+    assert "the following arguments are required: --plan" in capsys.readouterr().err
+    assert cli_main(["check", "--domain", DISCOURSE, "--problem", LUCENTIO]) == 0
+
+
 def test_search_flags_are_threaded_through(tmp_path):
     out_a = tmp_path / "a.json"
     out_b = tmp_path / "b.json"

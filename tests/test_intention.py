@@ -93,8 +93,10 @@ def test_partition_covers_every_effect_exactly_once():
         assert len(pairs) == len(set(pairs))
         want = {(s.sid, i) for s in plan.steps for i in range(len(s.effects))}
         assert set(pairs) == want
-        assert report.intended_pairs() | report.side_effect_pairs() == want
-        assert not (report.intended_pairs() & report.side_effect_pairs())
+        intended = {(l.step, l.effect_index) for l in report.labels if l.intended}
+        side = {(l.step, l.effect_index) for l in report.labels if not l.intended}
+        assert intended | side == want
+        assert not (intended & side)
 
 
 def test_chains_end_at_the_top_level_final_step():

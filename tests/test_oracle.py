@@ -1,10 +1,12 @@
 """Executor, brute-force enumerator, and soundness auditor."""
 import itertools
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+from discoplan import oracle
 from discoplan.emit import plan_to_dict, plan_view_from_dict
 from discoplan.model import ActionOperator, BindingConstraint, Domain, Problem
 from discoplan.oracle import (
@@ -18,7 +20,7 @@ from discoplan.oracle import (
 from discoplan.plan import KIND_COMPOSITE, CausalLink
 from discoplan.search import Solution, solve
 from discoplan.terms import Constant, Variable, apply
-from _oracles import orders_consistent_with
+from _oracles import audit_by_reexecution, floyd_warshall, orders_consistent_with
 from _worlds import boundary_steps, flat_step, lit, load_domain, load_problem, make_plan
 
 A, B = Constant("a"), Constant("b")
@@ -105,6 +107,84 @@ def test_audit_checks_every_order_a_permutation_filter_accepts():
         want = orders_consistent_with(prims, orderings)
         report = verify_soundness(plan, Problem("p", "d"))
         assert report.linearizations_checked == len(want)
+
+
+def _random_audit_plan(rng):
+    """Up to seven primitives over three ground atoms, randomly ordered.
+
+    Preconditions and goals are drawn without regard to the effects, so some
+    orders fail a precondition, some miss a goal, and some do both.
+    """
+    pool = [lit("p", A), lit("p", B), lit("q", A)]
+
+    def draw(k):
+        return [l if rng.random() < 0.6 else l.negate() for l in rng.sample(pool, k)]
+
+    prims = list(range(2, 2 + rng.randint(1, 7)))
+    steps = boundary_steps(rng.sample(pool, rng.randint(0, 2)), draw(rng.randint(0, 2)))
+    steps += tuple(
+        flat_step(s, f"s{s}", pre=draw(rng.randint(0, 1)), eff=draw(rng.randint(1, 2)))
+        for s in prims
+    )
+    orderings = {(0, s) for s in prims} | {(s, 1) for s in prims}
+    orderings |= {(a, b) for a, b in itertools.combinations(prims, 2) if rng.random() < 0.2}
+    return make_plan(steps, orderings)
+
+
+def _corpus_views_with_orderings_dropped(rng):
+    for dname, pname in [
+        ("discourse.dpd", "lucentio.dpp"),
+        ("discourse.dpd", "multirole.dpp"),
+        ("sidefx.dpd", "sidefx.dpp"),
+        ("switches.dpd", "switches-demo.dpp"),
+    ]:
+        problem = load_problem(pname)
+        view = plan_view_from_dict(plan_to_dict(solve(load_domain(dname), problem).plan, None))
+        for _ in range(4):
+            kept = frozenset(o for o in view.orderings if 1 in o or rng.random() < 0.5)
+            yield replace(view, orderings=kept), problem
+
+
+def test_audit_matches_reexecuting_every_order_from_scratch():
+    rng = random.Random(29)
+    cases = [(_random_audit_plan(rng), Problem("p", "d")) for _ in range(60)]
+    cases += list(_corpus_views_with_orderings_dropped(rng))
+    codes = Counter()
+    for plan, problem in cases:
+        prims = [s.sid for s in plan.steps if s.kind == "primitive"]
+        reach = floyd_warshall([s.sid for s in plan.steps], plan.orderings)
+        total = len(orders_consistent_with(prims, [p for p, r in reach.items() if r]))
+        for cap in (0, 1, 37, 5_000):
+            report = verify_soundness(plan, problem, max_orders=cap)
+            want, checked = audit_by_reexecution(plan, cap)
+            got = [(v.code, v.message) for v in report.violations if v.code in ("execution", "goal")]
+            assert got == want
+            assert report.linearizations_checked == checked == min(total, cap + 1)
+            codes.update(code for code, _ in got)
+    assert codes["execution"] > 100 and codes["goal"] > 100
+
+
+def test_audit_applies_each_shared_prefix_once(monkeypatch):
+    # Seven unordered primitives: the capped audit takes 5 001 orders, and
+    # executing each from the initial state would take seven transitions per
+    # order. Sharing prefixes applies each of the ~13 600 prefixes once.
+    transitions = 0
+    transition = oracle._transition
+
+    def counted(*args):
+        nonlocal transitions
+        transitions += 1
+        return transition(*args)
+
+    monkeypatch.setattr(oracle, "_transition", counted)
+    prims = list(range(2, 9))
+    steps = boundary_steps() + tuple(
+        flat_step(s, f"s{s}", eff=(lit("p", Constant(f"c{s}")),)) for s in prims
+    )
+    plan = make_plan(steps, {(0, s) for s in prims} | {(s, 1) for s in prims})
+    report = verify_soundness(plan, Problem("p", "d"))
+    assert report.ok and report.linearizations_checked == 5_001
+    assert 2 * transitions < 7 * report.linearizations_checked
 
 
 def _paint_domain():
