@@ -32,7 +32,6 @@ from .model import (
     StepTemplate,
     kb_satisfy,
     knowledge_base,
-    operators_achieving,
     validate_domain,
     validate_problem,
 )

@@ -18,9 +18,9 @@ from .oracle import verify_soundness
 from .search import (
     FLAW_POLICIES,
     REUSE_POLICIES,
-    BudgetExceeded,
     Exhausted,
     SearchConfig,
+    Solution,
     solve,
 )
 
@@ -118,15 +118,18 @@ def _solve_and_write(args, render) -> int:
         return EXIT_INPUT
     domain, problem = loaded
     outcome = solve(domain, problem, _config(args))
+    if isinstance(outcome, Solution):
+        return EXIT_OK if _write_out(render(outcome.plan), args.out) else EXIT_INPUT
     if isinstance(outcome, Exhausted):
         print("no solution within bounds", file=sys.stderr)
-        return EXIT_NO_SOLUTION
-    if isinstance(outcome, BudgetExceeded):
+    else:
         print("node budget exceeded", file=sys.stderr)
-        return EXIT_BUDGET
-    if not _write_out(render(outcome.plan), args.out):
-        return EXIT_INPUT
-    return EXIT_OK
+    if outcome.over_max_steps:
+        print(
+            f"note: successors dropped by --max-steps {args.max_steps}: {outcome.over_max_steps}",
+            file=sys.stderr,
+        )
+    return EXIT_NO_SOLUTION if isinstance(outcome, Exhausted) else EXIT_BUDGET
 
 
 def cmd_plan(args) -> int:

@@ -43,12 +43,6 @@ class EffectLabel:
 class IntentionReport:
     labels: tuple[EffectLabel, ...]
 
-    def label(self, step: int, effect_index: int) -> EffectLabel:
-        for l in self.labels:
-            if l.step == step and l.effect_index == effect_index:
-                return l
-        raise KeyError((step, effect_index))
-
 
 @dataclass(frozen=True)
 class ConstraintRecord:

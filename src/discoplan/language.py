@@ -34,9 +34,8 @@ from .sexp import Diagnostic, SAtom, SList, SNode, SourceSpan, read
 from .terms import Compound, Constant, Literal, Term, Variable, is_ground
 
 
-def _err(diags: list[Diagnostic], node, message: str) -> None:
-    span = node.span if hasattr(node, "span") else SourceSpan("<input>", 0, 0)
-    diags.append(Diagnostic(span, message))
+def _err(diags: list[Diagnostic], node: SNode, message: str) -> None:
+    diags.append(Diagnostic(node.span, message))
 
 
 # Term nesting is finite and bounded by the parsed input; the cap keeps
@@ -57,9 +56,6 @@ def parse_term(node: SNode, diags: list[Diagnostic], depth: int = 0) -> Term | N
                 if name and tail.lstrip("-").isdigit():
                     return Variable(name, int(tail))
             return Variable(body, 0)
-        if not text:
-            _err(diags, node, "empty symbol")
-            return None
         return Constant(text)
     if depth >= MAX_TERM_DEPTH:
         _err(diags, node, f"term nesting deeper than {MAX_TERM_DEPTH}")

@@ -9,6 +9,7 @@ it never changes during planning.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterator
 
 from .terms import (
@@ -18,8 +19,8 @@ from .terms import (
     Term,
     Variable,
     add_noncodesignation,
+    extensions,
     is_ground,
-    rename_fresh,
     unify,
     unify_terms,
     variables_in,
@@ -287,43 +288,22 @@ def kb_satisfy(
         if c.predicate not in kb.predicates:
             raise DomainValidationError(f"unknown kb predicate {c.predicate}")
 
-    yield from _kb_extensions(kb, constraints, 0, bindings)
+    for b, _ in extensions(constraints, partial(_kb_options, kb), bindings):
+        yield b
 
 
-def _kb_extensions(
-    kb: KnowledgeBase, constraints: list[Literal], i: int, bs: BindingSet
-) -> Iterator[BindingSet]:
-    """kb_satisfy's matches of constraints[i:] under `bs`."""
-    if i == len(constraints):
-        yield bs
-        return
-    c = constraints[i]
+def _kb_options(kb: KnowledgeBase, c: Literal, bindings: BindingSet, chosen: tuple):
+    """The facts that match constraint `c` under `bindings`; for a negative
+    `c`, the unchanged bindings iff no fact matches its atom."""
     if c.positive:
         for fact in kb.facts:
-            if fact.predicate != c.predicate:
-                continue
-            nxt = unify(c, fact, bs)
-            if nxt is not None:
-                yield from _kb_extensions(kb, constraints, i + 1, nxt)
-    else:
-        atom = c.atom()
-        for fact in kb.facts:
-            if fact.predicate == atom.predicate and unify(atom, fact, bs) is not None:
-                return
-        yield from _kb_extensions(kb, constraints, i + 1, bs)
-
-
-# Instantiation id reserved for probe renamings that must not collide with
-# operator templates (iid 0) or plan step instances (iid >= 1).
-_PROBE_IID = -1
-
-
-def operators_achieving(domain: Domain, goal: Literal) -> list[ActionOperator]:
-    """Operators with at least one effect unifiable with `goal` under empty bindings."""
-    out = []
-    for op in domain.operators:
-        for eff in rename_fresh(op.effects, _PROBE_IID):
-            if unify(eff, goal) is not None:
-                out.append(op)
-                break
-    return out
+            if fact.predicate == c.predicate:
+                b = unify(c, fact, bindings)
+                if b is not None:
+                    yield b, fact
+        return
+    atom = c.atom()
+    if not any(
+        f.predicate == atom.predicate and unify(atom, f, bindings) is not None for f in kb.facts
+    ):
+        yield bindings, None

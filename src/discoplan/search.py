@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import partial
 
 from .model import (
     Domain,
     KnowledgeBase,
-    LinkTemplate,
     Problem,
     apply_binding_constraints,
     kb_satisfy,
@@ -47,6 +47,7 @@ from .terms import (
     Literal,
     Term,
     add_noncodesignation,
+    extensions,
     rename_fresh,
     rename_term,
     unify,
@@ -87,27 +88,31 @@ class Solution:
     stats: SearchStats
 
 
+# The two failures count in `over_max_steps` the successors the step bound
+# dropped: when it is non-zero, a larger `max_steps` may find a solution.
 @dataclass(frozen=True)
 class Exhausted:
     stats: SearchStats
+    over_max_steps: int = 0
 
 
 @dataclass(frozen=True)
 class BudgetExceeded:
     stats: SearchStats
+    over_max_steps: int = 0
 
 
 SearchOutcome = Solution | Exhausted | BudgetExceeded
 
 
-def _instantiate_operator(op, sid: int, iid: int, kind: str, depth: int) -> Step:
+def _instantiate_operator(op, sid: int, iid: int, depth: int) -> Step:
     return Step(
         sid=sid,
         name=op.name,
         params=tuple(rename_term(v, iid) for v in op.params),
         preconditions=tuple(rename_fresh(op.preconditions, iid)),
         effects=tuple(rename_fresh(op.effects, iid)),
-        kind=kind,
+        kind=KIND_COMPOSITE if op.composite else KIND_PRIMITIVE,
         depth=depth,
     )
 
@@ -152,10 +157,7 @@ def refine_causal(plan: Plan, flaw: OpenCondition, domain: Domain) -> list[Plan]
     flaws = tuple(f for f in plan.flaws if f != flaw)
     new_sid, new_iid = plan.next_sid, plan.next_iid
     fresh = tuple(
-        _instantiate_operator(
-            op, new_sid, new_iid, KIND_COMPOSITE if op.composite else KIND_PRIMITIVE, consumer.depth
-        )
-        for op in domain.operators
+        _instantiate_operator(op, new_sid, new_iid, consumer.depth) for op in domain.operators
     )
     # Reuse, smallest step id first; then a fresh step per operator, declaration order.
     for s in plan.steps + fresh:
@@ -186,55 +188,74 @@ def refine_causal(plan: Plan, flaw: OpenCondition, domain: Domain) -> list[Plan]
     return out
 
 
-def _template_choices(plan: Plan, parent: Step, template, policy: str) -> list[int | None]:
-    """Realization choices for one schema step template; None means a fresh step."""
+def _unify_args(params, args, bindings: BindingSet) -> BindingSet | None:
+    """Unify `params` with `args` pairwise, left to right; None on the first failure."""
+    for p, a in zip(params, args):
+        bindings = unify_terms(p, a, bindings)
+        if bindings is None:
+            return None
+    return bindings
+
+
+def _step_options(plan, parent, domain, sigma, policy, template, bindings, chosen):
+    """The realizations of one schema step template, as `extensions` options.
+
+    First each plan step of the template's action that no earlier template
+    adopted, smallest id first (none under "prefer-new"); then a fresh step,
+    unless the policy is "prefer-reuse" and the plan holds a step of the
+    action. A realization is kept only if its params unify with the
+    template's args. Fresh steps are numbered in template order, after the
+    two boundary steps and after iid `sigma`.
+    """
+    args = tuple(rename_term(a, sigma) for a in template.args)
     reusable = [
-        s.sid
+        s
         for s in plan.steps
         if s.name == template.action
         and s.kind in (KIND_PRIMITIVE, KIND_COMPOSITE)
         and s.sid != parent.sid
     ]
     if policy == "prefer-new":
-        return [None]
+        reusable = []
+    adopted = {s.sid for s in chosen}
+    for s in reusable:
+        if s.sid not in adopted:
+            b = _unify_args(s.params, args, bindings)
+            if b is not None:
+                yield b, s
     if policy == "prefer-reuse" and reusable:
-        return list(reusable)
-    return list(reusable) + [None]
-
-
-def _instantiate_links(
-    plan_steps, links, label_sid, bindings, open_map, acc=(), consumed=frozenset()
-):
-    """Assign each link template a producer effect and a consumer open precondition.
-
-    Yields (bindings, causal links, consumed set) for every consistent joint
-    assignment, in declaration order. `open_map` maps a step id to the indices
-    of its still-open preconditions; `acc` holds the links assigned so far and
-    `consumed` the preconditions they took.
-    """
-    if not links:
-        yield bindings, acc, consumed
         return
-    t = links[0]
-    producer = label_sid[t.producer]
-    consumer = label_sid[t.consumer]
-    pstep = plan_steps[producer]
-    cstep = plan_steps[consumer]
-    for e in pstep.effects:
-        b1 = unify(e, t.condition, bindings)
+    fresh = sum(s.sid >= plan.next_sid for s in chosen)
+    op = domain.operator(template.action)
+    step = _instantiate_operator(op, plan.next_sid + 2 + fresh, sigma + 1 + fresh, parent.depth + 1)
+    b = _unify_args(step.params, args, bindings)
+    if b is not None:
+        yield b, step
+
+
+def _link_options(label_step, open_map, template, bindings, chosen):
+    """The assignments of one link template, as `extensions` options.
+
+    Each producer effect that unifies with the template's condition, in
+    order, paired with each open precondition of the consumer that no
+    earlier link took and that unifies with the condition. `open_map` maps
+    a step id to the indices of its open preconditions. A choice is
+    ((consumer id, precondition index), causal link).
+    """
+    producer = label_step[template.producer]
+    consumer = label_step[template.consumer]
+    taken = {key for key, _ in chosen}
+    for e in producer.effects:
+        b1 = unify(e, template.condition, bindings)
         if b1 is None:
             continue
-        for j in open_map.get(consumer, ()):
-            if (consumer, j) in consumed:
+        for j in open_map.get(consumer.sid, ()):
+            if (consumer.sid, j) in taken:
                 continue
-            b2 = unify(t.condition, cstep.preconditions[j], b1)
-            if b2 is None:
-                continue
-            link = CausalLink(producer, cstep.preconditions[j], consumer)
-            yield from _instantiate_links(
-                plan_steps, links[1:], label_sid, b2, open_map, acc + (link,),
-                consumed | {(consumer, j)},
-            )
+            b2 = unify(template.condition, consumer.preconditions[j], b1)
+            if b2 is not None:
+                link = CausalLink(producer.sid, consumer.preconditions[j], consumer.sid)
+                yield b2, ((consumer.sid, j), link)
 
 
 def refine_decomposition(
@@ -258,11 +279,7 @@ def refine_decomposition(
     for schema in domain.schemata_for(parent.name):
         sigma = plan.next_iid
         header = tuple(rename_term(t, sigma) for t in schema.params)
-        b0: BindingSet | None = plan.bindings
-        for h, p in zip(header, parent.params):
-            b0 = unify_terms(h, p, b0)
-            if b0 is None:
-                break
+        b0 = _unify_args(header, parent.params, plan.bindings)
         if b0 is None or len(header) != len(parent.params):
             continue
         constraints = rename_fresh(schema.constraints, sigma)
@@ -270,88 +287,49 @@ def refine_decomposition(
             replace(c, left=rename_term(c.left, sigma), right=rename_term(c.right, sigma))
             for c in schema.bindings
         )
+        options = partial(_step_options, plan, parent, domain, sigma, reuse_policy)
         for b1 in kb_satisfy(kb, constraints, b0):
             b2 = apply_binding_constraints(static, b1)
             if b2 is None:
                 continue
-            choice_lists = [
-                _template_choices(plan, parent, t, reuse_policy) for t in schema.steps
-            ]
-            for combo in itertools.product(*choice_lists):
-                chosen = [c for c in combo if c is not None]
-                if len(chosen) != len(set(chosen)):
-                    continue
-                child = _expand(plan, parent, flaw, schema, sigma, b2, combo, constraints, domain)
+            for b3, realized in extensions(schema.steps, options, b2):
+                child = _expand(plan, parent, flaw, schema, sigma, b3, realized, constraints)
                 if child is not None:
                     out.append(child)
     return out
 
 
-def _expand(plan, parent, flaw, schema, sigma, bindings, combo, constraints, domain):
+def _expand(plan, parent, flaw, schema, sigma, bindings, realized, constraints):
+    """The child in which `realized[i]` realizes the schema's i-th step template;
+    None if the link templates have no assignment or the orderings a cycle."""
     begin_sid = plan.next_sid
     end_sid = begin_sid + 1
-    next_sid = end_sid + 1
-    next_iid = sigma + 1
+    new_steps = tuple(s for s in realized if s.sid >= begin_sid)
     depth = parent.depth + 1
 
     begin = Step(begin_sid, KIND_BEGIN, parent.params, (), parent.preconditions, KIND_BEGIN, depth)
     end = Step(end_sid, KIND_END, parent.params, parent.effects, (), KIND_END, depth)
-
-    new_steps: list[Step] = []
-    label_sid: dict[str, int] = {"start": begin_sid, "final": end_sid}
-    members: list[int] = []
-
-    for template, choice in zip(schema.steps, combo):
-        targs = tuple(rename_term(a, sigma) for a in template.args)
-        if choice is None:
-            op = domain.operator(template.action)
-            step = _instantiate_operator(
-                op,
-                next_sid,
-                next_iid,
-                KIND_COMPOSITE if op.composite else KIND_PRIMITIVE,
-                depth,
-            )
-            next_sid += 1
-            next_iid += 1
-            new_steps.append(step)
-            sid = step.sid
-            params = step.params
-        else:
-            sid = choice
-            params = plan.step(choice).params
-        for pv, ta in zip(params, targs):
-            bindings = unify_terms(pv, ta, bindings)
-            if bindings is None:
-                return None
-        label_sid[template.label] = sid
-        members.append(sid)
-
-    all_steps = plan.steps + (begin, end) + tuple(new_steps)
-    step_index = {s.sid: s for s in all_steps}
+    label_step = {"start": begin, "final": end}
+    label_step.update((t.label, s) for t, s in zip(schema.steps, realized))
+    members = [s.sid for s in realized]
 
     # Which preconditions are open for link templates to establish: all of a
     # fresh step's or the end step's, only the currently open ones of a reused step.
-    open_map: dict[int, list[int]] = {end_sid: list(range(len(end.preconditions)))}
-    for s in new_steps:
-        open_map[s.sid] = list(range(len(s.preconditions)))
-    for sid in members:
-        if sid in open_map:
-            continue
-        reused = plan.step(sid)
-        open_map[sid] = [
+    open_map = {end_sid: range(len(end.preconditions))}
+    for s in realized:
+        open_map[s.sid] = [
             j
-            for j, p in enumerate(reused.preconditions)
-            if OpenCondition(sid, p) in plan.flaws
+            for j, p in enumerate(s.preconditions)
+            if s.sid >= begin_sid or OpenCondition(s.sid, p) in plan.flaws
         ]
 
-    link_templates = [rename_link(t, sigma) for t in schema.links]
-    assignment = next(
-        _instantiate_links(step_index, link_templates, label_sid, bindings, open_map), None
-    )
+    templates = [replace(t, condition=rename_fresh([t.condition], sigma)[0]) for t in schema.links]
+    options = partial(_link_options, label_step, open_map)
+    assignment = next(extensions(templates, options, bindings), None)
     if assignment is None:
         return None
-    bindings, schema_links, consumed = assignment
+    bindings, chosen = assignment
+    schema_links = tuple(link for _, link in chosen)
 
     # Interval bookkeeping: rewrite existing pairs touching the parent onto its
     # boundaries, keep the parent floating inside its own interval.
@@ -375,7 +353,7 @@ def _expand(plan, parent, flaw, schema, sigma, bindings, combo, constraints, dom
         pairs.add((begin_sid, endpoint(m)[0]))
         pairs.add((endpoint(m)[1], end_sid))
     for a_label, b_label in schema.orderings:
-        a, b = label_sid[a_label], label_sid[b_label]
+        a, b = label_step[a_label].sid, label_step[b_label].sid
         pairs.add((endpoint(a)[1], endpoint(b)[0]))
     for link in schema_links:
         pairs.add((endpoint(link.producer)[1], endpoint(link.consumer)[0]))
@@ -406,29 +384,25 @@ def _expand(plan, parent, flaw, schema, sigma, bindings, combo, constraints, dom
         parent=parent.sid,
         begin=begin_sid,
         end=end_sid,
-        members=tuple(sorted(set(members))),
+        members=tuple(sorted(members)),
         schema=schema.action,
         constraints=tuple(constraints),
         correspondence=tuple((i, i) for i in range(len(parent.effects))),
     )
     child = plan.evolve(
-        steps=all_steps,
+        steps=plan.steps + (begin, end) + new_steps,
         orderings=frozenset(pairs),
         bindings=bindings,
         causal_links=plan.causal_links + schema_links,
         decomposition_links=plan.decomposition_links + (dlink,),
         flaws=tuple(flaws),
         intervals=intervals,
-        next_sid=next_sid,
-        next_iid=next_iid,
+        next_sid=end_sid + 1 + len(new_steps),
+        next_iid=sigma + 1 + len(new_steps),
     )
     if not child.is_acyclic:
         return None
     return child
-
-
-def rename_link(t, sigma):
-    return LinkTemplate(t.producer, rename_fresh([t.condition], sigma)[0], t.consumer)
 
 
 def _separation_pairs(bindings: BindingSet, effect: Literal, negated: Literal):
@@ -541,8 +515,9 @@ def _select_flaw(plan: Plan, threats: list[Threat], policy: str):
 
 def successors(
     plan: Plan, flaw: Flaw, domain: Domain, kb: KnowledgeBase, config: SearchConfig
-) -> list[Plan]:
-    """The resolvers of `flaw`, in search order, that stay within the depth and step bounds.
+) -> tuple[list[Plan], int]:
+    """The resolvers of `flaw`, in search order, that stay within the depth and
+    step bounds, and the number of resolvers the step bound dropped.
 
     A composite at the depth bound gets no expansion; a successor with more
     than `max_steps` steps is dropped. An empty list is the backtrack signal.
@@ -552,10 +527,11 @@ def successors(
     elif isinstance(flaw, OpenCondition):
         out = refine_causal(plan, flaw, domain)
     elif plan.step(flaw.step).depth + 1 > config.max_depth:
-        return []
+        return [], 0
     else:
         out = refine_decomposition(plan, flaw, domain, kb, config.reuse_policy)
-    return [p for p in out if len(p.steps) <= config.max_steps]
+    kept = [p for p in out if len(p.steps) <= config.max_steps]
+    return kept, len(out) - len(kept)
 
 
 def solve(domain: Domain, problem: Problem, config: SearchConfig | None = None) -> SearchOutcome:
@@ -563,7 +539,8 @@ def solve(domain: Domain, problem: Problem, config: SearchConfig | None = None) 
 
     Returns Solution when a plan with an empty flaw agenda is reached (after
     pruning unused steps), Exhausted when the bounded space holds no solution,
-    and BudgetExceeded when the node budget runs out first.
+    and BudgetExceeded when the node budget runs out first; either of the last
+    two counts the successors the step bound dropped.
     """
     config = config or SearchConfig()
     issues = validate_domain(domain) + validate_problem(domain, problem)
@@ -574,6 +551,7 @@ def solve(domain: Domain, problem: Problem, config: SearchConfig | None = None) 
     nodes = 0
     backtracks = 0
     max_stack_depth = 0
+    over_max_steps = 0
     stack: list = [iter([init_plan(problem)])]
     while stack:
         max_stack_depth = max(max_stack_depth, len(stack))
@@ -584,12 +562,15 @@ def solve(domain: Domain, problem: Problem, config: SearchConfig | None = None) 
             continue
         nodes += 1
         if nodes > config.max_nodes:
-            return BudgetExceeded(SearchStats(nodes - 1, backtracks, max_stack_depth))
+            stats = SearchStats(nodes - 1, backtracks, max_stack_depth)
+            return BudgetExceeded(stats, over_max_steps)
         threats = detect_threats(plan)
         flaw = _select_flaw(plan, threats, config.flaw_policy)
         if flaw is None:
             return Solution(
                 prune_unused(plan), SearchStats(nodes, backtracks, max_stack_depth)
             )
-        stack.append(iter(successors(plan, flaw, domain, kb, config)))
-    return Exhausted(SearchStats(nodes, backtracks, max_stack_depth))
+        kept, dropped = successors(plan, flaw, domain, kb, config)
+        over_max_steps += dropped
+        stack.append(iter(kept))
+    return Exhausted(SearchStats(nodes, backtracks, max_stack_depth), over_max_steps)

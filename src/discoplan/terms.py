@@ -358,6 +358,25 @@ def add_noncodesignation(bindings: BindingSet, x: Term, y: Term) -> BindingSet |
     return BindingSet(dict(bindings.assignments), bindings.distinct + ((first, second),))
 
 
+def extensions(
+    items, options, bindings: BindingSet, chosen: tuple = ()
+) -> Iterator[tuple[BindingSet, tuple]]:
+    """Every consistent joint choice over the sequence `items`, depth first.
+
+    `options(item, bindings, chosen)` yields `(bindings, choice)` for each
+    way to choose for `item`, given the bindings and the `chosen` tuple of
+    the items before it. Yields `(bindings, choices)` per joint choice, with
+    earlier items varying slowest, as in `itertools.product`; a dead end
+    prunes every completion of its prefix. A call with `chosen` continues
+    from the choices already made for the first `len(chosen)` items.
+    """
+    if len(chosen) == len(items):
+        yield bindings, chosen
+        return
+    for b, choice in options(items[len(chosen)], bindings, chosen):
+        yield from extensions(items, options, b, chosen + (choice,))
+
+
 def _apply(bindings: BindingSet, t: Term, memo: dict) -> Term:
     w = _walk(t, bindings.assignments)
     if isinstance(w, Variable):

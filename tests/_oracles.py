@@ -188,6 +188,103 @@ def nested_loop_join(facts, constraints, bindings):
     return results
 
 
+def operators_achieving(domain, goal: Literal) -> list:
+    """The operators with an effect that unifies with `goal` under empty
+    bindings; effects are renamed to iid -1, which no plan step uses."""
+    from discoplan.terms import rename_fresh, unify
+
+    return [
+        op
+        for op in domain.operators
+        if any(unify(e, goal) is not None for e in rename_fresh(op.effects, -1))
+    ]
+
+
+def decompose_by_product(plan, flaw, domain, kb, policy="both-branches"):
+    """Reference for refine_decomposition: every realization choice first, then filter.
+
+    Per schema and kb match (in `nested_loop_join` order), each step
+    template may adopt any plan step of its action (smallest id first) or
+    take a fresh one (None): only None under "prefer-new", only the plan's
+    steps under "prefer-reuse" when there are any. Every combination of
+    `itertools.product` is built; one that adopts a step twice, or whose
+    params do not all unify with the template args in order, is dropped.
+    `search._expand` builds the child of each survivor.
+    """
+    from discoplan import search
+    from discoplan.model import BindingConstraint, apply_binding_constraints
+    from discoplan.plan import KIND_COMPOSITE, KIND_PRIMITIVE, Step
+    from discoplan.terms import rename_fresh, rename_term, unify_terms
+
+    def unify_all(pairs, b):
+        for x, y in pairs:
+            if b is not None:
+                b = unify_terms(x, y, b)
+        return b
+
+    parent = plan.step(flaw.step)
+    out = []
+    for schema in domain.schemata_for(parent.name):
+        sigma = plan.next_iid
+        header = [rename_term(h, sigma) for h in schema.params]
+        b0 = unify_all(zip(header, parent.params), plan.bindings)
+        if b0 is None or len(header) != len(parent.params):
+            continue
+        constraints = rename_fresh(schema.constraints, sigma)
+        static = tuple(
+            BindingConstraint(c.kind, rename_term(c.left, sigma), rename_term(c.right, sigma))
+            for c in schema.bindings
+        )
+        choices = []
+        for t in schema.steps:
+            reusable = [
+                s
+                for s in plan.steps
+                if s.name == t.action
+                and s.kind in (KIND_PRIMITIVE, KIND_COMPOSITE)
+                and s.sid != parent.sid
+            ]
+            if policy == "prefer-new":
+                choices.append([None])
+            elif policy == "prefer-reuse" and reusable:
+                choices.append(reusable)
+            else:
+                choices.append(reusable + [None])
+        for b1 in nested_loop_join(kb.facts, constraints, b0):
+            b2 = apply_binding_constraints(static, b1)
+            if b2 is None:
+                continue
+            for combo in itertools.product(*choices):
+                adopted = [s.sid for s in combo if s is not None]
+                if len(adopted) != len(set(adopted)):
+                    continue
+                b, realized, fresh = b2, [], 0
+                for t, s in zip(schema.steps, combo):
+                    if s is None:
+                        op = domain.operator(t.action)
+                        iid = sigma + 1 + fresh
+                        s = Step(
+                            plan.next_sid + 2 + fresh,
+                            op.name,
+                            tuple(rename_term(v, iid) for v in op.params),
+                            tuple(rename_fresh(op.preconditions, iid)),
+                            tuple(rename_fresh(op.effects, iid)),
+                            KIND_COMPOSITE if op.composite else KIND_PRIMITIVE,
+                            parent.depth + 1,
+                        )
+                        fresh += 1
+                    b = unify_all(zip(s.params, [rename_term(a, sigma) for a in t.args]), b)
+                    realized.append(s)
+                if b is None:
+                    continue
+                child = search._expand(
+                    plan, parent, flaw, schema, sigma, b, tuple(realized), constraints
+                )
+                if child is not None:
+                    out.append(child)
+    return out
+
+
 def brute_force_threats(plan):
     """Recompute the threat set of a plan from its raw data."""
     from discoplan.terms import unify

@@ -85,7 +85,7 @@ def step_leftmost(domain, problem, config=None, stop=None, limit=300):
             return plan, flaw
         if flaw is None:
             break
-        succ = successors(plan, flaw, domain, kb, config)
+        succ, _ = successors(plan, flaw, domain, kb, config)
         successor_sets.append((plan, flaw, succ))
         if not succ:
             break

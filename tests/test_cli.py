@@ -135,6 +135,31 @@ def test_budget_exceeded_exits_two(tmp_path):
     assert code == 2
 
 
+def test_a_search_cut_by_the_step_bound_says_so_on_stderr(tmp_path, capsys):
+    demo = ["--domain", SWITCHES, "--problem", str(CORPUS / "switches-demo.dpp")]
+    for command in ("plan", "analyze"):
+        assert cli_main([command, *demo, "--max-steps", "4"]) == 1
+        assert capsys.readouterr() == (
+            "",
+            "no solution within bounds\nnote: successors dropped by --max-steps 4: 1\n",
+        )
+    regress = tmp_path / "regress.dpp"
+    regress.write_text("(problem r (domain discourse) (facts (causes c g)) (init) (goal (bel g)))")
+    bounds = ["--max-depth", "2", "--max-nodes", "50", "--max-steps", "8"]
+    assert cli_main(["plan", "--domain", DISCOURSE, "--problem", str(regress), *bounds]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "node budget exceeded\nnote: successors dropped by --max-steps 8: 3\n",
+    )
+    # No note when the bound dropped nothing, or when a solution was found anyway.
+    imp = tmp_path / "imp.dpp"
+    imp.write_text("(problem imp (domain switches) (init (off a)) (goal (on a) (off a)))")
+    assert cli_main(["plan", "--domain", SWITCHES, "--problem", str(imp), "--max-steps", "6"]) == 1
+    assert capsys.readouterr().err == "no solution within bounds\n"
+    assert cli_main(["plan", *demo, "--max-steps", "5", "--out", str(tmp_path / "p.json")]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
 def test_unknown_flag_is_an_input_error(capsys):
     assert cli_main(["plan", "--nope"]) == 3
 

@@ -125,7 +125,10 @@ def test_adding_a_goal_link_flips_a_side_effect():
             causal_links=plan.causal_links + (CausalLink(label.step, effect, plan.final.sid),)
         )
         after = classify_effects(boosted)
-        assert after.label(label.step, label.effect_index).intended
+        (relabeled,) = [
+            l for l in after.labels if (l.step, l.effect_index) == (label.step, label.effect_index)
+        ]
+        assert relabeled.intended
 
 
 def test_informational_structure_carries_the_instantiated_relation():

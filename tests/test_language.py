@@ -1,4 +1,5 @@
 """Domain/problem language: lowering, diagnostics, round-trips, fuzz."""
+import itertools
 import random
 
 import pytest
@@ -6,11 +7,10 @@ import pytest
 from discoplan.language import (
     parse_domain,
     parse_problem,
-    parse_term,
     serialize_domain,
     serialize_problem,
 )
-from discoplan.sexp import SAtom, SourceSpan, read
+from discoplan.sexp import SAtom, read
 from discoplan.terms import Compound, Constant, Variable
 from _worlds import CORPUS, lit, load_domain, load_problem
 
@@ -248,11 +248,23 @@ def test_every_diagnostic_is_pinned(kind, text, expected):
     assert [str(d) for d in diags] == expected
 
 
-def test_empty_symbol_is_a_diagnostic():
-    # The reader never yields an empty atom, so this site is reached directly.
-    diags = []
-    assert parse_term(SAtom("", SourceSpan("f", 1, 1)), diags) is None
-    assert [str(d) for d in diags] == ["f:1:1: empty symbol"]
+def test_reader_never_yields_an_empty_atom():
+    # parse_term has no "empty symbol" diagnostic: every atom the reader
+    # yields holds at least one character, over the fuzz alphabet of
+    # acceptance criterion 7 (every string up to length 3, then random ones).
+    alphabet = "()?#;ab1 \n\t-_~%\\\"'é("
+    rng = random.Random(7)
+    texts = ["".join(t) for n in range(4) for t in itertools.product(alphabet, repeat=n)]
+    for _ in range(2_000):
+        texts.append("".join(rng.choice(alphabet) for _ in range(rng.randrange(120))))
+    for text in texts:
+        stack = list(read(text)[0])
+        while stack:
+            node = stack.pop()
+            if isinstance(node, SAtom):
+                assert node.text, repr(text)
+            else:
+                stack.extend(node.items)
 
 
 def test_later_clauses_override_or_accumulate():

@@ -11,12 +11,11 @@ from discoplan.model import (
     Problem,
     StepTemplate,
     kb_satisfy,
-    operators_achieving,
     validate_domain,
     validate_problem,
 )
 from discoplan.terms import Compound, Constant, EMPTY_BINDINGS, Variable, apply, unify
-from _oracles import nested_loop_join
+from _oracles import nested_loop_join, operators_achieving
 from _worlds import load_domain, load_problem, lit
 
 L, B = Constant("l"), Constant("b")

@@ -1,6 +1,7 @@
 """The refinement search: causal, decompositional, threats, pruning, determinism."""
 import gc
 import random
+from functools import partial
 
 import pytest
 
@@ -16,7 +17,6 @@ from discoplan.model import (
     StepTemplate,
     kb_satisfy,
     knowledge_base,
-    operators_achieving,
 )
 from discoplan.plan import (
     CausalLink,
@@ -35,7 +35,7 @@ from discoplan.search import (
     SearchConfig,
     SearchStats,
     Solution,
-    _instantiate_links,
+    _link_options,
     prune_unused,
     refine_causal,
     refine_decomposition,
@@ -43,7 +43,16 @@ from discoplan.search import (
     solve,
 )
 from discoplan.oracle import verify_soundness
-from discoplan.terms import EMPTY_BINDINGS, Compound, Constant, Literal, Variable, apply
+from discoplan.terms import (
+    EMPTY_BINDINGS,
+    Compound,
+    Constant,
+    Literal,
+    Variable,
+    apply,
+    extensions,
+)
+from _oracles import decompose_by_product, operators_achieving
 from _worlds import (
     boundary_steps,
     flat_step,
@@ -547,19 +556,140 @@ def test_threat_detection_examines_under_a_tenth_of_the_link_step_pairs(monkeypa
 def test_kb_matching_and_link_assignment_leave_no_reference_cycles():
     kb = knowledge_base(load_domain("discourse.dpd"), load_problem("multirole.dpp"))
     x = Variable("x")
-    steps = {0: flat_step(0, eff=(lit("p", L), lit("p", B))), 1: flat_step(1, pre=(lit("p", x),))}
+    label_step = {
+        "start": flat_step(0, eff=(lit("p", L), lit("p", B))),
+        "final": flat_step(1, pre=(lit("p", x),)),
+    }
     links = [LinkTemplate("start", lit("p", x), "final")]
+    options = partial(_link_options, label_step, {1: [0]})
     gc.collect()
     gc.disable()
     try:
         assert len(list(kb_satisfy(kb, [lit("causes", x, Variable("y"))], EMPTY_BINDINGS))) > 1
-        assignment = next(
-            _instantiate_links(steps, links, {"start": 0, "final": 1}, EMPTY_BINDINGS, {1: [0]})
-        )
-        assert assignment[1] == (CausalLink(0, lit("p", x), 1),)
+        bindings, chosen = next(extensions(links, options, EMPTY_BINDINGS))
+        assert chosen == (((1, 0), CausalLink(0, lit("p", x), 1)),)
+        assert bindings.codesignates(x, L)
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_link_options_skip_a_precondition_an_earlier_link_took():
+    x, y = Variable("x"), Variable("y")
+    label_step = {
+        "start": flat_step(0, eff=(lit("p", L), lit("p", B))),
+        "final": flat_step(1, pre=(lit("p", x), lit("p", y))),
+    }
+    links = [LinkTemplate("start", lit("p", x), "final")] * 2
+    options = partial(_link_options, label_step, {1: [0, 1]})
+    taken = [
+        tuple(key for key, _ in chosen)
+        for _, chosen in extensions(links, options, EMPTY_BINDINGS)
+    ]
+    # The first link's effect binds ?x, so the second link uses the same
+    # effect, and takes whichever precondition the first one left.
+    assert taken == [((1, 0), (1, 1)), ((1, 1), (1, 0))] * 2
+
+
+def _fanout_problem(n):
+    """n goal beliefs whose shared cause is credible: one support per goal."""
+    goals = [f"g{i}" for i in range(n)]
+    problem, diags = parse_problem(
+        "(problem f (domain discourse) (facts {}) (init (credible c) {}) (goal {}))".format(
+            " ".join(f"(causes c {g})" for g in goals),
+            " ".join(f"(credible (causes c {g}))" for g in goals),
+            " ".join(f"(bel {g})" for g in goals),
+        ),
+        "f",
+    )
+    assert problem is not None, diags
+    return problem
+
+
+def _twin_marks_world():
+    """Two step templates of one action, which may both match one plan step."""
+    a, b, m = Variable("a"), Variable("b"), Variable("m")
+    x, y = Constant("x"), Constant("y")
+    domain = Domain(
+        name="twins",
+        predicates={"ok": 0, "marked": 1},
+        kb_predicates={"rel": 1},
+        operators=(
+            ActionOperator("pick2", (), (), (lit("ok"),), composite=True),
+            ActionOperator("mark", (m,), (), (lit("marked", m),)),
+            ActionOperator("finish", (), (), (lit("ok"),)),
+        ),
+        schemata=(
+            DecompositionSchema(
+                "pick2",
+                (),
+                constraints=(lit("rel", a), lit("rel", b)),
+                steps=(
+                    StepTemplate("s1", "mark", (a,)),
+                    StepTemplate("s2", "mark", (b,)),
+                    StepTemplate("s3", "finish", ()),
+                ),
+                links=(LinkTemplate("s3", lit("ok"), "final"),),
+            ),
+        ),
+    )
+    goals = (lit("marked", x), lit("marked", y), lit("ok"))
+    return domain, Problem("p", "twins", facts=(lit("rel", x), lit("rel", y)), goals=goals)
+
+
+def test_refine_decomposition_matches_a_product_then_filter_enumeration():
+    discourse = load_domain("discourse.dpd")
+    worlds = [
+        (discourse, load_problem("lucentio.dpp")),
+        (discourse, load_problem("multirole.dpp")),
+        (load_domain("sidefx.dpd"), load_problem("sidefx.dpp")),
+        (discourse, _fanout_problem(3)),
+        (discourse, _fanout_problem(5)),
+        _twin_marks_world(),
+    ]
+    compared = adopting = 0
+    for domain, problem in worlds:
+        kb = knowledge_base(domain, problem)
+        visited, successor_sets = step_leftmost(domain, problem, SearchConfig(max_steps=1000))
+        nodes = visited + [p for _, _, succ in successor_sets for p in succ]
+        for plan in nodes:
+            for flaw in plan.flaws:
+                if not isinstance(flaw, UnexpandedComposite):
+                    continue
+                for policy in search_module.REUSE_POLICIES:
+                    got = refine_decomposition(plan, flaw, domain, kb, policy)
+                    assert got == decompose_by_product(plan, flaw, domain, kb, policy)
+                    compared += 1
+                    adopting += any(
+                        set(c.decomposition_links[-1].members) & {s.sid for s in plan.steps}
+                        for c in got
+                    )
+    # The nodes include expansions that may adopt steps already in the plan.
+    assert compared > 400 and adopting > 50
+
+
+def test_decomposition_builds_each_consistent_realization_once(monkeypatch):
+    expand, refine = search_module._expand, search_module.refine_decomposition
+    calls = children = 0
+
+    def counted_expand(*args):
+        nonlocal calls
+        calls += 1
+        return expand(*args)
+
+    def counted_refine(*args):
+        nonlocal children
+        out = refine(*args)
+        children += len(out)
+        return out
+
+    monkeypatch.setattr(search_module, "_expand", counted_expand)
+    monkeypatch.setattr(search_module, "refine_decomposition", counted_refine)
+    out = solve(load_domain("discourse.dpd"), _fanout_problem(8), SearchConfig(max_steps=1000))
+    assert isinstance(out, Solution)
+    # Building every combination of reuse choices and filtering it afterwards
+    # makes 1 534 calls for the same 15 children.
+    assert calls == children == 15
 
 
 def test_flaw_policies_all_reach_a_solution():
