@@ -31,9 +31,10 @@ EXIT_INPUT = 3
 
 
 def _read_file(path: str):
+    """The file's text without one leading byte-order mark; None if unreadable."""
     try:
         with open(path, "r", encoding="utf-8") as f:
-            return f.read()
+            return f.read().removeprefix("\ufeff")
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return None

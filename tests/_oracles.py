@@ -8,6 +8,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
+from discoplan.sexp import Diagnostic, SAtom, SList, SNode, SourceSpan
 from discoplan.terms import Compound, Constant, Literal, Term, Variable, apply
 
 
@@ -374,3 +375,85 @@ def recursive_intended(plan):
         for s in plan.steps
         for i in range(len(s.effects))
     }
+
+
+class _Scanner:
+    """One character at a time: `str.isspace()` blanks, `;` to LF, LF ends a line."""
+
+    def __init__(self, text: str, filename: str):
+        self.text = text
+        self.file = filename
+        self.pos = 0
+        self.line = 1
+        self.col = 1
+
+    def span(self, length: int = 1) -> SourceSpan:
+        return SourceSpan(self.file, self.line, self.col, length)
+
+    def peek(self) -> str:
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def advance(self) -> str:
+        ch = self.text[self.pos]
+        self.pos += 1
+        if ch == "\n":
+            self.line += 1
+            self.col = 1
+        else:
+            self.col += 1
+        return ch
+
+    def skip_blank(self) -> None:
+        while self.pos < len(self.text):
+            ch = self.peek()
+            if ch == ";":
+                while self.pos < len(self.text) and self.peek() != "\n":
+                    self.advance()
+            elif ch.isspace():
+                self.advance()
+            else:
+                return
+
+
+def reference_read(text: str, filename: str = "<input>") -> tuple[list[SNode], list[Diagnostic]]:
+    """Reference for `sexp.read`: the character-at-a-time scanner it replaced."""
+    sc = _Scanner(text, filename)
+    diags: list[Diagnostic] = []
+    top: list[SNode] = []
+    # Stack of (open-paren span, collected items) for every unclosed list.
+    stack: list[tuple[SourceSpan, list[SNode]]] = []
+    while True:
+        sc.skip_blank()
+        ch = sc.peek()
+        if ch == "":
+            break
+        if ch == "(":
+            stack.append((sc.span(), []))
+            sc.advance()
+        elif ch == ")":
+            sc.advance()
+            if not stack:
+                diags.append(
+                    Diagnostic(
+                        SourceSpan(sc.file, sc.line, sc.col - 1),
+                        "unbalanced closing parenthesis",
+                    )
+                )
+                continue
+            span, items = stack.pop()
+            node = SList(tuple(items), span)
+            (stack[-1][1] if stack else top).append(node)
+        else:
+            start = sc.span()
+            chars = []
+            while sc.peek() and not sc.peek().isspace() and sc.peek() not in "();":
+                chars.append(sc.advance())
+            word = "".join(chars)
+            atom = SAtom(word.lower(), SourceSpan(start.file, start.line, start.column, len(word)))
+            (stack[-1][1] if stack else top).append(atom)
+    while stack:
+        span, items = stack.pop()
+        diags.append(Diagnostic(span, "unclosed parenthesis"))
+        node = SList(tuple(items), span)
+        (stack[-1][1] if stack else top).append(node)
+    return top, diags

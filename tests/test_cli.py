@@ -207,6 +207,30 @@ def test_non_utf8_input_file_is_an_input_error(tmp_path, capsys):
     assert err.startswith(f"error: cannot read {bad}") and err.count("\n") == 1
 
 
+def test_a_leading_byte_order_mark_is_ignored(tmp_path, capsys):
+    bom = b"\xef\xbb\xbf"
+    domain = tmp_path / "bom.dpd"
+    domain.write_bytes(bom + (CORPUS / "switches.dpd").read_bytes())
+    assert cli_main(["check", "--domain", str(domain)]) == 0
+    assert capsys.readouterr().err == ""
+    problem = tmp_path / "bom.dpp"
+    problem.write_bytes(bom + (CORPUS / "lucentio.dpp").read_bytes())
+    out = tmp_path / "plan.json"
+    argv = ["--domain", DISCOURSE, "--problem", str(problem)]
+    assert cli_main(["plan", *argv, "--out", str(out)]) == 0
+    out.write_bytes(bom + out.read_bytes())
+    assert cli_main(["verify", *argv, "--plan", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert "sound" in captured.out and captured.err == ""
+
+
+def test_only_one_leading_byte_order_mark_is_dropped(tmp_path, capsys):
+    domain = tmp_path / "bom2.dpd"
+    domain.write_bytes(b"\xef\xbb\xbf" * 2 + (CORPUS / "switches.dpd").read_bytes())
+    assert cli_main(["check", "--domain", str(domain)]) == 3
+    assert capsys.readouterr().err.startswith(f"{domain}:1:1: ")
+
+
 def test_verify_rejects_a_non_pair_ordering(tmp_path, capsys):
     out = tmp_path / "plan.json"
     cli_main(["plan", "--domain", DISCOURSE, "--problem", LUCENTIO, "--out", str(out)])
