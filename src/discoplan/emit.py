@@ -14,7 +14,7 @@ from .language import parse_literal, parse_term
 from .oracle import PlanView, ViewDecomposition, ViewLink, ViewStep
 from .plan import Plan
 from .sexp import Diagnostic, read
-from .terms import BindingSet, Compound, Literal, Term, apply, apply_term
+from .terms import BindingSet, Compound, Literal, Term, apply
 
 FORMATS = ("json", "dot", "text")
 
@@ -31,7 +31,7 @@ def functional(t: Term) -> str:
 def step_label(step, bindings: BindingSet) -> str:
     if not step.params:
         return step.name
-    params = (apply_term(bindings, a) for a in step.params)
+    params = (bindings.resolve(a) for a in step.params)
     return "{}({})".format(step.name, ", ".join(functional(a) for a in params))
 
 
@@ -98,7 +98,7 @@ def plan_to_dict(plan: Plan, report: IntentionReport | None = None) -> dict:
                 "id": s.sid,
                 "name": s.name,
                 "kind": s.kind,
-                "args": [str(apply_term(plan.bindings, a)) for a in s.params],
+                "args": [str(plan.bindings.resolve(a)) for a in s.params],
                 "depth": s.depth,
                 "preconditions": [_lit(plan, p) for p in s.preconditions],
                 "effects": [_lit(plan, e) for e in s.effects],

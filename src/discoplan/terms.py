@@ -15,6 +15,11 @@ subterms, once per call: a set or memo keyed by id() stands in for the
 tree walk. Each keyed subterm is reachable from the call's arguments or
 from the assignments, which a call only ever extends, so its id() cannot
 be reused while the table lives; tables last for one call.
+
+Naming. Unification binds the later of two unbound variables, in (name,
+iid) order, to the earlier, so the root of every unbound codesignation
+class is its smallest variable. Resolving a term therefore writes each
+unbound class by that one name, wherever the term comes from.
 """
 from __future__ import annotations
 
@@ -251,9 +256,10 @@ class BindingSet:
     """Codesignation classes plus non-codesignation pairs.
 
     `assignments` maps a variable to another term in its class (union-find
-    style chains ending at the class representative). `distinct` holds pairs
-    of terms forbidden from ever denoting the same object. Instances are
-    never mutated; extension happens through the module-level operations.
+    style chains ending at the class representative, which is the smallest
+    variable of an unbound class). `distinct` holds pairs of terms
+    forbidden from ever denoting the same object. Instances are never
+    mutated; extension happens through the module-level operations.
     """
 
     assignments: Mapping[Variable, Term] = field(default_factory=dict)
@@ -270,12 +276,6 @@ class BindingSet:
         """True iff x and y resolve to the same term."""
         return _compare(x, y, self.assignments, {}) == 0
 
-    def canonical(self, v: Variable) -> Variable:
-        """Display representative of an unbound class: its smallest member."""
-        members = [v] + [k for k in self.assignments if self.walk(k) == v]
-        # All members are variables, which compare_terms orders by name, then iid.
-        return min(members, key=lambda m: (m.name, m.iid))
-
 
 EMPTY_BINDINGS = BindingSet()
 
@@ -289,7 +289,13 @@ def _unify_pairs(pairs: list[tuple[Term, Term]], asg: dict) -> bool:
         b = _walk(b, asg)
         if a is b or (not isinstance(a, Compound) and a == b):
             continue
-        if isinstance(a, Variable):
+        if isinstance(a, Variable) and isinstance(b, Variable):
+            # Two distinct unbound variables, so no occurs check can fire.
+            # The later one is bound, and a class's root stays its smallest.
+            if (b.name, b.iid) < (a.name, a.iid):
+                a, b = b, a
+            asg[b] = a
+        elif isinstance(a, Variable):
             if _occurs(a, b, asg):
                 return False
             asg[a] = b
@@ -377,28 +383,8 @@ def extensions(
         yield from extensions(items, options, b, chosen + (choice,))
 
 
-def _apply(bindings: BindingSet, t: Term, memo: dict) -> Term:
-    w = _walk(t, bindings.assignments)
-    if isinstance(w, Variable):
-        return bindings.canonical(w)
-    if not isinstance(w, Compound):
-        return w
-    out = memo.get(id(w))
-    if out is None:
-        out = Compound(w.functor, tuple(_apply(bindings, a, memo) for a in w.args))
-        memo[id(w)] = out
-    return out
-
-
-def apply_term(bindings: BindingSet, t: Term) -> Term:
-    return _apply(bindings, t, {})
-
-
 def apply(bindings: BindingSet, literal: Literal) -> Literal:
-    """Substitute each variable by its class representative; idempotent."""
+    """`literal` resolved, each unbound class named by its root; idempotent."""
     memo: dict = {}
-    return Literal(
-        literal.predicate,
-        tuple(_apply(bindings, a, memo) for a in literal.args),
-        literal.positive,
-    )
+    args = tuple(_resolve(a, bindings.assignments, memo) for a in literal.args)
+    return Literal(literal.predicate, args, literal.positive)

@@ -52,6 +52,22 @@ def naive_resolve(t: Term, asg) -> Term:
     return t
 
 
+def naive_canonical(v: Variable, asg) -> Variable:
+    """The smallest variable, by name then iid, of unbound `v`'s class.
+
+    Scans every assignment for the members whose chain ends where `v`'s does.
+    """
+
+    def walk(t):
+        while isinstance(t, Variable) and t in asg:
+            t = asg[t]
+        return t
+
+    root = walk(v)
+    members = [root] + [k for k in asg if walk(k) == root]
+    return min(members, key=lambda m: (m.name, m.iid))
+
+
 def naive_occurs(v: Variable, t: Term, asg) -> bool:
     return v in collect_variables([naive_resolve(t, asg)])
 

@@ -7,6 +7,7 @@ from contextlib import contextmanager
 import pytest
 
 from discoplan.cli import cli_main
+from discoplan.emit import plan_to_dict, plan_view_from_dict
 from discoplan.intention import classify_effects
 from discoplan.language import parse_domain, parse_problem, serialize_domain, serialize_problem
 from discoplan.model import Problem
@@ -136,6 +137,9 @@ def test_criterion_2_soundness_suite(suite_solutions):
                 failures.append((problem.name, "no solution"))
                 continue
             report = verify_soundness(outcome.plan, problem)
+            reloaded = verify_soundness(plan_view_from_dict(plan_to_dict(outcome.plan)), problem)
+            assert (reloaded.violations, reloaded.linearizations_checked) == (
+                report.violations, report.linearizations_checked), problem.name
             checked += 1
             if not report.ok:
                 failures.append((problem.name, report.violations))
@@ -259,11 +263,13 @@ def test_criterion_7_parser_robustness():
             assert domain is not None or diags
             problem, pdiags = parse_problem(text)
             assert problem is not None or pdiags
-        for name in ("discourse.dpd", "sidefx.dpd", "switches.dpd", "toggle.dpd"):
+        for name in ("discourse.dpd", "separation.dpd", "sidefx.dpd", "switches.dpd",
+                     "toggle.dpd"):
             domain = load_domain(name)
             reparsed, diags = parse_domain(serialize_domain(domain))
             assert diags == [] and reparsed == domain
-        for name in ("lucentio.dpp", "multirole.dpp", "sidefx.dpp", "switches-demo.dpp"):
+        for name in ("lucentio.dpp", "multirole.dpp", "separation.dpp", "sidefx.dpp",
+                     "switches-demo.dpp"):
             problem = load_problem(name)
             reparsed, diags = parse_problem(serialize_problem(problem))
             assert diags == [] and reparsed == problem

@@ -1,13 +1,16 @@
 """Plan serializers: structure, determinism, reload."""
 import json
+import re
+
+import pytest
 
 from discoplan.emit import emit, plan_to_dict, plan_view_from_dict
 from discoplan.intention import classify_effects
 from discoplan.model import Problem
 from discoplan.oracle import verify_soundness
-from discoplan.search import Solution, solve
+from discoplan.search import FLAW_POLICIES, SearchConfig, Solution, solve
 from discoplan.terms import Constant
-from _worlds import lit, load_domain, load_problem
+from _worlds import lit, load_domain, load_problem, marks_domain, marks_problem
 
 L = Constant("l")
 
@@ -73,14 +76,29 @@ def test_plan_view_reload_preserves_auditability():
     assert report.ok, report.violations
 
 
-def test_plan_view_reload_keeps_noncodesignation_pairs():
-    from _worlds import marks_domain, marks_problem
+SEPARATING_WORLDS = {
+    "marks": lambda: (marks_domain(), marks_problem()),
+    "separation": lambda: (load_domain("separation.dpd"), load_problem("separation.dpp")),
+}
+# Searches whose plan avoids the threat by a binding or an ordering instead.
+NO_SEPARATION = {("marks", "fifo"), ("marks", "lifo"), ("separation", "threats-first")}
 
-    domain, problem = marks_domain(), marks_problem()
-    out = solve(domain, problem)
-    assert out.plan.bindings.distinct
+
+@pytest.mark.parametrize("flaw_policy", FLAW_POLICIES)
+@pytest.mark.parametrize("world", sorted(SEPARATING_WORLDS))
+def test_plan_view_reload_keeps_noncodesignation_pairs(world, flaw_policy):
+    domain, problem = SEPARATING_WORLDS[world]()
+    out = solve(domain, problem, SearchConfig(flaw_policy=flaw_policy))
+    assert isinstance(out, Solution)
+    assert bool(out.plan.bindings.distinct) != ((world, flaw_policy) in NO_SEPARATION)
     data = json.loads(emit(out.plan, classify_effects(out.plan), "json"))
-    assert data["bindings"]["distinct"]
+    assert len(data["bindings"]["distinct"]) == len(out.plan.bindings.distinct)
+    # A forbidden pair names each class as the steps do.
+    named = {v for s in data["steps"] for t in s["args"] + s["preconditions"] + s["effects"]
+             for v in re.findall(r"\?[^\s()]+", t)}
+    forbidden = {t for pair in data["bindings"]["distinct"] for t in pair if t.startswith("?")}
+    assert forbidden <= named
     view = plan_view_from_dict(data)
-    assert view.bindings.distinct
-    assert verify_soundness(view, problem).ok
+    assert len(view.bindings.distinct) == len(out.plan.bindings.distinct)
+    report = verify_soundness(view, problem)
+    assert report.ok, report.violations

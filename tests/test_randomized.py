@@ -6,6 +6,7 @@ at most five steps holds at most three primitives, the brute-force horizon.
 """
 import random
 
+from discoplan.emit import plan_to_dict, plan_view_from_dict
 from discoplan.model import ActionOperator, Domain, Problem, validate_domain, validate_problem
 from discoplan.oracle import brute_force, verify_soundness
 from discoplan.search import BudgetExceeded, SearchConfig, Solution, solve
@@ -78,4 +79,8 @@ def test_random_domains_agree_with_brute_force_and_audit_clean():
             solved += 1
             report = verify_soundness(outcome.plan, problem)
             assert report.ok, report.violations
+            # The emitted plan file must audit exactly as the live plan does.
+            reloaded = verify_soundness(plan_view_from_dict(plan_to_dict(outcome.plan)), problem)
+            assert (reloaded.violations, reloaded.linearizations_checked) == (
+                report.violations, report.linearizations_checked)
     assert solved >= 30  # the generator must produce a real mix

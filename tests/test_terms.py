@@ -27,7 +27,9 @@ from discoplan.search import _separation_pairs
 from _oracles import (
     collect_variables,
     consistent_assignments,
+    ground,
     ground_literal,
+    naive_canonical,
     naive_occurs,
     naive_resolve,
     naive_term_key,
@@ -320,7 +322,8 @@ def test_repr_spells_each_shared_subterm_once_and_is_bounded():
     assert str(lit("p", g, g)) == "(p (g a) (g a))"
 
 
-VARS = [Variable(n) for n in "xyzw"]
+# Two variables share a name, so the naming rule's iid tie-break is exercised.
+VARS = [Variable(n) for n in "xyzw"] + [Variable("x", 2)]
 ARITY = {"f": 2, "g": 1, "h": 0}
 
 
@@ -354,6 +357,12 @@ def test_dag_walks_agree_with_tree_expansion(store):
         assert bs.resolve(t) == expanded
         for v in VARS:
             assert _occurs(v, t, asg) == naive_occurs(v, t, asg)
+        # apply names every unbound class by its smallest variable.
+        names = {v: naive_canonical(v, asg) for v in collect_variables([expanded])}
+        assert apply(bs, lit("p", t)) == lit("p", ground(expanded, names))
+    for v in VARS:
+        root = bs.resolve(v)
+        assert not isinstance(root, Variable) or root == naive_canonical(v, asg)
     for x, rx in zip(pool, resolved):
         for y, ry in zip(pool, resolved):
             assert bs.codesignates(x, y) == (rx == ry)
