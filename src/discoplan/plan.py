@@ -23,11 +23,15 @@ re-tested when the bindings or orderings changed, plus every new link
 against all steps and every old link against the new steps. Any other
 change (an expansion rewrites `intervals`, pruning drops steps) and direct
 construction compute both from scratch; `check_invariants` compares the
-maintained values with that computation.
+maintained values with that computation. Either way, a step is a threat
+candidate for a link only if its effect signatures, the (predicate, sign)
+pairs of its effects, include that of the link's negated condition: no
+other effect can unify with it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Mapping
 
 from .model import Problem
@@ -50,6 +54,12 @@ class Step:
     effects: tuple[Literal, ...]
     kind: str
     depth: int = 0
+
+    @cached_property
+    def signatures(self) -> frozenset[tuple[str, bool]]:
+        """The (predicate, sign) of each effect. Only a step with the
+        signature of a link's negated condition can threaten the link."""
+        return frozenset((e.predicate, e.positive) for e in self.effects)
 
 
 @dataclass(frozen=True)
@@ -309,9 +319,10 @@ def _scan_threats(plan: Plan, base: Plan | None = None) -> tuple[tuple[Threat, .
             continue
         negated = link.condition.negate()
         p_end, c_begin = plan.end_of(link.producer), plan.begin_of(link.consumer)
+        signature = (negated.predicate, negated.positive)
 
         def threatens(s: Step) -> bool:
-            return _threatens(plan, s, negated, p_end, c_begin)
+            return signature in s.signatures and _threatens(plan, s, negated, p_end, c_begin)
 
         if retest:
             kept = tuple(t for t in kept if threatens(plan.step(t.step)))

@@ -156,10 +156,14 @@ def refine_causal(plan: Plan, flaw: OpenCondition, domain: Domain) -> list[Plan]
     consumer = plan.step(flaw.consumer)
     flaws = tuple(f for f in plan.flaws if f != flaw)
     new_sid, new_iid = plan.next_sid, plan.next_iid
+    signature = (flaw.condition.predicate, flaw.condition.positive)
     fresh = tuple(
-        _instantiate_operator(op, new_sid, new_iid, consumer.depth) for op in domain.operators
+        _instantiate_operator(op, new_sid, new_iid, consumer.depth)
+        for op in domain.operators
+        if signature in {(e.predicate, e.positive) for e in op.effects}
     )
-    # Reuse, smallest step id first; then a fresh step per operator, declaration order.
+    # Reuse, smallest step id first; then a fresh step per operator with an
+    # effect of the condition's predicate and sign, declaration order.
     for s in plan.steps + fresh:
         if s.sid == flaw.consumer or s.kind == KIND_FINAL:
             continue

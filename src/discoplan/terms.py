@@ -5,8 +5,12 @@ never share variables. A BindingSet is a persistent value: every
 extending operation returns a new store and leaves its input untouched,
 so backtracking search never has to undo anything.
 
-Cost model. Terms are DAGs: a variable bound to a compound that mentions
-further bound variables can reach one subterm along many paths, so a
+Cost model. Terms and literals are named tuples, so field access, hashing
+and equality run in C, and each hash equals the hash of the tuple of its
+fields. Terms or literals of two kinds never compare equal: their field
+tuples differ in length or in the type of the second field. Terms are
+DAGs: a variable bound to a compound that mentions further bound
+variables can reach one subterm along many paths, so a
 resolved term may be exponentially larger as a tree than the store that
 describes it. Every deep operation here (the occurs check, resolve, the
 codesignation test, decomposition during unification, term ordering and
@@ -24,7 +28,7 @@ unbound class by that one name, wherever the term comes from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 
 class ArityMismatchError(Exception):
@@ -35,16 +39,14 @@ class ArityMismatchError(Exception):
     """
 
 
-@dataclass(frozen=True)
-class Constant:
+class Constant(NamedTuple):
     name: str
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(NamedTuple):
     name: str
     iid: int = 0
 
@@ -54,8 +56,7 @@ class Variable:
         return f"?{self.name}#{self.iid}"
 
 
-@dataclass(frozen=True)
-class Compound:
+class Compound(NamedTuple):
     functor: str
     args: tuple["Term", ...]
 
@@ -71,8 +72,7 @@ class Compound:
 Term = Constant | Variable | Compound
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(NamedTuple):
     """A signed atom: predicate applied to terms, positive or negated."""
 
     predicate: str
@@ -101,7 +101,7 @@ REPR_LIMIT = 2000
 
 
 def _bounded_repr(obj: Compound | Literal) -> str:
-    """The dataclass repr of `obj`, cut off after REPR_LIMIT characters.
+    """The named-tuple repr of `obj`, cut off after REPR_LIMIT characters.
 
     Only the first occurrence of a compound is spelled out; a shared
     subterm met again prints as `Compound(functor='f', ...)`. So the walk
