@@ -59,11 +59,21 @@ def _chain_plan():
     return make_plan(steps, orderings)
 
 
+# Two unary predicates and a 0-ary one, so the threat scan's signature
+# filter both admits and rejects steps.
+ARITY = {"on": 1, "at": 1, "ready": 0}
+
+
+def _random_flat_literal(rng, terms, positive=True):
+    predicate = rng.choice(sorted(ARITY))
+    return lit(predicate, *(rng.choice(terms) for _ in range(ARITY[predicate])), positive=positive)
+
+
 def _random_flat_plan(rng, n_mid=5):
     mids = []
     for i in range(2, 2 + n_mid):
         effs = tuple(
-            lit("on", rng.choice([L, B, Variable("v", i)]), positive=rng.random() < 0.6)
+            _random_flat_literal(rng, [L, B, Variable("v", i)], positive=rng.random() < 0.6)
             for _ in range(rng.randrange(1, 3))
         )
         mids.append(flat_step(i, f"s{i}", eff=effs))
@@ -76,7 +86,7 @@ def _random_flat_plan(rng, n_mid=5):
     pairs = [(a, b) for a in [s.sid for s in mids] for b in [s.sid for s in mids] if (a, b) in orderings]
     for a, b in pairs:
         if rng.random() < 0.5:
-            links.append(CausalLink(a, lit("on", rng.choice([L, B])), b))
+            links.append(CausalLink(a, _random_flat_literal(rng, [L, B]), b))
     return make_plan(steps, orderings, links)
 
 

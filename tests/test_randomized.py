@@ -4,7 +4,11 @@ Domains are generated with delete effects and lifted parameters so threat
 resolution and separation get real exercise. Bounds are matched: a plan of
 at most five steps holds at most three primitives, the brute-force horizon.
 """
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from discoplan.emit import plan_to_dict, plan_view_from_dict
 from discoplan.model import ActionOperator, Domain, Problem, validate_domain, validate_problem
@@ -28,7 +32,7 @@ def _operator(rng, k):
     var = Variable("x") if rng.random() < 0.6 else None
     params = (var,) if var is not None else ()
     pre = tuple(_literal(rng, var) for _ in range(rng.randrange(0, 3)))
-    eff = tuple({_literal(rng, var) for _ in range(rng.randrange(1, 3))})
+    eff = tuple(dict.fromkeys(_literal(rng, var) for _ in range(rng.randrange(1, 3))))
     atoms = {}
     for e in eff:
         key = (e.predicate, e.args)
@@ -48,16 +52,17 @@ def _domain(rng, i):
 
 
 def _problem(rng, domain):
-    init = tuple({_literal(rng, None, positive_only=True) for _ in range(rng.randrange(0, 3))})
-    goals = tuple({_literal(rng, None) for _ in range(rng.randrange(1, 3))})
+    init = tuple(
+        dict.fromkeys(_literal(rng, None, positive_only=True) for _ in range(rng.randrange(0, 3)))
+    )
+    goals = tuple(dict.fromkeys(_literal(rng, None) for _ in range(rng.randrange(1, 3))))
     return Problem("rp", domain.name, init=init, goals=goals)
 
 
-def test_random_domains_agree_with_brute_force_and_audit_clean():
-    rng = random.Random(2024)
-    config = SearchConfig(max_steps=5, max_nodes=30_000)
-    checked = solved = 0
-    while checked < 150:
+def _cases(rng, count=150):
+    """The first `count` valid (domain, problem) pairs drawn from `rng`."""
+    checked = 0
+    while checked < count:
         domain = _domain(rng, checked)
         if domain is None or validate_domain(domain):
             continue
@@ -65,6 +70,13 @@ def test_random_domains_agree_with_brute_force_and_audit_clean():
         if validate_problem(domain, problem):
             continue
         checked += 1
+        yield domain, problem
+
+
+def test_random_domains_agree_with_brute_force_and_audit_clean():
+    config = SearchConfig(max_steps=5, max_nodes=30_000)
+    solved = 0
+    for domain, problem in _cases(random.Random(2024)):
         sequences = brute_force(domain, problem, 3)
         outcome = solve(domain, problem, config)
         assert not isinstance(outcome, BudgetExceeded)
@@ -84,3 +96,20 @@ def test_random_domains_agree_with_brute_force_and_audit_clean():
             assert (reloaded.violations, reloaded.linearizations_checked) == (
                 report.violations, report.linearizations_checked)
     assert solved >= 30  # the generator must produce a real mix
+
+
+def test_generated_domains_do_not_depend_on_string_hashing():
+    # Effects, init and goals keep the order they were drawn in, so every
+    # process checks the same domains whatever its string hash seed.
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    code = "import random, test_randomized as t; print(list(t._cases(random.Random(2024))))"
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
+            capture_output=True, text=True, check=True, timeout=120,
+        ).stdout
+        for seed in ("1", "2")
+    ]
+    assert outputs[0] and outputs[0] == outputs[1]

@@ -52,7 +52,7 @@ from discoplan.terms import (
     apply,
     extensions,
 )
-from _oracles import decompose_by_product, operators_achieving
+from _oracles import brute_force_threats, decompose_by_product, operators_achieving
 from _worlds import (
     boundary_steps,
     flat_step,
@@ -526,6 +526,40 @@ def test_maintained_threats_and_closure_match_a_scan_under_each_flaw_policy(monk
         out = solve(load_domain(dname), load_problem(pname), config)
         assert len(audited) == out.stats.nodes_expanded
         audited.clear()
+
+
+def _check_threats_by_brute_force(monkeypatch):
+    """Make `solve` compare detect_threats with the unfiltered brute-force
+    scan of every (link, step) pair at each node; returns the list of each
+    node's threat count so far."""
+    counts = []
+
+    def checked_detect_threats(plan):
+        threats = detect_threats(plan)
+        assert [(t.step, t.link) for t in threats] == brute_force_threats(plan)
+        counts.append(len(threats))
+        return threats
+
+    monkeypatch.setattr(search_module, "detect_threats", checked_detect_threats)
+    return counts
+
+
+@pytest.mark.parametrize("policy", ["threats-first", "fifo"])
+@pytest.mark.parametrize("pair", [("sidefx.dpd", "sidefx.dpp"), ("switches.dpd", "switches-demo.dpp")])
+def test_signature_filtered_threats_match_brute_force_at_every_node(monkeypatch, policy, pair):
+    counts = _check_threats_by_brute_force(monkeypatch)
+    out = solve(load_domain(pair[0]), load_problem(pair[1]), SearchConfig(flaw_policy=policy))
+    assert isinstance(out, Solution)
+    assert len(counts) == out.stats.nodes_expanded
+
+
+def test_signature_filtered_threats_match_brute_force_at_every_regress_node(monkeypatch):
+    # The corpus solves above meet no threat; this one meets many, in
+    # threat sets maintained across evolve and rescanned after expansions.
+    counts = _check_threats_by_brute_force(monkeypatch)
+    out = solve(load_domain("discourse.dpd"), _regress_problem(), SearchConfig(max_depth=2, max_nodes=200))
+    assert len(counts) == out.stats.nodes_expanded == 200
+    assert sum(counts) > 0
 
 
 def test_threat_detection_examines_under_a_tenth_of_the_link_step_pairs(monkeypatch):

@@ -313,7 +313,7 @@ def test_repr_spells_each_shared_subterm_once_and_is_bounded():
     _within_milliseconds(started)
     assert all(len(t) <= REPR_LIMIT + 3 for t in texts[:2])
     assert texts[0].startswith("Compound(functor='f', args=(Compound(functor='f', args=(")
-    # A short term keeps the dataclass repr, except that a compound met again is elided.
+    # A short term keeps the field-by-field repr, except that a compound met again is elided.
     g = Compound("g", (A,))
     assert repr(lit("p", g, g, P, positive=False)) == (
         "Literal(predicate='p', args=(Compound(functor='g', args=(Constant(name='a'),)), "
@@ -368,3 +368,34 @@ def test_dag_walks_agree_with_tree_expansion(store):
             assert bs.codesignates(x, y) == (rx == ry)
             kx, ky = naive_term_key(rx), naive_term_key(ry)
             assert _sign(compare_terms(bs.resolve(x), bs.resolve(y))) == (kx > ky) - (kx < ky)
+
+
+FIELDS = {
+    Constant: ("name",),
+    Variable: ("name", "iid"),
+    Compound: ("functor", "args"),
+    Literal: ("predicate", "args", "positive"),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_store(), flat_literal)
+def test_terms_hash_as_their_field_tuples_and_kinds_never_compare_equal(store, flat):
+    # Hashes equal to the field tuple's keep set and dict orders as they were
+    # under frozen dataclasses, whose hash was that tuple's.
+    pool, _ = store
+    corners = [Constant("a"), Variable("a", 0), Compound("f", ()), Literal("f", ())]
+    items = pool + corners + [flat, flat.negate()] + [lit("f", t) for t in pool]
+    for t in items:
+        assert hash(t) == hash(tuple(getattr(t, f) for f in FIELDS[type(t)]))
+    for t in items:
+        if isinstance(t, Variable):
+            assert repr(t) == f"Variable(name={t.name!r}, iid={t.iid!r})"
+        elif isinstance(t, Constant):
+            assert repr(t) == f"Constant(name={t.name!r})"
+        else:
+            assert repr(t).startswith(f"{type(t).__name__}({FIELDS[type(t)][0]}=")
+    for x in items:
+        for y in items:
+            if type(x) is not type(y):
+                assert x != y and not x == y
