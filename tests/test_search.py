@@ -545,7 +545,9 @@ def _check_threats_by_brute_force(monkeypatch):
 
 
 @pytest.mark.parametrize("policy", ["threats-first", "fifo"])
-@pytest.mark.parametrize("pair", [("sidefx.dpd", "sidefx.dpp"), ("switches.dpd", "switches-demo.dpp")])
+@pytest.mark.parametrize(
+    "pair", [("sidefx.dpd", "sidefx.dpp"), ("switches.dpd", "switches-demo.dpp")]
+)
 def test_signature_filtered_threats_match_brute_force_at_every_node(monkeypatch, policy, pair):
     counts = _check_threats_by_brute_force(monkeypatch)
     out = solve(load_domain(pair[0]), load_problem(pair[1]), SearchConfig(flaw_policy=policy))
@@ -557,7 +559,8 @@ def test_signature_filtered_threats_match_brute_force_at_every_regress_node(monk
     # The corpus solves above meet no threat; this one meets many, in
     # threat sets maintained across evolve and rescanned after expansions.
     counts = _check_threats_by_brute_force(monkeypatch)
-    out = solve(load_domain("discourse.dpd"), _regress_problem(), SearchConfig(max_depth=2, max_nodes=200))
+    config = SearchConfig(max_depth=2, max_nodes=200)
+    out = solve(load_domain("discourse.dpd"), _regress_problem(), config)
     assert len(counts) == out.stats.nodes_expanded == 200
     assert sum(counts) > 0
 
