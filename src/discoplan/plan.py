@@ -18,15 +18,17 @@ reaches a. Its threats then start from the nearest ancestor whose threats
 are known. Under such a change "possibly between" can only become false (the
 closure only grows) and `unify` can only start failing (the bindings only
 grow: `evolve` must only receive bindings that extend the parent's), so no
-old (link, step) pair becomes a threat. The new threats are the ancestor's,
-re-tested when the bindings or orderings changed, plus every new link
-against all steps and every old link against the new steps. Any other
-change (an expansion rewrites `intervals`, pruning drops steps) and direct
-construction compute both from scratch; `check_invariants` compares the
-maintained values with that computation. Either way, a step is a threat
-candidate for a link only if its effect signatures, the (predicate, sign)
-pairs of its effects, include that of the link's negated condition: no
-other effect can unify with it.
+old (link, step) pair becomes a threat. A step is a threat candidate for a
+link only if its effect signatures, the (predicate, sign) pairs of its
+effects, include the link's `signature`, that of its negated condition: no
+other effect can unify with it. So the child visits only three kinds of
+link: each new link, tested against all steps; each old link whose
+signature a new step carries, tested against the new steps; and, when the
+bindings or orderings changed, each old link with known threats, which are
+re-tested. Every other link keeps the ancestor's threats as they are. Any
+other change (an expansion rewrites `intervals`, pruning drops steps) and
+direct construction compute both from scratch; `check_invariants` compares
+the maintained values with that computation.
 """
 from __future__ import annotations
 
@@ -64,11 +66,20 @@ class Step:
 
 @dataclass(frozen=True)
 class CausalLink:
-    """The producer's effect establishes the consumer's precondition `condition`."""
+    """The producer's effect establishes the consumer's precondition `condition`.
+
+    An effect threatens the link only if it unifies with `negated`, whose
+    (predicate, sign) is `signature`; both are set when the link is made.
+    """
 
     producer: int
     condition: Literal
     consumer: int
+
+    def __post_init__(self):
+        negated = self.condition.negate()
+        object.__setattr__(self, "negated", negated)
+        object.__setattr__(self, "signature", (negated.predicate, negated.positive))
 
 
 @dataclass(frozen=True)
@@ -306,28 +317,39 @@ def detect_threats(plan: Plan) -> list[Threat]:
 def _scan_threats(plan: Plan, base: Plan | None = None) -> tuple[tuple[Threat, ...], ...]:
     """The threats of each causal link; from scratch, or from those of `base`,
     an ancestor that `plan` extends."""
-    known = base._threats if base else ()
-    fresh = plan.steps[len(base.steps):] if base else plan.steps
-    retest = base is not None and (
-        plan.bindings is not base.bindings or plan.orderings is not base.orderings
-    )
-    out = []
-    for i, link in enumerate(plan.causal_links):
-        kept, candidates = (known[i], fresh) if i < len(known) else ((), plan.steps)
-        if not candidates and not (retest and kept):
-            out.append(kept)
-            continue
-        negated = link.condition.negate()
-        p_end, c_begin = plan.end_of(link.producer), plan.begin_of(link.consumer)
-        signature = (negated.predicate, negated.positive)
-
-        def threatens(s: Step) -> bool:
-            return signature in s.signatures and _threatens(plan, s, negated, p_end, c_begin)
-
-        if retest:
-            kept = tuple(t for t in kept if threatens(plan.step(t.step)))
-        out.append(kept + tuple(Threat(s.sid, link) for s in candidates if threatens(s)))
+    if base is None:
+        return tuple(_link_threats(plan, link, (), plan.steps) for link in plan.causal_links)
+    fresh = plan.steps[len(base.steps):]
+    signatures = frozenset().union(*(s.signatures for s in fresh))
+    retest = plan.bindings is not base.bindings or plan.orderings is not base.orderings
+    out = [
+        _link_threats(plan, link, kept, fresh, retest)
+        if link.signature in signatures or (retest and kept)
+        else kept
+        for link, kept in zip(plan.causal_links, base._threats)
+    ]
+    for link in plan.causal_links[len(out):]:
+        out.append(_link_threats(plan, link, (), plan.steps))
     return tuple(out)
+
+
+def _link_threats(
+    plan: Plan,
+    link: CausalLink,
+    kept: tuple[Threat, ...],
+    candidates: tuple[Step, ...],
+    retest: bool = False,
+) -> tuple[Threat, ...]:
+    """The threats `kept` that still hold (all of them unless `retest`), then
+    one per step of `candidates` that threatens `link`."""
+    p_end, c_begin = plan.end_of(link.producer), plan.begin_of(link.consumer)
+
+    def threatens(s: Step) -> bool:
+        return link.signature in s.signatures and _threatens(plan, s, link.negated, p_end, c_begin)
+
+    if retest:
+        kept = tuple(t for t in kept if threatens(plan.step(t.step)))
+    return kept + tuple(Threat(s.sid, link) for s in candidates if threatens(s))
 
 
 def _threatens(plan: Plan, s: Step, negated: Literal, p_end: int, c_begin: int) -> bool:
@@ -349,13 +371,21 @@ def add_ordering(plan: Plan, before: int, after: int) -> Plan | None:
     The constraint is recorded between interval endpoints so that everything
     ordered against an expanded composite is ordered against its whole subplan.
     """
+    pairs = ordering_pairs(plan, before, after)
+    if not pairs:
+        return None if pairs is None else plan
+    return plan.evolve(orderings=plan.orderings | pairs)
+
+
+def ordering_pairs(plan: Plan, before: int, after: int) -> frozenset[tuple[int, int]] | None:
+    """The ordering pairs `add_ordering` would add: none if `before` already
+    precedes `after`, one between interval endpoints otherwise; None iff the
+    order makes a cycle. A step id not in `plan` is ordered against nothing."""
     a = plan.end_of(before)
     b = plan.begin_of(after)
     if a == b or plan.reaches(b, a):
         return None
-    if plan.reaches(a, b):
-        return plan
-    return plan.evolve(orderings=plan.orderings | {(a, b)})
+    return frozenset() if plan.reaches(a, b) else frozenset({(a, b)})
 
 
 def scan_flaws(plan: Plan) -> tuple[set, set]:

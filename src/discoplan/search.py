@@ -26,7 +26,7 @@ from .plan import (
     KIND_BEGIN,
     KIND_COMPOSITE,
     KIND_END,
-    KIND_FINAL,
+    KIND_INITIAL,
     KIND_PRIMITIVE,
     CausalLink,
     DecompositionLink,
@@ -39,6 +39,7 @@ from .plan import (
     add_ordering,
     detect_threats,
     init_plan,
+    ordering_pairs,
     producer_bindings,
 )
 from .terms import (
@@ -117,31 +118,37 @@ def _instantiate_operator(op, sid: int, iid: int, depth: int) -> Step:
     )
 
 
-def _with_membership(plan: Plan, producer: int, consumer: int) -> Plan | None:
-    """Order a producer before its consumer and pull it into the subplan whose
-    goals it establishes; None iff the ordering makes a cycle.
+def _with_membership(plan: Plan, producer: int, consumer: int, changes: dict) -> dict | None:
+    """`changes`, the causal successor's, plus the orderings and members that
+    pull a producer into the subplan whose goals it establishes; None iff the
+    ordering makes a cycle, in which case the successor is never built.
 
     When a causal link targets an end-subplan step, the producer joins that
     decomposition link's members unless it is the begin step, already a
-    member, or already ordered before the whole subplan.
+    member, or already ordered before the whole subplan. The tests read
+    `plan`, the parent: the producer-before-consumer pair in `changes` leads
+    into the end step, which precedes nothing in the subplan, so it cannot
+    change their outcome.
     """
-    plan = add_ordering(plan, producer, consumer)
-    if plan is None or plan.step(consumer).kind != KIND_END:
-        return plan
+    if plan.step(consumer).kind != KIND_END:
+        return changes
     for i, d in enumerate(plan.decomposition_links):
         if d.end != consumer:
             continue
         if producer in d.members or producer == d.begin or producer == d.parent:
-            return plan
+            return changes
         if plan.reaches(plan.end_of(producer), d.begin):
-            return plan
-        plan = add_ordering(plan, d.begin, producer)
-        if plan is None:
+            return changes
+        pairs = ordering_pairs(plan, d.begin, producer)
+        if pairs is None:
             return None
+        if pairs:
+            changes["orderings"] = changes.get("orderings", plan.orderings) | pairs
         links = list(plan.decomposition_links)
         links[i] = replace(d, members=tuple(sorted(d.members + (producer,))))
-        return plan.evolve(decomposition_links=tuple(links))
-    return plan
+        changes["decomposition_links"] = tuple(links)
+        return changes
+    return changes
 
 
 def refine_causal(plan: Plan, flaw: OpenCondition, domain: Domain) -> list[Plan]:
@@ -149,46 +156,57 @@ def refine_causal(plan: Plan, flaw: OpenCondition, domain: Domain) -> list[Plan]
 
     Each successor adds the causal link, its unifying binding constraints, the
     producer-before-consumer ordering, and for a fresh step its open
-    preconditions (plus an expansion flaw when composite). An empty list is
-    the backtrack signal.
+    preconditions (plus an expansion flaw when composite). The ordering is
+    tested on `plan`, so a producer it would put in a cycle gets no successor
+    and each successor is built with one `Plan.evolve`. An empty list is the
+    backtrack signal.
     """
     out = []
     consumer = plan.step(flaw.consumer)
     flaws = tuple(f for f in plan.flaws if f != flaw)
     new_sid, new_iid = plan.next_sid, plan.next_iid
-    signature = (flaw.condition.predicate, flaw.condition.positive)
+    condition = flaw.condition
+    signature = (condition.predicate, condition.positive)
     fresh = tuple(
         _instantiate_operator(op, new_sid, new_iid, consumer.depth)
         for op in domain.operators
         if signature in {(e.predicate, e.positive) for e in op.effects}
     )
-    # Reuse, smallest step id first; then a fresh step per operator with an
-    # effect of the condition's predicate and sign, declaration order.
-    for s in plan.steps + fresh:
-        if s.sid == flaw.consumer or s.kind == KIND_FINAL:
+    # Reuse, smallest step id first, of each step with an effect of the
+    # condition's predicate and sign, and of the initial step for a negative
+    # condition (closed-world support); then a fresh step per operator with
+    # such an effect, declaration order.
+    reusable = tuple(
+        s
+        for s in plan.steps
+        if s.sid != flaw.consumer
+        and (signature in s.signatures or (s.kind == KIND_INITIAL and not condition.positive))
+    )
+    for s in reusable + fresh:
+        pairs = ordering_pairs(plan, s.sid, flaw.consumer)
+        if pairs is None:
             continue
-        b = producer_bindings(plan, s, flaw.condition)
+        b = producer_bindings(plan, s, condition)
         if b is None:
             continue
-        link = CausalLink(s.sid, flaw.condition, flaw.consumer)
-        if s.sid != new_sid:
-            child = plan.evolve(bindings=b, causal_links=plan.causal_links + (link,), flaws=flaws)
-        else:
+        link = CausalLink(s.sid, condition, flaw.consumer)
+        changes = dict(bindings=b, causal_links=plan.causal_links + (link,), flaws=flaws)
+        if s.sid == new_sid:
             opened = tuple(OpenCondition(new_sid, p) for p in s.preconditions)
             if s.kind == KIND_COMPOSITE:
                 opened += (UnexpandedComposite(new_sid),)
-            child = plan.evolve(
+            pairs |= {(0, new_sid), (new_sid, 1)}
+            changes.update(
                 steps=plan.steps + (s,),
-                orderings=plan.orderings | {(0, new_sid), (new_sid, 1)},
-                bindings=b,
-                causal_links=plan.causal_links + (link,),
                 flaws=flaws + opened,
                 next_sid=new_sid + 1,
                 next_iid=new_iid + 1,
             )
-        child = _with_membership(child, s.sid, flaw.consumer)
-        if child is not None:
-            out.append(child)
+        if pairs:
+            changes["orderings"] = plan.orderings | pairs
+        changes = _with_membership(plan, s.sid, flaw.consumer, changes)
+        if changes is not None:
+            out.append(plan.evolve(**changes))
     return out
 
 
@@ -453,7 +471,7 @@ def resolve_threat(plan: Plan, flaw: Threat) -> list[Plan]:
     promoted = add_ordering(plan, link.consumer, flaw.step)
     demoted = add_ordering(plan, flaw.step, link.producer)
     out = [p for p in (promoted, demoted) if p is not None]
-    negated = link.condition.negate()
+    negated = link.negated
     effects = plan.step(flaw.step).effects
     for e in effects:
         if unify(e, negated, plan.bindings) is None:

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import pytest
 
+from discoplan import plan as plan_module
 from discoplan.plan import (
     CausalLink,
     OpenCondition,
@@ -18,7 +19,7 @@ from discoplan.plan import (
     scan_flaws,
 )
 from discoplan.model import Problem
-from discoplan.terms import Compound, Constant, EMPTY_BINDINGS, Variable
+from discoplan.terms import Compound, Constant, EMPTY_BINDINGS, Variable, unify_terms
 from _oracles import (
     brute_force_threats,
     conflict_by_enumeration,
@@ -190,12 +191,13 @@ def test_evolve_reuses_the_closure_only_while_steps_and_orderings_stay():
         plan.evolve(no_such_field=1)
 
 
-def _deleter_plan(wrecker_after_user=False):
-    """A link 2 -> 3 on (bel l) and a step 4 deleting it, ordered after 3 or not."""
+def _deleter_plan(wrecker_after_user=False, deleted=L):
+    """A link 2 -> 3 on (bel l) and a step 4 deleting (bel `deleted`),
+    ordered after 3 or not."""
     steps = boundary_steps() + (
         flat_step(2, "maker", eff=(lit("bel", L),)),
         flat_step(3, "user", pre=(lit("bel", L),)),
-        flat_step(4, "wrecker", eff=(lit("bel", L, positive=False),)),
+        flat_step(4, "wrecker", eff=(lit("bel", deleted, positive=False),)),
     )
     orderings = {(0, s) for s in (2, 3, 4)} | {(s, 1) for s in (2, 3, 4)} | {(2, 3)}
     if wrecker_after_user:
@@ -212,6 +214,46 @@ def test_maintained_threats_keep_link_then_step_order():
         orderings=plan.orderings | {(0, 5), (5, 1)},
     )
     assert detect_threats(child) == [Threat(4, link), Threat(5, link)]
+    assert check_invariants(child) == []
+
+
+def test_a_kept_threat_is_retested_when_the_bindings_grow():
+    v = Variable("v")
+    plan = _deleter_plan(deleted=v)
+    assert detect_threats(plan) == [Threat(4, plan.causal_links[0])]
+    # Step 5's effect has no link's signature, so only the binding ?v = b
+    # makes the child visit the link, and the kept threat no longer unifies.
+    child = plan.evolve(
+        steps=plan.steps + (flat_step(5, "bystander", eff=(lit("credible", L),)),),
+        orderings=plan.orderings | {(0, 5), (5, 1)},
+        bindings=unify_terms(v, B, plan.bindings),
+    )
+    assert child._base is plan
+    assert detect_threats(child) == []
+    assert check_invariants(child) == []
+
+
+def test_a_fresh_step_is_tested_only_against_links_of_its_signature(monkeypatch):
+    bel, credible = lit("bel", L), lit("credible", L)
+    steps = boundary_steps() + (
+        flat_step(2, "maker", eff=(bel, credible)),
+        flat_step(3, "user", pre=(bel, credible)),
+    )
+    orderings = {(0, 2), (0, 3), (2, 3), (2, 1), (3, 1)}
+    plan = make_plan(steps, orderings, (CausalLink(2, bel, 3), CausalLink(2, credible, 3)))
+    assert detect_threats(plan) == []
+    visited = []
+    link_threats = plan_module._link_threats
+
+    def recorded_link_threats(plan, link, *args):
+        visited.append(link)
+        return link_threats(plan, link, *args)
+
+    monkeypatch.setattr(plan_module, "_link_threats", recorded_link_threats)
+    doubter = flat_step(4, "doubter", eff=(credible.negate(),))
+    child = plan.evolve(steps=plan.steps + (doubter,), orderings=plan.orderings | {(0, 4), (4, 1)})
+    assert detect_threats(child) == [Threat(4, plan.causal_links[1])]
+    assert visited == [plan.causal_links[1]]
     assert check_invariants(child) == []
 
 

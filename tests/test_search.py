@@ -1,6 +1,7 @@
 """The refinement search: causal, decompositional, threats, pruning, determinism."""
 import gc
 import random
+from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -160,6 +161,192 @@ def test_refine_causal_successor_count_matches_exhaustive_scan():
             reusable += 1
         applicable = len(operators_achieving(domain, apply(plan.bindings, flaw.condition)))
         assert len(succ) == reusable + applicable
+
+
+# The causal successors as `refine_causal` built them before it tested the
+# producer-before-consumer ordering on the parent: every plan step is tried,
+# and each successor is evolved with its link, then once per added ordering
+# and once more for an end-subplan membership. Kept as the reference for the
+# one-evolve construction.
+def _two_step_membership(plan, producer, consumer):
+    plan = add_ordering(plan, producer, consumer)
+    if plan is None or plan.step(consumer).kind != "end-subplan":
+        return plan
+    for i, d in enumerate(plan.decomposition_links):
+        if d.end != consumer:
+            continue
+        if producer in d.members or producer == d.begin or producer == d.parent:
+            return plan
+        if plan.reaches(plan.end_of(producer), d.begin):
+            return plan
+        plan = add_ordering(plan, d.begin, producer)
+        if plan is None:
+            return None
+        links = list(plan.decomposition_links)
+        links[i] = replace(d, members=tuple(sorted(d.members + (producer,))))
+        return plan.evolve(decomposition_links=tuple(links))
+    return plan
+
+
+def _two_step_refine_causal(plan, flaw, domain):
+    out = []
+    consumer = plan.step(flaw.consumer)
+    flaws = tuple(f for f in plan.flaws if f != flaw)
+    new_sid, new_iid = plan.next_sid, plan.next_iid
+    signature = (flaw.condition.predicate, flaw.condition.positive)
+    fresh = tuple(
+        search_module._instantiate_operator(op, new_sid, new_iid, consumer.depth)
+        for op in domain.operators
+        if signature in {(e.predicate, e.positive) for e in op.effects}
+    )
+    for s in plan.steps + fresh:
+        if s.sid == flaw.consumer or s.kind == "final":
+            continue
+        b = producer_bindings(plan, s, flaw.condition)
+        if b is None:
+            continue
+        link = CausalLink(s.sid, flaw.condition, flaw.consumer)
+        if s.sid != new_sid:
+            child = plan.evolve(bindings=b, causal_links=plan.causal_links + (link,), flaws=flaws)
+        else:
+            opened = tuple(OpenCondition(new_sid, p) for p in s.preconditions)
+            if s.kind == "composite":
+                opened += (UnexpandedComposite(new_sid),)
+            child = plan.evolve(
+                steps=plan.steps + (s,),
+                orderings=plan.orderings | {(0, new_sid), (new_sid, 1)},
+                bindings=b,
+                causal_links=plan.causal_links + (link,),
+                flaws=flaws + opened,
+                next_sid=new_sid + 1,
+                next_iid=new_iid + 1,
+            )
+        child = _two_step_membership(child, s.sid, flaw.consumer)
+        if child is not None:
+            out.append(child)
+    return out
+
+
+SUCCESSOR_FIELDS = (
+    "steps",
+    "orderings",
+    "bindings",
+    "causal_links",
+    "decomposition_links",
+    "flaws",
+    "next_sid",
+    "next_iid",
+)
+
+
+def _causal_successors_checked(plan, flaw, domain):
+    """`refine_causal`'s successors, after checking them against the reference:
+    the same list, equal in every field, closure and threats."""
+    got = refine_causal(plan, flaw, domain)
+    want = _two_step_refine_causal(plan, flaw, domain)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        # Plain booleans: a regress plan's deep terms make slow assertion diffs.
+        differing = [f for f in SUCCESSOR_FIELDS if getattr(g, f) != getattr(w, f)]
+        assert not differing
+        assert g._reach == w._reach
+        assert detect_threats(g) == detect_threats(w)
+    return got
+
+
+def _subgoal_domain():
+    """The composite `top` adds (p) and (q), but its schema links only (p) to
+    the end step, so the end step's (q) stays open."""
+    p, q, r = lit("p"), lit("q"), lit("r")
+    return Domain(
+        name="subgoals",
+        predicates={"p": 0, "q": 0, "r": 0},
+        operators=(
+            ActionOperator("top", (), (q,), (p, q), composite=True),
+            ActionOperator("mk-p", (), (), (p, q)),
+            ActionOperator("mk-q", (), (), (q,)),
+            ActionOperator("mk-qr", (), (), (q, r)),
+        ),
+        schemata=(
+            DecompositionSchema(
+                "top", (), steps=(StepTemplate("s1", "mk-p", ()),),
+                links=(LinkTemplate("s1", p, "final"),),
+            ),
+        ),
+    )
+
+
+def _open_subgoal_plan(domain):
+    """`top` (step 2) expanded into begin 5, end 6 and member 7 (mk-p), with
+    the end step's (q) open. Step 3 (mk-q) supplies top's (q), so it precedes
+    the begin step; step 4 (mk-qr) supplies the goal (r), unordered with the
+    subplan; the initial step holds (q)."""
+    p, q, r = lit("p"), lit("q"), lit("r")
+    steps = boundary_steps(init_effects=(q,), final_pre=(p, r)) + (
+        flat_step(2, "top", pre=(q,), eff=(p, q), kind="composite"),
+        flat_step(3, "mk-q", eff=(q,)),
+        flat_step(4, "mk-qr", eff=(q, r)),
+    )
+    orderings = {(0, s) for s in (2, 3, 4)} | {(s, 1) for s in (2, 3, 4)} | {(3, 2)}
+    links = (CausalLink(2, p, 1), CausalLink(3, q, 2), CausalLink(4, r, 1))
+    plan = make_plan(steps, orderings, links, flaws=(UnexpandedComposite(2),))
+    kb = knowledge_base(domain, Problem("g", "subgoals", init=(q,), goals=(p, r)))
+    (expanded,) = refine_decomposition(plan, UnexpandedComposite(2), domain, kb)
+    return expanded
+
+
+def test_causal_successors_into_an_end_step_match_the_two_step_reference():
+    domain = _subgoal_domain()
+    plan = _open_subgoal_plan(domain)
+    flaw = OpenCondition(6, lit("q"))
+    assert plan.step(6).kind == "end-subplan" and flaw in plan.flaws
+    detect_threats(plan)
+    succ = _causal_successors_checked(plan, flaw, domain)
+    outcome = []
+    for child in succ:
+        producer = child.causal_links[-1].producer
+        (deco,) = child.decomposition_links
+        outcome.append((producer, child.step(producer).name, producer in deco.members))
+        assert child.reaches(producer, 6) and check_invariants(child) == []
+    # The composite (2) ends at the end step, so ordering it before that
+    # step is a cycle and it gets no successor.
+    assert outcome == [
+        (0, "initial", False),  # ordered before the begin step: stays out
+        (3, "mk-q", False),  # ordered before the begin step: stays out
+        (4, "mk-qr", True),  # unordered with the subplan: joins
+        (5, "begin-subplan", False),  # the begin step itself
+        (7, "mk-p", True),  # already a member
+        (8, "top", True),  # each fresh step joins
+        (8, "mk-p", True),
+        (8, "mk-q", True),
+        (8, "mk-qr", True),
+    ]
+    # A joining producer is ordered after the begin step; only the unordered
+    # reused one needed a new pair for it.
+    assert (5, 4) in succ[2].orderings and (5, 4) not in plan.orderings
+    assert all((5, 8) in child.orderings for child in succ[5:])
+
+
+def test_causal_successors_match_the_two_step_reference_along_searches(monkeypatch):
+    domain = load_domain("discourse.dpd")
+    visited, _ = step_leftmost(domain, load_problem("multirole.dpp"))
+    expanded = []
+
+    def recorded_detect_threats(plan):
+        expanded.append(plan)
+        return detect_threats(plan)
+
+    monkeypatch.setattr(search_module, "detect_threats", recorded_detect_threats)
+    solve(domain, _regress_problem(), SearchConfig(max_depth=2, max_nodes=200))
+    assert len(expanded) == 200
+    compared = built = 0
+    for plan in visited + expanded:
+        detect_threats(plan)
+        for flaw in plan.flaws:
+            if isinstance(flaw, OpenCondition):
+                built += len(_causal_successors_checked(plan, flaw, domain))
+                compared += 1
+    assert compared > 200 and built > compared
 
 
 def test_refine_decomposition_single_kb_binding():
