@@ -6,9 +6,9 @@ reimplemented here from the raw plan data so that an agreeing answer is
 evidence, not an echo.
 
 The audit executes linearizations by a depth-first walk that carries the
-state down the tree of orders, so each distinct prefix is applied once
-rather than once per order; ground literals are interned as ints once per
-audit. `execute` is the order-at-a-time executor for callers and tests.
+state down the tree of orders and reuses each clean subtree it has walked,
+so each distinct (unplaced steps, state) pair is expanded once rather than
+once per order; ground literals are interned as ints once per audit. `execute` is the order-at-a-time executor for callers and tests.
 """
 from __future__ import annotations
 
@@ -323,20 +323,32 @@ def _match(pattern, term, env: dict[Variable, Term]) -> bool:
 
 
 def _check_orders(steps, pred, cap: int, state, goals) -> tuple[list[Violation], int]:
-    """Execute every order of the steps that respects `pred`, sharing prefixes.
+    """Execute every order of the steps that respects `pred`, sharing subtrees.
 
     Orders are enumerated depth first, the unplaced steps tried in sorted
     order, and the walk stops taking new orders once more than `cap` are
     taken. The state after a prefix is computed once and carried down to all
     of its completions; a prefix that fails a precondition is not executed
-    further, but each of its completions is still taken and reported. States
-    are sets of interned literal ids: `steps[sid]` is `(conditions, deletes,
-    adds)`, and each condition and goal is `(literal, atom id, positive)`.
+    further, but each of its completions is still taken and reported.
+
+    The completions of a prefix that has not failed depend only on the steps
+    it leaves unplaced and the state it reaches. So a subtree walked without a
+    violation is stored under that pair with its number of orders, and a
+    later prefix reaching the same pair adds that number, up to the cap,
+    without descending. (A subtree the cap cut short is stored too, but
+    nothing is walked once the cap is passed, so it is never read.) The cost
+    is one state transition per step that can come next after each distinct
+    (unplaced set, state) pair reached, however many orders pass through the
+    pair; failing prefixes are still walked order by order. States are sets
+    of interned literal ids:
+    `steps[sid]` is `(conditions, deletes, adds)`, and each condition and
+    goal is `(literal, atom id, positive)`.
     """
     violations: list[Violation] = []
     done: list[int] = []
     left = set(steps)
     count = 0
+    clean: dict[tuple[frozenset[int], frozenset[int]], int] = {}
 
     def walk(state: frozenset[int], failure: str | None) -> None:
         nonlocal count
@@ -363,6 +375,12 @@ def _check_orders(steps, pred, cap: int, state, goals) -> tuple[list[Violation],
                 if (atom in state) != positive
             )
             return
+        if failure is None:
+            key = (frozenset(left), state)
+            if key in clean:
+                count = min(count + clean[key], cap + 1)
+                return
+            first, found = count, len(violations)
         for m in sorted(left):
             if pred[m].isdisjoint(left):
                 done.append(m)
@@ -370,6 +388,8 @@ def _check_orders(steps, pred, cap: int, state, goals) -> tuple[list[Violation],
                 walk(state, failure)
                 left.add(m)
                 done.pop()
+        if failure is None and len(violations) == found:
+            clean[key] = count - first
 
     walk(state, None)
     return violations, count
@@ -402,15 +422,19 @@ def verify_soundness(plan, problem: Problem, max_orders: int = 5_000) -> AuditRe
     Checks: step ids are unique and every link names steps of the plan (if
     not, the audit stops at those `structure` violations), the initial step
     carries the problem's initial state and the final step its goals, unique
-    causal support for every precondition, an empty threat set, successful
-    goal-achieving execution of every linearization of the primitive steps,
-    and end-subplan preconditions supported from within or before their
-    subplan. Violations are report content, never exceptions.
+    causal support for every precondition occurrence, an empty threat set,
+    successful goal-achieving execution of every linearization of the
+    primitive steps, and end-subplan preconditions supported from within or
+    before their subplan. Violations are report content, never exceptions.
 
     Linearizations are taken in lexicographic order, at most `max_orders`
     plus one; the report gives the count but does not flag a cut-off walk.
-    Their cost is one state transition per distinct prefix taken (see
-    `_check_orders`), not one per step of every order.
+    Their cost is one state transition per step that can come next after
+    each distinct (unplaced set, state) pair reached, not one per step of
+    every order (see `_check_orders`): n * 2**(n-1) for n unordered
+    primitives that always execute and whose state depends only on which of
+    them are placed. Prefixes that fail a precondition are still walked
+    order by order.
     """
     violations: list[Violation] = []
     bindings = getattr(plan, "bindings", EMPTY_BINDINGS)
@@ -455,18 +479,22 @@ def verify_soundness(plan, problem: Problem, max_orders: int = 5_000) -> AuditRe
             for e in initial.effects
         )
 
-    # Unique support per precondition; producers really produce; orders hold.
+    # Unique support per precondition occurrence: a literal that k
+    # preconditions of a step become under the bindings needs k links.
+    # Producers really produce; orders hold.
     for s in plan.steps:
+        needed = Counter(apply(bindings, p) for p in s.preconditions)
         for p in s.preconditions:
+            applied = apply(bindings, p)
             supporters = [
                 l for l in plan.causal_links
-                if l.consumer == s.sid and apply(bindings, l.condition) == apply(bindings, p)
+                if l.consumer == s.sid and apply(bindings, l.condition) == applied
             ]
-            if len(supporters) != 1:
+            if len(supporters) != needed[applied]:
                 violations.append(
                     Violation(
                         "support",
-                        f"precondition {apply(bindings, p)} of step {s.sid} has "
+                        f"precondition {applied} of step {s.sid} has "
                         f"{len(supporters)} supporting links",
                     )
                 )

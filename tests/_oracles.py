@@ -126,12 +126,22 @@ def orders_consistent_with(sids, pairs):
 def audit_by_reexecution(plan, max_orders: int):
     """Reference for the audit's linearization check: execute each order from scratch.
 
+    Returns the `(code, message)` pairs of the failures and missed goals of
+    the orders `reexecute_orders` runs, and the number of orders run.
+    """
+    runs = reexecute_orders(plan, max_orders)
+    return [f for found in runs for f in found], len(runs)
+
+
+def reexecute_orders(plan, max_orders: int):
+    """Execute each order of the primitives from scratch, one result per order.
+
     Takes the first `max_orders + 1` orders of the primitives consistent with
     the plan's orderings, in lexicographic order, grounds every literal by
     applying the plan's bindings and naming each free variable as a distinct
     constant, and runs `execute` on each order from the initial state. Returns
-    the `(code, message)` pairs of the failures and missed goals, and the
-    number of orders run.
+    one list per order of the `(code, message)` pairs of its precondition
+    failure or missed goals.
     """
     from discoplan.oracle import GroundAction, execute
 
@@ -159,23 +169,25 @@ def audit_by_reexecution(plan, max_orders: int):
     initial = next(s for s in plan.steps if s.kind == "initial")
     final = next(s for s in plan.steps if s.kind == "final")
     goals = [grounded(g) for g in final.preconditions]
-    found = []
+    runs = []
     for order in orders:
         trace = execute([grounded(e) for e in initial.effects], [actions[s] for s in order])
         if not trace.ok:
-            found.append(
-                (
-                    "execution",
-                    f"linearization {order} fails at step {trace.failed_step} "
-                    f"needing {trace.failed_condition}",
-                )
+            failure = (
+                f"linearization {order} fails at step {trace.failed_step} "
+                f"needing {trace.failed_condition}"
             )
+            runs.append([("execution", failure)])
             continue
         state = trace.final_state
-        for g in goals:
-            if (g.atom() in state) != g.positive:
-                found.append(("goal", f"linearization {order} ends without goal {g}"))
-    return found, len(orders)
+        runs.append(
+            [
+                ("goal", f"linearization {order} ends without goal {g}")
+                for g in goals
+                if (g.atom() in state) != g.positive
+            ]
+        )
+    return runs
 
 
 def nested_loop_join(facts, constraints, bindings):

@@ -19,8 +19,13 @@ from discoplan.oracle import (
 )
 from discoplan.plan import KIND_COMPOSITE, CausalLink
 from discoplan.search import Solution, solve
-from discoplan.terms import Constant, Variable, apply
-from _oracles import audit_by_reexecution, floyd_warshall, orders_consistent_with
+from discoplan.terms import Constant, Variable, apply, unify_terms
+from _oracles import (
+    audit_by_reexecution,
+    floyd_warshall,
+    orders_consistent_with,
+    reexecute_orders,
+)
 from _worlds import boundary_steps, flat_step, lit, load_domain, load_problem, make_plan
 
 A, B = Constant("a"), Constant("b")
@@ -145,29 +150,89 @@ def _corpus_views_with_orderings_dropped(rng):
             yield replace(view, orderings=kept), problem
 
 
+def _total_orders(plan):
+    prims = [s.sid for s in plan.steps if s.kind == "primitive"]
+    reach = floyd_warshall([s.sid for s in plan.steps], plan.orderings)
+    return len(orders_consistent_with(prims, [p for p, r in reach.items() if r]))
+
+
+def _order_violations(report):
+    return [(v.code, v.message) for v in report.violations if v.code in ("execution", "goal")]
+
+
 def test_audit_matches_reexecuting_every_order_from_scratch():
+    # Every cap from 0 to one past the number of orders on the random plans,
+    # so a reused subtree that straddles the cap is caught wherever it falls.
+    # The one plan past 1 000 orders (1 680, most of them failing) would take
+    # 12 s swept in full, so it gets the ends of the range only.
     rng = random.Random(29)
-    cases = [(_random_audit_plan(rng), Problem("p", "d")) for _ in range(60)]
-    cases += list(_corpus_views_with_orderings_dropped(rng))
     codes = Counter()
-    for plan, problem in cases:
-        prims = [s.sid for s in plan.steps if s.kind == "primitive"]
-        reach = floyd_warshall([s.sid for s in plan.steps], plan.orderings)
-        total = len(orders_consistent_with(prims, [p for p, r in reach.items() if r]))
+    for _ in range(60):
+        plan = _random_audit_plan(rng)
+        total = _total_orders(plan)
+        runs = reexecute_orders(plan, total)
+        caps = range(total + 2) if total <= 1_000 else (0, 1, 37, total - 1, total, total + 1)
+        for cap in caps:
+            report = verify_soundness(plan, Problem("p", "d"), max_orders=cap)
+            assert _order_violations(report) == [f for found in runs[: cap + 1] for f in found]
+            assert report.linearizations_checked == min(total, cap + 1)
+        codes.update(code for found in runs for code, _ in found)
+    for plan, problem in _corpus_views_with_orderings_dropped(rng):
+        total = _total_orders(plan)
         for cap in (0, 1, 37, 5_000):
             report = verify_soundness(plan, problem, max_orders=cap)
             want, checked = audit_by_reexecution(plan, cap)
-            got = [(v.code, v.message) for v in report.violations if v.code in ("execution", "goal")]
-            assert got == want
+            assert _order_violations(report) == want
             assert report.linearizations_checked == checked == min(total, cap + 1)
-            codes.update(code for code, _ in got)
+            codes.update(code for code, _ in want)
     assert codes["execution"] > 100 and codes["goal"] > 100
 
 
-def test_audit_applies_each_shared_prefix_once(monkeypatch):
+@pytest.mark.parametrize(
+    "steps, goals",
+    [
+        # Prefixes (2, 3) and (3, 2) leave {4} unplaced; the first reaches
+        # (p a) and every completion keeps it, the second does not.
+        (
+            (
+                flat_step(2, "clear", eff=(lit("p", A, positive=False),)),
+                flat_step(3, "set", eff=(lit("p", A),)),
+                flat_step(4, "other", eff=(lit("q", B),)),
+            ),
+            (lit("p", A),),
+        ),
+        # Prefix (2, 3) executes and leaves {4} unplaced in the initial state;
+        # prefix (3, 2) fails at step 3 and reaches the same pair, so its
+        # completion must still be taken and reported.
+        (
+            (
+                flat_step(2, "set", eff=(lit("p", A),)),
+                flat_step(3, "use", pre=(lit("p", A),), eff=(lit("p", A, positive=False),)),
+                flat_step(4, "other", eff=(lit("q", B),)),
+            ),
+            (),
+        ),
+    ],
+    ids=["same-unplaced-set-other-state", "failing-and-clean-prefix-same-pair"],
+)
+def test_audit_reuses_a_subtree_only_for_a_clean_prefix_in_the_same_state(steps, goals):
+    prims = [s.sid for s in steps]
+    plan = make_plan(
+        boundary_steps((), goals) + steps, {(0, s) for s in prims} | {(s, 1) for s in prims}
+    )
+    for cap in range(_total_orders(plan) + 2):
+        report = verify_soundness(plan, Problem("p", "d"), max_orders=cap)
+        want, checked = audit_by_reexecution(plan, cap)
+        assert _order_violations(report) == want
+        assert report.linearizations_checked == checked
+    assert want
+
+
+def test_audit_applies_each_unplaced_set_and_state_pair_once(monkeypatch):
     # Seven unordered primitives: the capped audit takes 5 001 orders, and
     # executing each from the initial state would take seven transitions per
-    # order. Sharing prefixes applies each of the ~13 600 prefixes once.
+    # order. Each of the 2**7 (unplaced set, state) pairs is expanded once,
+    # one transition per step it can place next: 7 * 2**6 in all.
     transitions = 0
     transition = oracle._transition
 
@@ -184,7 +249,7 @@ def test_audit_applies_each_shared_prefix_once(monkeypatch):
     plan = make_plan(steps, {(0, s) for s in prims} | {(s, 1) for s in prims})
     report = verify_soundness(plan, Problem("p", "d"))
     assert report.ok and report.linearizations_checked == 5_001
-    assert 2 * transitions < 7 * report.linearizations_checked
+    assert transitions <= 7 * 2**6
 
 
 def _paint_domain():
@@ -297,6 +362,27 @@ def test_audit_flags_exactly_one_violation_for_a_deleted_link():
     report = verify_soundness(corrupted, problem)
     assert len(report.violations) == 1
     assert report.violations[0].code == "support"
+
+
+def test_audit_wants_one_link_per_precondition_that_binds_to_the_same_literal():
+    # Both preconditions of step 2 become (q a) under the bindings, and the
+    # planner links each of them: the plan executes, so it is sound. One
+    # link for the two of them is still too few.
+    x, y = Variable("x", 2), Variable("y", 2)
+    bindings = unify_terms(y, A, unify_terms(x, A))
+    steps = boundary_steps([lit("q", A)], [lit("p")]) + (
+        flat_step(2, "use", pre=(lit("q", x), lit("q", y)), eff=(lit("p"),)),
+    )
+    links = (CausalLink(0, lit("q", x), 2), CausalLink(0, lit("q", y), 2), CausalLink(2, lit("p"), 1))
+    problem = Problem("p", "d", init=(lit("q", A),), goals=(lit("p"),))
+    plan = make_plan(steps, {(0, 2), (2, 1)}, links, bindings)
+    report = verify_soundness(plan, problem)
+    assert report.ok, report.violations
+    assert report.linearizations_checked == 1
+    report = verify_soundness(plan.evolve(causal_links=links[1:]), problem)
+    assert [v.message for v in report.violations] == [
+        "precondition (q a) of step 2 has 1 supporting links"
+    ] * 2
 
 
 def test_audit_reports_duplicate_and_dangling_step_ids_instead_of_raising():
