@@ -8,7 +8,8 @@ evidence, not an echo.
 The audit executes linearizations by a depth-first walk that carries the
 state down the tree of orders and reuses each clean subtree it has walked,
 so each distinct (unplaced steps, state) pair is expanded once rather than
-once per order; ground literals are interned as ints once per audit. `execute` is the order-at-a-time executor for callers and tests.
+once per order; ground literals are interned as ints once per audit.
+`execute` is the order-at-a-time executor for callers and tests.
 """
 from __future__ import annotations
 
@@ -339,10 +340,11 @@ def _check_orders(steps, pred, cap: int, state, goals) -> tuple[list[Violation],
     nothing is walked once the cap is passed, so it is never read.) The cost
     is one state transition per step that can come next after each distinct
     (unplaced set, state) pair reached, however many orders pass through the
-    pair; failing prefixes are still walked order by order. States are sets
-    of interned literal ids:
-    `steps[sid]` is `(conditions, deletes, adds)`, and each condition and
-    goal is `(literal, atom id, positive)`.
+    pair; failing prefixes are still walked order by order.
+
+    States are sets of interned literal ids: `steps[sid]` is `(conditions,
+    deletes, adds)`, and each condition and goal is `(literal, atom id,
+    positive)`.
     """
     violations: list[Violation] = []
     done: list[int] = []
@@ -431,10 +433,8 @@ def verify_soundness(plan, problem: Problem, max_orders: int = 5_000) -> AuditRe
     plus one; the report gives the count but does not flag a cut-off walk.
     Their cost is one state transition per step that can come next after
     each distinct (unplaced set, state) pair reached, not one per step of
-    every order (see `_check_orders`): n * 2**(n-1) for n unordered
-    primitives that always execute and whose state depends only on which of
-    them are placed. Prefixes that fail a precondition are still walked
-    order by order.
+    every order (see `_check_orders`); prefixes that fail a precondition are
+    still walked order by order.
     """
     violations: list[Violation] = []
     bindings = getattr(plan, "bindings", EMPTY_BINDINGS)
