@@ -424,7 +424,7 @@ def verify_soundness(plan, problem: Problem, max_orders: int = 5_000) -> AuditRe
     Checks: step ids are unique and every link names steps of the plan (if
     not, the audit stops at those `structure` violations), the initial step
     carries the problem's initial state and the final step its goals, unique
-    causal support for every precondition occurrence, an empty threat set,
+    causal support for every distinct precondition, an empty threat set,
     successful goal-achieving execution of every linearization of the
     primitive steps, and end-subplan preconditions supported from within or
     before their subplan. Violations are report content, never exceptions.
@@ -479,11 +479,12 @@ def verify_soundness(plan, problem: Problem, max_orders: int = 5_000) -> AuditRe
             for e in initial.effects
         )
 
-    # Unique support per precondition occurrence: a literal that k
-    # preconditions of a step become under the bindings needs k links.
+    # Unique support per precondition: a literal that k distinct
+    # preconditions of a step become under the bindings needs k links, and a
+    # precondition repeated verbatim needs one, as the planner links it.
     # Producers really produce; orders hold.
     for s in plan.steps:
-        needed = Counter(apply(bindings, p) for p in s.preconditions)
+        needed = Counter(apply(bindings, p) for p in set(s.preconditions))
         for p in s.preconditions:
             applied = apply(bindings, p)
             supporters = [

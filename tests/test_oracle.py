@@ -385,6 +385,33 @@ def test_audit_wants_one_link_per_precondition_that_binds_to_the_same_literal():
     ] * 2
 
 
+def test_audit_wants_one_link_for_a_precondition_repeated_verbatim():
+    # The planner gives a repeated precondition one link, and the plan
+    # executes, so it is sound; with no link both copies are unsupported.
+    x = Variable("x", 2)
+    steps = boundary_steps([lit("q", A)], [lit("p")]) + (
+        flat_step(2, "use", pre=(lit("q", x), lit("q", x)), eff=(lit("p"),)),
+    )
+    links = (CausalLink(0, lit("q", x), 2), CausalLink(2, lit("p"), 1))
+    problem = Problem("p", "d", init=(lit("q", A),), goals=(lit("p"),))
+    plan = make_plan(steps, {(0, 2), (2, 1)}, links, unify_terms(x, A))
+    report = verify_soundness(plan, problem)
+    assert report.ok, report.violations
+    report = verify_soundness(plan.evolve(causal_links=links[1:]), problem)
+    assert [v.message for v in report.violations] == [
+        "precondition (q a) of step 2 has 0 supporting links"
+    ] * 2
+
+
+def test_a_planned_repeated_goal_audits_sound():
+    problem = replace(load_problem("switches-demo.dpp"), goals=(lit("on", A), lit("on", A)))
+    out = solve(load_domain("switches.dpd"), problem)
+    assert isinstance(out, Solution)
+    assert sum(l.consumer == 1 for l in out.plan.causal_links) == 1
+    report = verify_soundness(out.plan, problem)
+    assert report.ok, report.violations
+
+
 def test_audit_reports_duplicate_and_dangling_step_ids_instead_of_raising():
     problem = load_problem("lucentio.dpp")
     plan = solve(load_domain("discourse.dpd"), problem).plan
