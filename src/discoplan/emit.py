@@ -113,12 +113,12 @@ def plan_to_dict(plan: Plan, report: IntentionReport | None = None) -> dict:
         "decomposition_links": [
             {
                 "parent": d.parent,
-                "schema": d.schema,
+                "schema": plan.step(d.parent).name,
                 "begin": d.begin,
                 "end": d.end,
                 "members": sorted(d.members),
                 "constraints": [_lit(plan, c) for c in d.constraints],
-                "correspondence": [list(pair) for pair in d.correspondence],
+                "correspondence": [[i, i] for i in range(len(plan.step(d.parent).effects))],
             }
             for d in decos
         ],
@@ -175,7 +175,8 @@ def _emit_text(plan: Plan, report: IntentionReport | None) -> str:
     lines.append("decomposition links:")
     for d in decos:
         members = " ".join(str(m) for m in sorted(d.members))
-        lines.append(f"  {d.schema} [{d.parent}]: begin [{d.begin}], end [{d.end}], members [{members}]")
+        name = plan.step(d.parent).name
+        lines.append(f"  {name} [{d.parent}]: begin [{d.begin}], end [{d.end}], members [{members}]")
         for c in d.constraints:
             lines.append(f"    constraint {_lit(plan, c)}")
     if report is not None:

@@ -101,12 +101,11 @@ def classify_effects(plan: Plan) -> IntentionReport:
                     break
                 d = ends.get(link.consumer)
                 if d is not None:
-                    end_step = plan.step(d.end)
-                    k = end_step.preconditions.index(link.condition)
-                    j = next(i for i, jj in d.correspondence if jj == k)
-                    if (d.parent, j) in chains:
-                        corr = CorrespondenceHop(d.end, d.parent, j)
-                        chains[(sid, idx)] = (hop, corr) + chains[(d.parent, j)]
+                    # The end step's k-th precondition is the parent's k-th effect.
+                    k = plan.step(d.end).preconditions.index(link.condition)
+                    if (d.parent, k) in chains:
+                        corr = CorrespondenceHop(d.end, d.parent, k)
+                        chains[(sid, idx)] = (hop, corr) + chains[(d.parent, k)]
                         changed = True
                         break
                 consumer_step = plan.step(link.consumer)
@@ -144,7 +143,7 @@ def informational_structure(plan: Plan) -> InformationalStructure:
     entries = tuple(
         ConstraintRecord(
             parent=d.parent,
-            schema=d.schema,
+            schema=plan.step(d.parent).name,
             constraints=tuple(apply(plan.bindings, c) for c in d.constraints),
         )
         for d in plan.decomposition_links

@@ -423,8 +423,8 @@ def verify_soundness(plan, problem: Problem, max_orders: int = 5_000) -> AuditRe
 
     Checks: step ids are unique and every link names steps of the plan (if
     not, the audit stops at those `structure` violations), the initial step
-    carries the problem's initial state and the final step its goals, unique
-    causal support for every distinct precondition, an empty threat set,
+    carries the problem's initial state and the final step its goals, causal
+    support for every precondition, an empty threat set,
     successful goal-achieving execution of every linearization of the
     primitive steps, and end-subplan preconditions supported from within or
     before their subplan. Violations are report content, never exceptions.
@@ -479,19 +479,18 @@ def verify_soundness(plan, problem: Problem, max_orders: int = 5_000) -> AuditRe
             for e in initial.effects
         )
 
-    # Unique support per precondition: a literal that k distinct
-    # preconditions of a step become under the bindings needs k links, and a
-    # precondition repeated verbatim needs one, as the planner links it.
-    # Producers really produce; orders hold.
+    # Support per precondition: a literal that k of a step's preconditions
+    # become under the bindings needs 1 to k links. The planner links two
+    # distinct preconditions apart and a verbatim repeat once, and a plan file
+    # lists both kinds alike, applied. Producers really produce; orders hold.
     for s in plan.steps:
-        needed = Counter(apply(bindings, p) for p in set(s.preconditions))
-        for p in s.preconditions:
-            applied = apply(bindings, p)
+        listed = Counter(apply(bindings, p) for p in s.preconditions)
+        for applied in (apply(bindings, p) for p in s.preconditions):
             supporters = [
                 l for l in plan.causal_links
                 if l.consumer == s.sid and apply(bindings, l.condition) == applied
             ]
-            if len(supporters) != needed[applied]:
+            if not 1 <= len(supporters) <= listed[applied]:
                 violations.append(
                     Violation(
                         "support",
@@ -531,23 +530,16 @@ def verify_soundness(plan, problem: Problem, max_orders: int = 5_000) -> AuditRe
     # End-subplan preconditions supported from within or before the subplan.
     for d in plan.decomposition_links:
         allowed = set(d.members) | {d.begin}
-        for p in steps[d.end].preconditions:
-            for l in plan.causal_links:
-                if l.consumer != d.end:
-                    continue
-                if apply(bindings, l.condition) != apply(bindings, p):
-                    continue
-                if l.producer in allowed:
-                    continue
-                if d.begin in reach.get(l.producer, set()):
-                    continue
-                violations.append(
-                    Violation(
-                        "subplan",
-                        f"goal {apply(bindings, p)} of subplan under {d.parent} supported "
-                        f"by outside step {l.producer}",
-                    )
+        for l in plan.causal_links:
+            if l.consumer != d.end or l.producer in allowed or d.begin in reach[l.producer]:
+                continue
+            violations.append(
+                Violation(
+                    "subplan",
+                    f"goal {apply(bindings, l.condition)} of subplan under {d.parent} "
+                    f"supported by outside step {l.producer}",
                 )
+            )
 
     # Every linearization of the primitives executes and achieves the goals.
     table: dict[Variable, Constant] = {}

@@ -11,8 +11,8 @@ can intersect the protected span of a causal link.
 
 Incremental maintenance. A plan carries its ordering closure and, once
 `detect_threats` has asked for them, its threats. When `Plan.evolve` only
-appends steps and causal links, only adds ordering pairs and leaves
-`intervals` alone, the child derives its closure from the parent's: each new
+appends steps and causal links, only adds ordering pairs and leaves every
+interval alone, the child derives its closure from the parent's: each new
 pair (a, b) adds b and everything b reaches to a and to every step that
 reaches a. Its threats then start from the nearest ancestor whose threats
 are known. Under such a change "possibly between" can only become false (the
@@ -26,7 +26,7 @@ link: each new link, tested against all steps; each old link whose
 signature a new step carries, tested against the new steps; and, when the
 bindings or orderings changed, each old link with known threats, which are
 re-tested. Every other link keeps the ancestor's threats as they are. Any
-other change (an expansion rewrites `intervals`, pruning drops steps) and
+other change (an expansion adds an interval, pruning drops steps) and
 direct construction compute both from scratch; `check_invariants` compares
 the maintained values with that computation.
 """
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Mapping
 
 from .model import Problem
 from .terms import BindingSet, EMPTY_BINDINGS, Literal, Term, rename_fresh, unify
@@ -86,18 +85,17 @@ class CausalLink:
 class DecompositionLink:
     """Binds a composite parent to the boundary steps and members of its subplan.
 
-    `correspondence` pairs each parent effect index with the end-subplan
-    precondition index copied from it. A step id may be a member of more than
-    one decomposition link (plans are DAGs, not trees).
+    The parent's interval runs from `begin` to `end`. The begin step's effects
+    are the parent's preconditions and the end step's preconditions its
+    effects, index for index. A step id may be a member of more than one
+    decomposition link (plans are DAGs, not trees).
     """
 
     parent: int
     begin: int
     end: int
     members: tuple[int, ...]
-    schema: str
     constraints: tuple[Literal, ...]
-    correspondence: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -128,7 +126,6 @@ class Plan:
     causal_links: tuple[CausalLink, ...]
     decomposition_links: tuple[DecompositionLink, ...]
     flaws: tuple[OpenCondition | UnexpandedComposite, ...]
-    intervals: Mapping[int, tuple[int, int]]
     next_sid: int
     next_iid: int
     domain_name: str = ""
@@ -136,10 +133,12 @@ class Plan:
 
     def __post_init__(self):
         index = {s.sid: s for s in self.steps}
-        # _threats: one tuple of threats per causal link, once known; _base:
-        # the nearest ancestor with known threats that this plan extends.
+        # _intervals: each expanded parent's (begin, end); _threats: one tuple
+        # of threats per causal link, once known; _base: the nearest ancestor
+        # with known threats that this plan extends.
         vars(self).update(
-            _index=index, _reach=_closure(index, self.orderings), _threats=None, _base=None
+            _index=index, _reach=_closure(index, self.orderings), _threats=None, _base=None,
+            _intervals=_intervals_of(self.decomposition_links),
         )
 
     def step(self, sid: int) -> Step:
@@ -153,10 +152,10 @@ class Plan:
         return b in self._reach.get(a, ())
 
     def begin_of(self, sid: int) -> int:
-        return self.intervals.get(sid, (sid, sid))[0]
+        return self._intervals.get(sid, (sid, sid))[0]
 
     def end_of(self, sid: int) -> int:
-        return self.intervals.get(sid, (sid, sid))[1]
+        return self._intervals.get(sid, (sid, sid))[1]
 
     @property
     def is_acyclic(self) -> bool:
@@ -175,8 +174,8 @@ class Plan:
 
         `bindings`, if given, must extend the parent's, and a step added
         here may only be ordered by pairs added here too. When the child only
-        appends steps and causal links and only adds orderings, with
-        `intervals` unchanged, its closure is the parent's updated by the new
+        appends steps and causal links and only adds orderings, with each
+        interval unchanged, its closure is the parent's updated by the new
         pairs and its threats are later derived from the nearest ancestor's
         (see the module docstring); otherwise both are computed afresh.
         """
@@ -186,9 +185,11 @@ class Plan:
         child = object.__new__(Plan)
         state = vars(child)
         state.update(vars(self), **changes)
+        if "decomposition_links" in changes:
+            state["_intervals"] = _intervals_of(child.decomposition_links)
         added = frozenset() if "orderings" not in changes else child.orderings - self.orderings
         grows = (
-            child.intervals is self.intervals
+            child._intervals == self._intervals
             and _extends(child.steps, self.steps)
             and _extends(child.causal_links, self.causal_links)
             and len(child.orderings) == len(self.orderings) + len(added)
@@ -211,6 +212,10 @@ def _extends(new: tuple, old: tuple) -> bool:
 
 
 _PLAN_FIELDS = frozenset(f.name for f in fields(Plan))
+
+
+def _intervals_of(decomposition_links) -> dict[int, tuple[int, int]]:
+    return {d.parent: (d.begin, d.end) for d in decomposition_links}
 
 
 def _closure(index, pairs) -> dict[int, frozenset[int]]:
@@ -262,7 +267,6 @@ def init_plan(problem: Problem) -> Plan:
         causal_links=(),
         decomposition_links=(),
         flaws=tuple(OpenCondition(1, g) for g in goals),
-        intervals={},
         next_sid=2,
         next_iid=2,
         domain_name=problem.domain_name,
@@ -403,7 +407,7 @@ def scan_flaws(plan: Plan) -> tuple[set, set]:
     unexpanded = {
         UnexpandedComposite(s.sid)
         for s in plan.steps
-        if s.kind == KIND_COMPOSITE and s.sid not in plan.intervals
+        if s.kind == KIND_COMPOSITE and s.sid not in plan._intervals
     }
     return opens, unexpanded
 
@@ -435,11 +439,10 @@ def check_invariants(plan: Plan) -> list[str]:
             if not plan.reaches(m, d.end):
                 issues.append(f"member {m} not before end {d.end}")
         parent = plan.step(d.parent)
-        end = plan.step(d.end)
-        srcs = sorted(i for i, _ in d.correspondence)
-        dsts = sorted(j for _, j in d.correspondence)
-        if srcs != list(range(len(parent.effects))) or dsts != list(range(len(end.preconditions))):
-            issues.append(f"correspondence of parent {d.parent} is not a bijection")
+        if plan.step(d.end).preconditions != parent.effects:
+            issues.append(f"end {d.end} does not copy the effects of parent {d.parent}")
+        if plan.step(d.begin).effects != parent.preconditions:
+            issues.append(f"begin {d.begin} does not copy the preconditions of parent {d.parent}")
     opens, unexpanded = scan_flaws(plan)
     agenda = set(plan.flaws)
     if agenda != opens | unexpanded:

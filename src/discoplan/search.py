@@ -118,6 +118,18 @@ def _instantiate_operator(op, sid: int, iid: int, depth: int) -> Step:
     )
 
 
+def _constrain(constraints, iid: int, bindings: BindingSet | None) -> BindingSet | None:
+    """`bindings` under the eq/neq `constraints` of an operator or a schema,
+    renamed with `iid`; None if `bindings` is None or they cannot hold."""
+    if bindings is None or not constraints:
+        return bindings
+    renamed = tuple(
+        replace(c, left=rename_term(c.left, iid), right=rename_term(c.right, iid))
+        for c in constraints
+    )
+    return apply_binding_constraints(renamed, bindings)
+
+
 def _with_membership(plan: Plan, producer: int, consumer: int, changes: dict) -> dict | None:
     """`changes`, the causal successor's, plus the orderings and members that
     pull a producer into the subplan whose goals it establishes; None iff the
@@ -155,11 +167,11 @@ def refine_causal(plan: Plan, flaw: OpenCondition, domain: Domain) -> list[Plan]
     """One successor per reusable producer plus one per applicable operator.
 
     Each successor adds the causal link, its unifying binding constraints, the
-    producer-before-consumer ordering, and for a fresh step its open
-    preconditions (plus an expansion flaw when composite). The ordering is
-    tested on `plan`, so a producer it would put in a cycle gets no successor
-    and each successor is built with one `Plan.evolve`. An empty list is the
-    backtrack signal.
+    producer-before-consumer ordering, and for a fresh step its operator's
+    bindings and open preconditions (plus an expansion flaw when composite).
+    The ordering is tested on `plan`, so a producer it would put in a cycle
+    gets no successor and each successor is built with one `Plan.evolve`. An
+    empty list is the backtrack signal.
     """
     out = []
     consumer = plan.step(flaw.consumer)
@@ -187,6 +199,8 @@ def refine_causal(plan: Plan, flaw: OpenCondition, domain: Domain) -> list[Plan]
         if pairs is None:
             continue
         b = producer_bindings(plan, s, condition)
+        if s.sid == new_sid:
+            b = _constrain(domain.operator(s.name).constraints, new_iid, b)
         if b is None:
             continue
         link = CausalLink(s.sid, condition, flaw.consumer)
@@ -226,8 +240,9 @@ def _step_options(plan, parent, domain, sigma, policy, template, bindings, chose
     adopted, smallest id first (none under "prefer-new"); then a fresh step,
     unless the policy is "prefer-reuse" and the plan holds a step of the
     action. A realization is kept only if its params unify with the
-    template's args. Fresh steps are numbered in template order, after the
-    two boundary steps and after iid `sigma`.
+    template's args and, for a fresh step, its operator's bindings hold.
+    Fresh steps are numbered in template order, after the two boundary steps
+    and after iid `sigma`.
     """
     args = tuple(rename_term(a, sigma) for a in template.args)
     reusable = [
@@ -250,7 +265,7 @@ def _step_options(plan, parent, domain, sigma, policy, template, bindings, chose
     fresh = sum(s.sid >= plan.next_sid for s in chosen)
     op = domain.operator(template.action)
     step = _instantiate_operator(op, plan.next_sid + 2 + fresh, sigma + 1 + fresh, parent.depth + 1)
-    b = _unify_args(step.params, args, bindings)
+    b = _constrain(op.constraints, sigma + 1 + fresh, _unify_args(step.params, args, bindings))
     if b is not None:
         yield b, step
 
@@ -305,13 +320,9 @@ def refine_decomposition(
         if b0 is None or len(header) != len(parent.params):
             continue
         constraints = rename_fresh(schema.constraints, sigma)
-        static = tuple(
-            replace(c, left=rename_term(c.left, sigma), right=rename_term(c.right, sigma))
-            for c in schema.bindings
-        )
         options = partial(_step_options, plan, parent, domain, sigma, reuse_policy)
         for b1 in kb_satisfy(kb, constraints, b0):
-            b2 = apply_binding_constraints(static, b1)
+            b2 = _constrain(schema.bindings, sigma, b1)
             if b2 is None:
                 continue
             for b3, realized in extensions(schema.steps, options, b2):
@@ -353,10 +364,8 @@ def _expand(plan, parent, flaw, schema, sigma, bindings, realized, constraints):
     bindings, chosen = assignment
     schema_links = tuple(link for _, link in chosen)
 
-    # Interval bookkeeping: rewrite existing pairs touching the parent onto its
-    # boundaries, keep the parent floating inside its own interval.
-    intervals = dict(plan.intervals)
-    intervals[parent.sid] = (begin_sid, end_sid)
+    # Rewrite existing pairs touching the parent onto its boundaries, keep the
+    # parent floating inside its own interval. No other step is the parent.
     pairs = set()
     for a, b in plan.orderings:
         if b == parent.sid:
@@ -368,17 +377,14 @@ def _expand(plan, parent, flaw, schema, sigma, bindings, realized, constraints):
     pairs.add((begin_sid, parent.sid))
     pairs.add((parent.sid, end_sid))
 
-    def endpoint(sid):
-        return intervals.get(sid, (sid, sid))
-
     for m in members:
-        pairs.add((begin_sid, endpoint(m)[0]))
-        pairs.add((endpoint(m)[1], end_sid))
+        pairs.add((begin_sid, plan.begin_of(m)))
+        pairs.add((plan.end_of(m), end_sid))
     for a_label, b_label in schema.orderings:
         a, b = label_step[a_label].sid, label_step[b_label].sid
-        pairs.add((endpoint(a)[1], endpoint(b)[0]))
+        pairs.add((plan.end_of(a), plan.begin_of(b)))
     for link in schema_links:
-        pairs.add((endpoint(link.producer)[1], endpoint(link.consumer)[0]))
+        pairs.add((plan.end_of(link.producer), plan.begin_of(link.consumer)))
     for s in new_steps:
         pairs.add((0, s.sid))
         pairs.add((s.sid, 1))
@@ -407,9 +413,7 @@ def _expand(plan, parent, flaw, schema, sigma, bindings, realized, constraints):
         begin=begin_sid,
         end=end_sid,
         members=tuple(sorted(members)),
-        schema=schema.action,
         constraints=tuple(constraints),
-        correspondence=tuple((i, i) for i in range(len(parent.effects))),
     )
     child = plan.evolve(
         steps=plan.steps + (begin, end) + new_steps,
@@ -418,7 +422,6 @@ def _expand(plan, parent, flaw, schema, sigma, bindings, realized, constraints):
         causal_links=plan.causal_links + schema_links,
         decomposition_links=plan.decomposition_links + (dlink,),
         flaws=tuple(flaws),
-        intervals=intervals,
         next_sid=end_sid + 1 + len(new_steps),
         next_iid=sigma + 1 + len(new_steps),
     )

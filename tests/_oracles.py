@@ -236,8 +236,9 @@ def decompose_by_product(plan, flaw, domain, kb, policy="both-branches"):
     template may adopt any plan step of its action (smallest id first) or
     take a fresh one (None): only None under "prefer-new", only the plan's
     steps under "prefer-reuse" when there are any. Every combination of
-    `itertools.product` is built; one that adopts a step twice, or whose
-    params do not all unify with the template args in order, is dropped.
+    `itertools.product` is built; one that adopts a step twice, whose
+    params do not all unify with the template args in order, or one of
+    whose fresh steps breaks its operator's bindings, is dropped.
     `search._expand` builds the child of each survivor.
     """
     from discoplan import search
@@ -289,6 +290,7 @@ def decompose_by_product(plan, flaw, domain, kb, policy="both-branches"):
                     continue
                 b, realized, fresh = b2, [], 0
                 for t, s in zip(schema.steps, combo):
+                    renamed = ()
                     if s is None:
                         op = domain.operator(t.action)
                         iid = sigma + 1 + fresh
@@ -301,8 +303,14 @@ def decompose_by_product(plan, flaw, domain, kb, policy="both-branches"):
                             KIND_COMPOSITE if op.composite else KIND_PRIMITIVE,
                             parent.depth + 1,
                         )
+                        renamed = tuple(
+                            BindingConstraint(c.kind, rename_term(c.left, iid), rename_term(c.right, iid))
+                            for c in op.constraints
+                        )
                         fresh += 1
                     b = unify_all(zip(s.params, [rename_term(a, sigma) for a in t.args]), b)
+                    if b is not None:
+                        b = apply_binding_constraints(renamed, b)
                     realized.append(s)
                 if b is None:
                     continue
@@ -320,7 +328,7 @@ def brute_force_threats(plan):
 
     sids = [s.sid for s in plan.steps]
     reach = floyd_warshall(sids, plan.orderings)
-    intervals = dict(plan.intervals)
+    intervals = {d.parent: (d.begin, d.end) for d in plan.decomposition_links}
 
     def begin_of(sid):
         return intervals.get(sid, (sid, sid))[0]
@@ -388,10 +396,9 @@ def recursive_intended(plan):
                 return True
             d = ends.get(link.consumer)
             if d is not None:
-                end_step = plan.step(d.end)
-                k = end_step.preconditions.index(link.condition)
-                j = next(i for i, jj in d.correspondence if jj == k)
-                if intended(d.parent, j):
+                # The end step's k-th precondition copies the parent's k-th effect.
+                k = plan.step(d.end).preconditions.index(link.condition)
+                if intended(d.parent, k):
                     return True
             consumer = plan.step(link.consumer)
             if any(intended(link.consumer, j) for j in range(len(consumer.effects))):

@@ -45,7 +45,6 @@ def make_plan(steps, orderings=(), links=(), bindings=EMPTY_BINDINGS, decos=(), 
         causal_links=tuple(links),
         decomposition_links=tuple(decos),
         flaws=tuple(flaws),
-        intervals={},
         next_sid=max(s.sid for s in steps) + 1,
         next_iid=max(s.sid for s in steps) + 2,
         domain_name="test",
@@ -121,3 +120,34 @@ def marks_problem() -> Problem:
         init=(lit("clean", a), lit("blank", b), lit("blank", a)),
         goals=(lit("marked", Variable("y")), lit("clean", a)),
     )
+
+
+_LINK_DOMAIN = """
+(domain links
+  (predicates (obj 1) (linked 2) (paired 2))
+  (action (header (link ?x ?y))
+    (pre (obj ?x) (obj ?y))
+    (eff (linked ?x ?y))
+    {bindings})
+  (action (header (mark ?x ?y))
+    (pre (linked ?x ?y))
+    (eff (paired ?x ?y)))
+  (action (header (pair ?x ?y)) (composite)
+    (pre)
+    (eff (paired ?x ?y)))
+  (decomposition (header (pair ?x ?y))
+    (steps (s (link ?x ?y)) (m (mark ?x ?y)))
+    (links (s (linked ?x ?y) m) (m (paired ?x ?y) final))))
+"""
+
+
+def link_world(bindings, init, goal):
+    """The links domain with `bindings` as `link`'s bindings clause (may be
+    empty), and a problem with the given init and goal literal texts."""
+    domain, diags = parse_domain(_LINK_DOMAIN.format(bindings=bindings), "links.dpd")
+    assert domain is not None, diags
+    problem, diags = parse_problem(
+        f"(problem p (domain links) (init {init}) (goal {goal}))", "p.dpp"
+    )
+    assert problem is not None, diags
+    return domain, problem

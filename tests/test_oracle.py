@@ -18,7 +18,7 @@ from discoplan.oracle import (
     verify_soundness,
 )
 from discoplan.plan import KIND_COMPOSITE, CausalLink
-from discoplan.search import Solution, solve
+from discoplan.search import FLAW_POLICIES, REUSE_POLICIES, SearchConfig, Solution, solve
 from discoplan.terms import Constant, Variable, apply, unify_terms
 from _oracles import (
     audit_by_reexecution,
@@ -26,7 +26,15 @@ from _oracles import (
     orders_consistent_with,
     reexecute_orders,
 )
-from _worlds import boundary_steps, flat_step, lit, load_domain, load_problem, make_plan
+from _worlds import (
+    boundary_steps,
+    flat_step,
+    link_world,
+    lit,
+    load_domain,
+    load_problem,
+    make_plan,
+)
 
 A, B = Constant("a"), Constant("b")
 
@@ -364,10 +372,11 @@ def test_audit_flags_exactly_one_violation_for_a_deleted_link():
     assert report.violations[0].code == "support"
 
 
-def test_audit_wants_one_link_per_precondition_that_binds_to_the_same_literal():
+def test_audit_wants_one_or_two_links_for_two_preconditions_that_bind_to_one_literal():
     # Both preconditions of step 2 become (q a) under the bindings, and the
-    # planner links each of them: the plan executes, so it is sound. One
-    # link for the two of them is still too few.
+    # planner links each of them: the plan executes, so it is sound. A plan
+    # file lists both as (q a), like a precondition repeated verbatim, which
+    # the planner links once; so one link is enough too, and three too many.
     x, y = Variable("x", 2), Variable("y", 2)
     bindings = unify_terms(y, A, unify_terms(x, A))
     steps = boundary_steps([lit("q", A)], [lit("p")]) + (
@@ -379,10 +388,12 @@ def test_audit_wants_one_link_per_precondition_that_binds_to_the_same_literal():
     report = verify_soundness(plan, problem)
     assert report.ok, report.violations
     assert report.linearizations_checked == 1
-    report = verify_soundness(plan.evolve(causal_links=links[1:]), problem)
-    assert [v.message for v in report.violations] == [
-        "precondition (q a) of step 2 has 1 supporting links"
-    ] * 2
+    assert verify_soundness(plan.evolve(causal_links=links[1:]), problem).ok
+    for linked, n in ((links[2:], 0), (links[:1] + links, 3)):
+        report = verify_soundness(plan.evolve(causal_links=linked), problem)
+        assert [v.message for v in report.violations] == [
+            f"precondition (q a) of step 2 has {n} supporting links"
+        ] * 2
 
 
 def test_audit_wants_one_link_for_a_precondition_repeated_verbatim():
@@ -484,3 +495,59 @@ def test_audit_flags_subplan_goal_supported_from_outside():
     )
     report = verify_soundness(rewired, problem)
     assert any(v.code == "subplan" for v in report.violations)
+
+
+def test_audit_reports_each_outside_link_into_a_subplan_goal_once():
+    problem = load_problem("sidefx.dpp")
+    plan = solve(load_domain("sidefx.dpd"), problem).plan
+    deco = plan.decomposition_links[0]
+    end = plan.step(deco.end)
+    goal = end.preconditions[0]
+    # The end step lists (informed) twice, and both of its links come from
+    # one outside step.
+    doubled = replace(end, preconditions=end.preconditions + (goal,))
+    outside = CausalLink(19, goal, deco.end)
+    rewired = plan.evolve(
+        steps=tuple(doubled if s is end else s for s in plan.steps)
+        + (flat_step(19, "outsider", eff=(goal,)),),
+        orderings=plan.orderings | {(0, 19), (19, 1), (19, deco.end)},
+        causal_links=tuple(l for l in plan.causal_links if (l.consumer, l.condition) != (deco.end, goal))
+        + (outside, outside),
+        next_sid=20,
+    )
+    report = verify_soundness(rewired, problem)
+    assert [v.message for v in report.violations if v.code == "subplan"] == [
+        f"goal (informed) of subplan under {deco.parent} supported by outside step 19"
+    ] * 2
+
+
+
+def _solutions():
+    """A solved plan per corpus configuration, then link(a, a), whose two
+    distinct preconditions both bind to (obj a)."""
+    for d, p in [
+        ("discourse", "lucentio"),
+        ("discourse", "multirole"),
+        ("separation", "separation"),
+        ("sidefx", "sidefx"),
+        ("switches", "switches-demo"),
+    ]:
+        domain, problem = load_domain(f"{d}.dpd"), load_problem(f"{p}.dpp")
+        for flaw, reuse in itertools.product(FLAW_POLICIES, REUSE_POLICIES):
+            config = SearchConfig(max_nodes=3000, flaw_policy=flaw, reuse_policy=reuse)
+            out = solve(domain, problem, config)
+            if isinstance(out, Solution):
+                yield (p, flaw, reuse), out.plan, problem
+    domain, problem = link_world("", "(obj a)", "(linked a a)")
+    yield "link(a, a)", solve(domain, problem).plan, problem
+
+
+def test_a_plan_file_audits_as_the_plan_it_was_written_from():
+    checked = 0
+    for name, plan, problem in _solutions():
+        in_memory = verify_soundness(plan, problem)
+        reloaded = verify_soundness(plan_view_from_dict(plan_to_dict(plan)), problem)
+        assert in_memory.ok, (name, in_memory.violations)
+        assert reloaded == in_memory, name
+        checked += 1
+    assert checked > 30

@@ -9,8 +9,12 @@ import pytest
 
 from discoplan import plan as plan_module
 from discoplan.plan import (
+    KIND_BEGIN,
+    KIND_END,
     CausalLink,
+    DecompositionLink,
     OpenCondition,
+    Step,
     Threat,
     add_ordering,
     check_invariants,
@@ -257,17 +261,48 @@ def test_a_fresh_step_is_tested_only_against_links_of_its_signature(monkeypatch)
     assert check_invariants(child) == []
 
 
+def _expand_wrecker(plan, end_preconditions=None):
+    """`plan` with step 4 expanded into boundary steps 5..6 and no members;
+    the end step copies the wrecker's effects unless `end_preconditions`."""
+    wrecker = plan.step(4)
+    if end_preconditions is None:
+        end_preconditions = wrecker.effects
+    begin = Step(5, KIND_BEGIN, (), (), wrecker.preconditions, KIND_BEGIN)
+    end = Step(6, KIND_END, (), tuple(end_preconditions), (), KIND_END)
+    return plan.evolve(
+        steps=plan.steps + (begin, end),
+        orderings=plan.orderings | {(0, 5), (5, 4), (4, 6), (6, 1)},
+        decomposition_links=plan.decomposition_links + (DecompositionLink(4, 5, 6, (), ()),),
+        flaws=tuple(OpenCondition(6, p) for p in end.preconditions),
+    )
+
+
 def test_threats_are_rescanned_when_intervals_change():
     plan = _deleter_plan(wrecker_after_user=True)
     assert detect_threats(plan) == []
     # Step 4 now spans boundary steps 5..6, and 5 may come before the user.
-    child = plan.evolve(
-        steps=plan.steps + (flat_step(5), flat_step(6)),
-        orderings=plan.orderings | {(0, 5), (5, 4), (4, 6), (6, 1)},
-        intervals={4: (5, 6)},
-    )
+    child = _expand_wrecker(plan)
+    assert child._base is None
+    assert (child.begin_of(4), child.end_of(4)) == (5, 6)
     assert detect_threats(child) == [Threat(4, plan.causal_links[0])]
     assert check_invariants(child) == []
+
+
+def test_a_change_of_members_alone_keeps_the_maintained_threats():
+    plan = _expand_wrecker(_deleter_plan(wrecker_after_user=True))
+    assert detect_threats(plan)
+    (d,) = plan.decomposition_links
+    child = plan.evolve(decomposition_links=(replace(d, members=(4,)),))
+    assert child._base is plan
+    assert detect_threats(child) == detect_threats(plan)
+    assert check_invariants(child) == []
+
+
+def test_invariants_flag_boundary_steps_that_do_not_copy_the_parent():
+    plan = _deleter_plan(wrecker_after_user=True)
+    assert check_invariants(_expand_wrecker(plan)) == []
+    broken = _expand_wrecker(plan, end_preconditions=(lit("bel", L),))
+    assert check_invariants(broken) == ["end 6 does not copy the effects of parent 4"]
 
 
 def test_a_plan_drops_its_ancestor_once_its_threats_are_known():

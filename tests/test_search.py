@@ -43,7 +43,7 @@ from discoplan.search import (
     resolve_threat,
     solve,
 )
-from discoplan.oracle import verify_soundness
+from discoplan.oracle import brute_force, verify_soundness
 from discoplan.terms import (
     EMPTY_BINDINGS,
     Compound,
@@ -57,6 +57,7 @@ from _oracles import brute_force_threats, decompose_by_product, operators_achiev
 from _worlds import (
     boundary_steps,
     flat_step,
+    link_world,
     lit,
     load_domain,
     load_problem,
@@ -701,7 +702,8 @@ def test_maintained_threats_and_closure_match_a_scan_at_every_regress_node(monke
     assert len(audited) == out.stats.nodes_expanded == 300
     # The nodes reach past an expansion, whose threats are scanned afresh,
     # into incrementally maintained ones.
-    assert any(p.intervals for p in audited) and any(detect_threats(p) for p in audited)
+    assert any(p.decomposition_links for p in audited)
+    assert any(detect_threats(p) for p in audited)
 
 
 @pytest.mark.parametrize("policy", ["threats-first", "fifo", "lifo"])
@@ -1155,3 +1157,37 @@ def test_exploratory_abstract_interleaving():
     assert isinstance(out, (Solution, Exhausted, BudgetExceeded))
     if isinstance(out, Solution):
         assert verify_soundness(out.plan, problem).ok
+
+
+@pytest.mark.parametrize(
+    "bindings, init, goal, args",
+    [
+        ("(bindings (neq ?x ?y))", "(obj a)", "(linked a a)", None),
+        ("(bindings (neq ?x ?y))", "(obj a) (obj b)", "(linked a ?w)", ["a", "b"]),
+        ("(bindings (eq ?x ?y))", "(obj a) (obj b)", "(linked a b)", None),
+    ],
+)
+def test_a_fresh_step_keeps_its_operators_bindings(bindings, init, goal, args):
+    domain, problem = link_world(bindings, init, goal)
+    out = solve(domain, problem)
+    if args is None:
+        assert isinstance(out, Exhausted)
+        assert brute_force(domain, problem, 2) == []
+        return
+    assert isinstance(out, Solution)
+    (step,) = [s for s in out.plan.steps if s.name == "link"]
+    assert [str(out.plan.bindings.resolve(a)) for a in step.params] == args
+    assert verify_soundness(out.plan, problem).ok
+
+
+def test_a_fresh_schema_step_keeps_its_operators_bindings():
+    domain, problem = link_world("(bindings (neq ?x ?y))", "(obj a)", "(paired a a)")
+    kb = knowledge_base(domain, problem)
+    plan = init_plan(problem)
+    (parent,) = [p for p in refine_causal(plan, plan.flaws[0], domain) if p.steps[-1].name == "pair"]
+    flaw = UnexpandedComposite(parent.steps[-1].sid)
+    # The one realization makes a fresh link(a, a), which its neq forbids.
+    assert refine_decomposition(parent, flaw, domain, kb) == []
+    assert decompose_by_product(parent, flaw, domain, kb) == []
+    loose = link_world("", "(obj a)", "(paired a a)")[0]
+    assert len(refine_decomposition(parent, flaw, loose, kb)) == 1
