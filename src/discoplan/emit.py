@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import json
 
-from .intention import CausalHop, IntentionReport
+from .intention import IntentionReport
 from .language import parse_literal, parse_term
 from .oracle import PlanView, ViewDecomposition, ViewLink, ViewStep
-from .plan import Plan
+from .plan import CausalLink, Plan
 from .sexp import Diagnostic, read
 from .terms import BindingSet, Compound, Literal, Term, apply
 
@@ -62,26 +62,27 @@ def _labels_in_order(report: IntentionReport):
     return sorted(report.labels, key=lambda l: (l.step, l.effect_index))
 
 
-def _hop_dict(hop) -> dict:
-    if isinstance(hop, CausalHop):
-        return {
-            "kind": "causal",
-            "producer": hop.producer,
-            "condition": str(hop.condition),
-            "consumer": hop.consumer,
-        }
+def _link_dict(plan: Plan, link: CausalLink) -> dict:
+    """A causal link as a plan file writes it, in `causal_links` and in chains alike."""
+    return {"producer": link.producer, "condition": _lit(plan, link.condition),
+            "consumer": link.consumer}
+
+
+def _hop_dict(plan: Plan, hop) -> dict:
+    if isinstance(hop, CausalLink):
+        return {"kind": "causal", **_link_dict(plan, hop)}
     return {"kind": "correspondence", "end": hop.end, "parent": hop.parent,
             "effect_index": hop.effect_index}
 
 
-def _label_dicts(report: IntentionReport) -> list[dict]:
+def _label_dicts(plan: Plan, report: IntentionReport) -> list[dict]:
     return [
         {
             "step": l.step,
             "effect_index": l.effect_index,
             "effect": str(l.effect),
             "intended": l.intended,
-            "chain": [_hop_dict(h) for h in l.chain] if l.chain else [],
+            "chain": [_hop_dict(plan, h) for h in l.chain] if l.chain else [],
         }
         for l in _labels_in_order(report)
     ]
@@ -106,10 +107,7 @@ def plan_to_dict(plan: Plan, report: IntentionReport | None = None) -> dict:
             for s in steps
         ],
         "orderings": sorted([a, b] for a, b in plan.orderings),
-        "causal_links": [
-            {"producer": l.producer, "condition": _lit(plan, l.condition), "consumer": l.consumer}
-            for l in links
-        ],
+        "causal_links": [_link_dict(plan, l) for l in links],
         "decomposition_links": [
             {
                 "parent": d.parent,
@@ -130,7 +128,7 @@ def plan_to_dict(plan: Plan, report: IntentionReport | None = None) -> dict:
         },
     }
     if report is not None:
-        out["intention"] = _label_dicts(report)
+        out["intention"] = _label_dicts(plan, report)
     return out
 
 
@@ -192,7 +190,7 @@ def report_to_dict(plan: Plan, report: IntentionReport, info) -> dict:
         "format": "intention.json/1",
         "domain": plan.domain_name,
         "problem": plan.problem_name,
-        "labels": _label_dicts(report),
+        "labels": _label_dicts(plan, report),
         "informational": [
             {
                 "parent": e.parent,

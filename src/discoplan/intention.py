@@ -9,15 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .plan import DecompositionLink, Plan, detect_threats
+from .plan import CausalLink, DecompositionLink, Plan, detect_threats
 from .terms import Literal, apply
-
-
-@dataclass(frozen=True)
-class CausalHop:
-    producer: int
-    condition: Literal
-    consumer: int
 
 
 @dataclass(frozen=True)
@@ -27,7 +20,7 @@ class CorrespondenceHop:
     effect_index: int
 
 
-Hop = CausalHop | CorrespondenceHop
+Hop = CausalLink | CorrespondenceHop
 
 
 @dataclass(frozen=True)
@@ -94,9 +87,8 @@ def classify_effects(plan: Plan) -> IntentionReport:
             for link in links_from.get(sid, ()):
                 if not uses(sid, idx, link):
                     continue
-                hop = CausalHop(link.producer, link.condition, link.consumer)
                 if link.consumer == final_sid:
-                    chains[(sid, idx)] = (hop,)
+                    chains[(sid, idx)] = (link,)
                     changed = True
                     break
                 d = ends.get(link.consumer)
@@ -105,7 +97,7 @@ def classify_effects(plan: Plan) -> IntentionReport:
                     k = plan.step(d.end).preconditions.index(link.condition)
                     if (d.parent, k) in chains:
                         corr = CorrespondenceHop(d.end, d.parent, k)
-                        chains[(sid, idx)] = (hop, corr) + chains[(d.parent, k)]
+                        chains[(sid, idx)] = (link, corr) + chains[(d.parent, k)]
                         changed = True
                         break
                 consumer_step = plan.step(link.consumer)
@@ -118,7 +110,7 @@ def classify_effects(plan: Plan) -> IntentionReport:
                     None,
                 )
                 if follow is not None:
-                    chains[(sid, idx)] = (hop,) + chains[(link.consumer, follow)]
+                    chains[(sid, idx)] = (link,) + chains[(link.consumer, follow)]
                     changed = True
                     break
 

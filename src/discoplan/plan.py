@@ -274,34 +274,25 @@ def init_plan(problem: Problem) -> Plan:
     )
 
 
-def cwa_supported(plan: Plan, condition: Literal) -> bool:
-    """Closed-world support from the initial step for a negative condition.
+def establishments(bindings: BindingSet, producer: Step, condition: Literal):
+    """Each extension of `bindings` under which `producer` establishes `condition`.
 
-    Holds iff no initial effect possibly-unifies with the condition's atom
-    under current bindings.
-    """
-    if condition.positive:
-        return False
-    atom = condition.atom()
-    for e in plan.initial.effects:
-        if e.predicate == atom.predicate and unify(atom, e, plan.bindings) is not None:
-            return False
-    return True
-
-
-def producer_bindings(plan: Plan, producer: Step, condition: Literal) -> BindingSet | None:
-    """Bindings under which `producer` can establish `condition`, or None.
-
-    The first declared effect that unifies is used; the initial step may also
-    support a negative condition closed-world without new constraints.
+    First one per declared effect that unifies with the condition, in
+    declaration order; then, for the initial step and a negative condition
+    whose atom no initial effect can unify with, the unchanged bindings:
+    closed-world support.
     """
     for e in producer.effects:
-        b = unify(e, condition, plan.bindings)
+        b = unify(e, condition, bindings)
         if b is not None:
-            return b
-    if producer.kind == KIND_INITIAL and cwa_supported(plan, condition):
-        return plan.bindings
-    return None
+            yield b
+    if producer.kind == KIND_INITIAL and not condition.positive:
+        atom = condition.atom()
+        if not any(
+            e.predicate == atom.predicate and unify(atom, e, bindings) is not None
+            for e in producer.effects
+        ):
+            yield bindings
 
 
 def detect_threats(plan: Plan) -> list[Threat]:
@@ -427,7 +418,7 @@ def check_invariants(plan: Plan) -> list[str]:
         if not plan.reaches(link.producer, link.consumer):
             issues.append(f"link {link.producer}->{link.consumer} not ordered")
         producer = plan.step(link.producer)
-        if producer_bindings(plan, producer, link.condition) is None:
+        if next(establishments(plan.bindings, producer, link.condition), None) is None:
             issues.append(f"link condition {link.condition} matches no effect of {link.producer}")
         consumer = plan.step(link.consumer)
         if not any(unify(p, link.condition, plan.bindings) is not None for p in consumer.preconditions):

@@ -38,9 +38,9 @@ from .plan import (
     UnexpandedComposite,
     add_ordering,
     detect_threats,
+    establishments,
     init_plan,
     ordering_pairs,
-    producer_bindings,
 )
 from .terms import (
     BindingSet,
@@ -198,7 +198,9 @@ def refine_causal(plan: Plan, flaw: OpenCondition, domain: Domain) -> list[Plan]
         pairs = ordering_pairs(plan, s.sid, flaw.consumer)
         if pairs is None:
             continue
-        b = producer_bindings(plan, s, condition)
+        # Only the first establishment is tried, so a later one that would
+        # succeed is never reached: the completeness gap of ROADMAP item 1.
+        b = next(establishments(plan.bindings, s, condition), None)
         if s.sid == new_sid:
             b = _constrain(domain.operator(s.name).constraints, new_iid, b)
         if b is None:
@@ -273,7 +275,7 @@ def _step_options(plan, parent, domain, sigma, policy, template, bindings, chose
 def _link_options(label_step, open_map, template, bindings, chosen):
     """The assignments of one link template, as `extensions` options.
 
-    Each producer effect that unifies with the template's condition, in
+    Each establishment of the template's condition by the producer, in
     order, paired with each open precondition of the consumer that no
     earlier link took and that unifies with the condition. `open_map` maps
     a step id to the indices of its open preconditions. A choice is
@@ -282,10 +284,7 @@ def _link_options(label_step, open_map, template, bindings, chosen):
     producer = label_step[template.producer]
     consumer = label_step[template.consumer]
     taken = {key for key, _ in chosen}
-    for e in producer.effects:
-        b1 = unify(e, template.condition, bindings)
-        if b1 is None:
-            continue
+    for b1 in establishments(bindings, producer, template.condition):
         for j in open_map.get(consumer.sid, ()):
             if (consumer.sid, j) in taken:
                 continue

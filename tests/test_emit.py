@@ -4,8 +4,8 @@ import re
 
 import pytest
 
-from discoplan.emit import emit, plan_to_dict, plan_view_from_dict
-from discoplan.intention import classify_effects
+from discoplan.emit import emit, plan_to_dict, plan_view_from_dict, report_to_dict
+from discoplan.intention import classify_effects, informational_structure
 from discoplan.model import Problem
 from discoplan.oracle import verify_soundness
 from discoplan.search import FLAW_POLICIES, SearchConfig, Solution, solve
@@ -42,6 +42,32 @@ def test_json_reparse_reconstructs_counts():
     assert len(data["decomposition_links"]) == len(plan.decomposition_links)
     assert len(data["orderings"]) == len(plan.orderings)
     assert len(data["intention"]) == sum(len(s.effects) for s in plan.steps)
+
+
+@pytest.mark.parametrize("flaw_policy", FLAW_POLICIES)
+@pytest.mark.parametrize(
+    "pair",
+    [
+        ("discourse.dpd", "lucentio.dpp"),
+        ("discourse.dpd", "multirole.dpp"),
+        ("separation.dpd", "separation.dpp"),
+        ("sidefx.dpd", "sidefx.dpp"),
+        ("switches.dpd", "switches-demo.dpp"),
+    ],
+    ids=lambda pair: pair[1],
+)
+def test_every_causal_hop_is_a_causal_link_of_its_file(pair, flaw_policy):
+    domain, problem = load_domain(pair[0]), load_problem(pair[1])
+    out = solve(domain, problem, SearchConfig(flaw_policy=flaw_policy))
+    assert isinstance(out, Solution)
+    report = classify_effects(out.plan)
+    data = json.loads(emit(out.plan, report, "json"))
+    analysis = report_to_dict(out.plan, report, informational_structure(out.plan))
+    links = [{"kind": "causal", **l} for l in data["causal_links"]]
+    for labels in (data["intention"], analysis["labels"]):
+        hops = [h for l in labels for h in l["chain"] if h["kind"] == "causal"]
+        assert hops
+        assert [h for h in hops if h not in links] == []
 
 
 def test_dot_draws_dashed_boundaries_and_labeled_link_into_end():

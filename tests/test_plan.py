@@ -11,6 +11,8 @@ from discoplan import plan as plan_module
 from discoplan.plan import (
     KIND_BEGIN,
     KIND_END,
+    KIND_INITIAL,
+    KIND_PRIMITIVE,
     CausalLink,
     DecompositionLink,
     OpenCondition,
@@ -19,6 +21,7 @@ from discoplan.plan import (
     add_ordering,
     check_invariants,
     detect_threats,
+    establishments,
     init_plan,
     scan_flaws,
 )
@@ -49,6 +52,32 @@ def test_init_plan_empty_goals_is_flawless():
     plan = init_plan(Problem("p", "d"))
     assert plan.flaws == ()
     assert not detect_threats(plan)
+
+
+def test_establishments_yield_each_unifying_effect_in_declaration_order():
+    x, c = Variable("x", 2), Constant("c")
+    producer = flat_step(2, eff=(lit("p", x), lit("p", c), lit("q", c)))
+    first, second = establishments(EMPTY_BINDINGS, producer, lit("p", c))
+    assert first.resolve(x) == c
+    assert second.resolve(x) == x
+
+
+@pytest.mark.parametrize(
+    "kind, init, condition, supported",
+    [
+        (KIND_INITIAL, ("q",), lit("p", Variable("x", 1), positive=False), True),
+        (KIND_INITIAL, ("p",), lit("p", Variable("x", 1), positive=False), False),
+        (KIND_INITIAL, ("p",), lit("p", B, positive=False), True),
+        (KIND_INITIAL, ("q",), lit("p", L), False),
+        (KIND_PRIMITIVE, ("q",), lit("p", Variable("x", 1), positive=False), False),
+    ],
+)
+def test_establishments_support_by_closed_world(kind, init, condition, supported):
+    # Closed-world support: the initial step, a negative condition, and no
+    # initial atom that unifies with the condition's atom.
+    producer = flat_step(0, eff=tuple(lit(name, L) for name in init), kind=kind)
+    got = list(establishments(EMPTY_BINDINGS, producer, condition))
+    assert got == ([EMPTY_BINDINGS] if supported else [])
 
 
 def test_init_plan_agenda_matches_scan():

@@ -27,8 +27,8 @@ from discoplan.plan import (
     add_ordering,
     check_invariants,
     detect_threats,
+    establishments,
     init_plan,
-    producer_bindings,
 )
 from discoplan.search import (
     BudgetExceeded,
@@ -155,7 +155,7 @@ def test_refine_causal_successor_count_matches_exhaustive_scan():
         for s in plan.steps:
             if s.sid == flaw.consumer or s.kind == "final":
                 continue
-            if producer_bindings(plan, s, flaw.condition) is None:
+            if next(establishments(plan.bindings, s, flaw.condition), None) is None:
                 continue
             if add_ordering(plan, s.sid, flaw.consumer) is None:
                 continue
@@ -203,7 +203,7 @@ def _two_step_refine_causal(plan, flaw, domain):
     for s in plan.steps + fresh:
         if s.sid == flaw.consumer or s.kind == "final":
             continue
-        b = producer_bindings(plan, s, flaw.condition)
+        b = next(establishments(plan.bindings, s, flaw.condition), None)
         if b is None:
             continue
         link = CausalLink(s.sid, flaw.condition, flaw.consumer)
