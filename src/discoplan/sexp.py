@@ -12,22 +12,17 @@ code points from 1, so CR and tab are one column each.
 Cost model: one regex pass per line. `_TOKEN.finditer` skips blanks and
 matches a whole token inside the regex engine, so the Python loop runs once
 per token rather than once per character, and building the nodes dominates
-what is left. The nodes of atoms and lists are built by writing their fields
-directly, as `Plan.evolve` does, which skips the frozen dataclass
-`__init__` and its `object.__setattr__` call per field; equality, hashing
-and repr stay the dataclasses'. The written nodes hold a materialized
-instance dict, which on CPython 3.11 makes the lowering's attribute reads
-about a tenth slower; reading and lowering together still take less time
-than with `object.__setattr__` writes.
+what is left. Spans, atoms and lists are named tuples, so building one is
+a single tuple construction and reading a field is a C-level lookup.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     file: str
     line: int
     column: int
@@ -46,14 +41,12 @@ class Diagnostic:
         return f"{self.span}: {self.message}"
 
 
-@dataclass(frozen=True)
-class SAtom:
+class SAtom(NamedTuple):
     text: str
     span: SourceSpan
 
 
-@dataclass(frozen=True)
-class SList:
+class SList(NamedTuple):
     items: tuple
     span: SourceSpan
 
@@ -63,7 +56,6 @@ SNode = SAtom | SList
 # One token per match: a parenthesis, a comment to the end of the row, or an
 # atom. Blanks match no alternative, so `finditer` skips them.
 _TOKEN = re.compile(r"[()]|;.*|[^\s();]+")
-_new = object.__new__
 
 
 def read(text: str, filename: str = "<input>") -> tuple[list[SNode], list[Diagnostic]]:
@@ -89,24 +81,11 @@ def read(text: str, filename: str = "<input>") -> tuple[list[SNode], list[Diagno
                     diags.append(Diagnostic(span, "unbalanced closing parenthesis"))
                     continue
                 span, outer = stack.pop()
-                node = _new(SList)
-                fields = node.__dict__
-                fields["items"] = tuple(items)
-                fields["span"] = span
-                outer.append(node)
+                outer.append(SList(tuple(items), span))
                 items = outer
             elif tok[0] != ";":
-                span = _new(SourceSpan)
-                fields = span.__dict__
-                fields["file"] = filename
-                fields["line"] = line
-                fields["column"] = m.start() + 1
-                fields["length"] = len(tok)
-                atom = _new(SAtom)
-                fields = atom.__dict__
-                fields["text"] = tok.lower()
-                fields["span"] = span
-                items.append(atom)
+                span = SourceSpan(filename, line, m.start() + 1, len(tok))
+                items.append(SAtom(tok.lower(), span))
     while stack:
         span, outer = stack.pop()
         diags.append(Diagnostic(span, "unclosed parenthesis"))
