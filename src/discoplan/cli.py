@@ -102,13 +102,14 @@ def _positive_int(text: str) -> int:
 
 
 def _add_solve_flags(p: argparse.ArgumentParser) -> None:
+    defaults = SearchConfig()
     p.add_argument("--domain", required=True)
     p.add_argument("--problem", required=True)
-    p.add_argument("--max-steps", type=_positive_int, default=64)
-    p.add_argument("--max-depth", type=_positive_int, default=8)
-    p.add_argument("--max-nodes", type=_positive_int, default=100_000)
-    p.add_argument("--flaw-policy", choices=FLAW_POLICIES, default="threats-first")
-    p.add_argument("--reuse-policy", choices=REUSE_POLICIES, default="both-branches")
+    p.add_argument("--max-steps", type=_positive_int, default=defaults.max_steps)
+    p.add_argument("--max-depth", type=_positive_int, default=defaults.max_depth)
+    p.add_argument("--max-nodes", type=_positive_int, default=defaults.max_nodes)
+    p.add_argument("--flaw-policy", choices=FLAW_POLICIES, default=defaults.flaw_policy)
+    p.add_argument("--reuse-policy", choices=REUSE_POLICIES, default=defaults.reuse_policy)
     p.add_argument("--out", default=None)
 
 
