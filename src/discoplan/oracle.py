@@ -30,6 +30,7 @@ from .terms import (
     apply,
     is_ground,
     unify,
+    variables_in,
 )
 
 
@@ -183,10 +184,20 @@ def brute_force(
     """Breadth-first enumeration of every executable goal-achieving sequence.
 
     Exhaustive over sequences of length <= max_len and duplicate-free; a
-    sequence qualifies when its own final state satisfies every goal.
+    sequence qualifies when its own final state satisfies every goal. A goal
+    may hold variables: then one substitution must make each positive goal
+    an atom of the state and leave each negative goal, ground after it,
+    absent. A negative goal with a variable that no positive goal holds
+    raises ValueError, since no state can say which objects it ranges over.
     """
     actions = ground_actions(domain, problem, max_ground)
-    goals = problem.goals
+    ground = [g for g in problem.goals if is_ground(g)]
+    positives = [g for g in problem.goals if g.positive and not is_ground(g)]
+    negatives = [g for g in problem.goals if not g.positive and not is_ground(g)]
+    bound = {v for g in positives for v in variables_in(g)}
+    for g in negatives:
+        if not bound.issuperset(variables_in(g)):
+            raise ValueError(f"negative goal {g} has a variable that no positive goal binds")
     results: list[tuple[GroundAction, ...]] = []
     frontier: list[tuple[tuple[GroundAction, ...], frozenset[Literal]]] = [
         ((), frozenset(problem.init))
@@ -194,7 +205,7 @@ def brute_force(
     for _ in range(max_len + 1):
         next_frontier = []
         for seq, state in frontier:
-            if all(_holds(state, g) for g in goals):
+            if all(_holds(state, g) for g in ground) and _satisfies(state, positives, negatives, {}):
                 results.append(seq)
             if len(seq) == max_len:
                 continue
@@ -205,6 +216,20 @@ def brute_force(
         if not frontier:
             break
     return results
+
+
+def _satisfies(state, positives, negatives, env) -> bool:
+    """Whether one extension of `env` makes each of `positives` an atom of
+    `state` by one-way matching and leaves each of `negatives` absent."""
+    if not positives:
+        return all(_sub_literal(n, env).atom() not in state for n in negatives)
+    for atom in state:
+        extended = dict(env)
+        if _match(positives[0], atom, extended) and _satisfies(
+            state, positives[1:], negatives, extended
+        ):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

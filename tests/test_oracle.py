@@ -309,6 +309,26 @@ def test_brute_force_sequences_reexecute():
         assert lit("painted", A) in trace.final_state
 
 
+def test_brute_force_decides_a_lifted_goal_by_one_substitution():
+    # The planner solves this with link(a, b); a goal variable must range
+    # over the final state's atoms, not be looked up as it stands.
+    domain, problem = link_world("(bindings (neq ?x ?y))", "(obj a) (obj b)", "(linked a ?w)")
+    assert [[s.sid for s in seq] for seq in brute_force(domain, problem, 1)] == [["link(a,b)"]]
+    # A negative goal is tested under the substitution its positive goals chose.
+    domain, problem = link_world(
+        "(bindings (neq ?x ?y))",
+        "(obj a) (obj b) (obj c) (linked b a)",
+        "(linked a ?w) (not (linked ?w a))",
+    )
+    assert [[s.sid for s in seq] for seq in brute_force(domain, problem, 1)] == [["link(a,c)"]]
+
+
+def test_brute_force_refuses_a_negative_goal_with_an_unbound_variable():
+    domain, problem = link_world("", "(obj a)", "(linked a a) (not (linked a ?w))")
+    with pytest.raises(ValueError, match=r"\(not \(linked a \?w"):
+        brute_force(domain, problem, 1)
+
+
 def test_brute_force_longer_bound_is_a_superset():
     domain = _paint_domain()
     problem = Problem(
