@@ -192,8 +192,9 @@ def brute_force(
     """
     actions = ground_actions(domain, problem, max_ground)
     ground = [g for g in problem.goals if is_ground(g)]
-    positives = [g for g in problem.goals if g.positive and not is_ground(g)]
-    negatives = [g for g in problem.goals if not g.positive and not is_ground(g)]
+    lifted = [g for g in problem.goals if not is_ground(g)]
+    positives = [g for g in lifted if g.positive]
+    negatives = [g for g in lifted if not g.positive]
     bound = {v for g in positives for v in variables_in(g)}
     for g in negatives:
         if not bound.issuperset(variables_in(g)):
