@@ -206,13 +206,24 @@ class PlanFileError(Exception):
     """Emitted plan file is malformed."""
 
 
-def _reload(text: str, parse):
-    """Read one emitted literal or term back with `parse_literal` or `parse_term`."""
-    forms, diags = read(text, "<plan-file>")
-    parse_diags: list[Diagnostic] = []
-    value = parse(forms[0], parse_diags) if len(forms) == 1 and not diags else None
-    if value is None or parse_diags:
+def _reload(text, parse, memo: dict):
+    """Read one emitted literal or term back with `parse_literal` or `parse_term`.
+
+    `memo` maps (text, parse) to the value already read for it: a plan file
+    repeats texts, since a link's condition is its consumer's precondition and
+    a boundary step copies its parent's literals.
+    """
+    if type(text) is not str:
         raise PlanFileError(f"bad {parse.__name__.removeprefix('parse_')} text {text!r}")
+    key = (text, parse)
+    value = memo.get(key)
+    if value is None:
+        forms, diags = read(text, "<plan-file>")
+        parse_diags: list[Diagnostic] = []
+        value = parse(forms[0], parse_diags) if len(forms) == 1 and not diags else None
+        if value is None or parse_diags:
+            raise PlanFileError(f"bad {parse.__name__.removeprefix('parse_')} text {text!r}")
+        memo[key] = value
     return value
 
 
@@ -223,24 +234,33 @@ def _sid(value) -> int:
 
 
 def plan_view_from_dict(data: dict) -> PlanView:
-    """Rebuild an auditable plan view from an emitted json document."""
+    """Rebuild an auditable plan view from an emitted json document.
+
+    Each distinct text is read once per call; nothing is kept between calls.
+    """
+    memo: dict = {}
+
+    def lit(text) -> Literal:
+        return _reload(text, parse_literal, memo)
+
+    def term(text) -> Term:
+        return _reload(text, parse_term, memo)
+
     try:
         steps = tuple(
             ViewStep(
                 sid=_sid(s["id"]),
                 name=s["name"],
-                params=tuple(_reload(a, parse_term) for a in s["args"]),
-                preconditions=tuple(_reload(p, parse_literal) for p in s["preconditions"]),
-                effects=tuple(_reload(e, parse_literal) for e in s["effects"]),
+                params=tuple(term(a) for a in s["args"]),
+                preconditions=tuple(lit(p) for p in s["preconditions"]),
+                effects=tuple(lit(e) for e in s["effects"]),
                 kind=s["kind"],
             )
             for s in data["steps"]
         )
         orderings = frozenset((_sid(a), _sid(b)) for a, b in data["orderings"])
         links = tuple(
-            ViewLink(
-                _sid(l["producer"]), _reload(l["condition"], parse_literal), _sid(l["consumer"])
-            )
+            ViewLink(_sid(l["producer"]), lit(l["condition"]), _sid(l["consumer"]))
             for l in data["causal_links"]
         )
         decos = tuple(
@@ -250,14 +270,14 @@ def plan_view_from_dict(data: dict) -> PlanView:
                 end=_sid(d["end"]),
                 members=tuple(_sid(m) for m in d["members"]),
                 schema=d["schema"],
-                constraints=tuple(_reload(c, parse_literal) for c in d["constraints"]),
+                constraints=tuple(lit(c) for c in d["constraints"]),
             )
             for d in data["decomposition_links"]
         )
-        distinct = tuple(
-            (_reload(a, parse_term), _reload(b, parse_term))
-            for a, b in data.get("bindings", {}).get("distinct", [])
-        )
+        bindings = data.get("bindings", {})
+        if type(bindings) is not dict:
+            raise TypeError(f"bindings {bindings!r} is not an object")
+        distinct = tuple((term(a), term(b)) for a, b in bindings.get("distinct", []))
     except (KeyError, TypeError, ValueError) as exc:
         raise PlanFileError(f"missing or malformed plan field: {exc}") from exc
     return PlanView(steps, orderings, links, decos, BindingSet({}, distinct))

@@ -12,8 +12,10 @@ code points from 1, so CR and tab are one column each.
 Cost model: one regex pass per line. `_TOKEN.finditer` skips blanks and
 matches a whole token inside the regex engine, so the Python loop runs once
 per token rather than once per character, and building the nodes dominates
-what is left. Spans, atoms and lists are named tuples, so building one is
-a single tuple construction and reading a field is a C-level lookup.
+what is left. Spans, atoms and lists are named tuples, so reading a field
+is a C-level lookup. A named tuple's own constructor is a Python-level
+function, so `read` builds its nodes with `tuple.__new__(cls, fields)`,
+one C call per node; the nodes are the same as the constructor's.
 """
 from __future__ import annotations
 
@@ -57,6 +59,9 @@ SNode = SAtom | SList
 # atom. Blanks match no alternative, so `finditer` skips them.
 _TOKEN = re.compile(r"[()]|;.*|[^\s();]+")
 
+# `_new(cls, fields)` builds a named tuple without its Python-level `__new__`.
+_new = tuple.__new__
+
 
 def read(text: str, filename: str = "<input>") -> tuple[list[SNode], list[Diagnostic]]:
     """Read every top-level form; diagnostics instead of exceptions.
@@ -73,7 +78,7 @@ def read(text: str, filename: str = "<input>") -> tuple[list[SNode], list[Diagno
         for m in _TOKEN.finditer(row):
             tok = m.group()
             if tok == "(":
-                stack.append((SourceSpan(filename, line, m.start() + 1), items))
+                stack.append((_new(SourceSpan, (filename, line, m.start() + 1, 1)), items))
                 items = []
             elif tok == ")":
                 if not stack:
@@ -81,11 +86,11 @@ def read(text: str, filename: str = "<input>") -> tuple[list[SNode], list[Diagno
                     diags.append(Diagnostic(span, "unbalanced closing parenthesis"))
                     continue
                 span, outer = stack.pop()
-                outer.append(SList(tuple(items), span))
+                outer.append(_new(SList, (tuple(items), span)))
                 items = outer
             elif tok[0] != ";":
-                span = SourceSpan(filename, line, m.start() + 1, len(tok))
-                items.append(SAtom(tok.lower(), span))
+                span = _new(SourceSpan, (filename, line, m.start() + 1, len(tok)))
+                items.append(_new(SAtom, (tok.lower(), span)))
     while stack:
         span, outer = stack.pop()
         diags.append(Diagnostic(span, "unclosed parenthesis"))

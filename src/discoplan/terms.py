@@ -384,7 +384,13 @@ def extensions(
 
 
 def apply(bindings: BindingSet, literal: Literal) -> Literal:
-    """`literal` resolved, each unbound class named by its root; idempotent."""
+    """`literal` resolved, each unbound class named by its root; idempotent.
+
+    An empty store resolves nothing, so `literal` itself is returned; a plan
+    view reloaded from a file always has an empty store.
+    """
+    if not bindings.assignments:
+        return literal
     memo: dict = {}
     args = tuple(_resolve(a, bindings.assignments, memo) for a in literal.args)
     return Literal(literal.predicate, args, literal.positive)

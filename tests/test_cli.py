@@ -1,6 +1,8 @@
 """Command-line behavior: exit codes, emission, the verify pipeline."""
 import json
 
+import pytest
+
 from discoplan.cli import cli_main
 from _worlds import CORPUS
 
@@ -285,3 +287,55 @@ def test_verify_rejects_a_non_integer_step_id(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "step id [0] is not an integer" in err
     assert "Traceback" not in err
+
+
+def _first_step_with(data, field):
+    return next(s for s in data["steps"] if s[field])[field]
+
+
+def _a_distinct_pair(data):
+    data["bindings"]["distinct"].append(["l", "b"])
+    return data["bindings"]["distinct"][-1]
+
+
+# Every field of a plan file that holds symbolic-expression text, as (kind
+# of text, where its first entry sits in a lucentio plan file).
+TEXT_FIELDS = {
+    "args": ("term", lambda d: (_first_step_with(d, "args"), 0)),
+    "preconditions": ("literal", lambda d: (_first_step_with(d, "preconditions"), 0)),
+    "effects": ("literal", lambda d: (_first_step_with(d, "effects"), 0)),
+    "condition": ("literal", lambda d: (d["causal_links"][0], "condition")),
+    "constraints": ("literal", lambda d: (d["decomposition_links"][0]["constraints"], 0)),
+    "distinct": ("term", lambda d: (_a_distinct_pair(d), 0)),
+}
+NON_TEXTS = [5, [], {}, None]
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        pytest.param(f, v, f"bad {TEXT_FIELDS[f][0]} text {v!r}", id=f"{f}-{json.dumps(v)}")
+        for f in TEXT_FIELDS
+        for v in NON_TEXTS
+    ]
+    + [
+        pytest.param("bindings", v, "malformed plan field", id=f"bindings-{json.dumps(v)}")
+        for v in ([], 5, "distinct", None)
+    ],
+)
+def test_verify_rejects_a_non_string_text_or_a_non_object_bindings(
+    tmp_path, capsys, field, value, message
+):
+    out = tmp_path / "plan.json"
+    cli_main(["plan", "--domain", DISCOURSE, "--problem", LUCENTIO, "--out", str(out)])
+    data = json.loads(out.read_text())
+    container, key = TEXT_FIELDS[field][1](data) if field in TEXT_FIELDS else (data, field)
+    container[key] = value
+    out.write_text(json.dumps(data))
+    code = cli_main(
+        ["verify", "--domain", DISCOURSE, "--problem", LUCENTIO, "--plan", str(out)]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out}: ") and err.count("\n") == 1
+    assert message in err

@@ -1,9 +1,11 @@
 """Plan serializers: structure, determinism, reload."""
 import json
 import re
+from collections import Counter
 
 import pytest
 
+import discoplan.emit
 from discoplan.emit import emit, plan_to_dict, plan_view_from_dict, report_to_dict
 from discoplan.intention import classify_effects, informational_structure
 from discoplan.model import Problem
@@ -100,6 +102,25 @@ def test_plan_view_reload_preserves_auditability():
     assert len(view.steps) == len(plan.steps)
     report = verify_soundness(view, problem)
     assert report.ok, report.violations
+
+
+def test_plan_view_reload_reads_each_distinct_text_once_per_call(monkeypatch):
+    plan, _ = _solved("discourse.dpd", "multirole.dpp")
+    data = json.loads(emit(plan, classify_effects(plan), "json"))
+    terms = [a for s in data["steps"] for a in s["args"]]
+    terms += [t for pair in data["bindings"]["distinct"] for t in pair]
+    literals = [t for s in data["steps"] for t in s["preconditions"] + s["effects"]]
+    literals += [l["condition"] for l in data["causal_links"]]
+    literals += [c for d in data["decomposition_links"] for c in d["constraints"]]
+    once = Counter(set(terms)) + Counter(set(literals))
+    assert once.total() < len(terms) + len(literals)
+    texts = []
+    read = discoplan.emit.read
+    monkeypatch.setattr(discoplan.emit, "read", lambda text, name: texts.append(text) or read(text, name))
+    for _ in range(2):
+        texts.clear()
+        plan_view_from_dict(data)
+        assert Counter(texts) == once
 
 
 SEPARATING_WORLDS = {
