@@ -213,18 +213,17 @@ def _reload(text, parse, memo: dict):
     repeats texts, since a link's condition is its consumer's precondition and
     a boundary step copies its parent's literals.
     """
-    if type(text) is not str:
-        raise PlanFileError(f"bad {parse.__name__.removeprefix('parse_')} text {text!r}")
-    key = (text, parse)
-    value = memo.get(key)
-    if value is None:
+    if type(text) is str:
+        value = memo.get((text, parse))
+        if value is not None:
+            return value
         forms, diags = read(text, "<plan-file>")
         parse_diags: list[Diagnostic] = []
         value = parse(forms[0], parse_diags) if len(forms) == 1 and not diags else None
-        if value is None or parse_diags:
-            raise PlanFileError(f"bad {parse.__name__.removeprefix('parse_')} text {text!r}")
-        memo[key] = value
-    return value
+        if value is not None and not parse_diags:
+            memo[text, parse] = value
+            return value
+    raise PlanFileError(f"bad {parse.__name__.removeprefix('parse_')} text {text!r}")
 
 
 def _sid(value) -> int:
