@@ -59,7 +59,6 @@ SNode = SAtom | SList
 # atom. Blanks match no alternative, so `finditer` skips them.
 _TOKEN = re.compile(r"[()]|;.*|[^\s();]+")
 
-# `_new(cls, fields)` builds a named tuple without its Python-level `__new__`.
 _new = tuple.__new__
 
 

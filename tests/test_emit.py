@@ -116,7 +116,12 @@ def test_plan_view_reload_reads_each_distinct_text_once_per_call(monkeypatch):
     assert once.total() < len(terms) + len(literals)
     texts = []
     read = discoplan.emit.read
-    monkeypatch.setattr(discoplan.emit, "read", lambda text, name: texts.append(text) or read(text, name))
+
+    def counted_read(text, filename):
+        texts.append(text)
+        return read(text, filename)
+
+    monkeypatch.setattr(discoplan.emit, "read", counted_read)
     for _ in range(2):
         texts.clear()
         plan_view_from_dict(data)
