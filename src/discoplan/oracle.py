@@ -8,8 +8,12 @@ evidence, not an echo.
 The audit executes linearizations by a depth-first walk that carries the
 state down the tree of orders and reuses each clean subtree it has walked,
 so each distinct (unplaced steps, state) pair is expanded once rather than
-once per order; ground literals are interned as ints once per audit.
-`execute` is the order-at-a-time executor for callers and tests.
+once per order. Ground atoms get one bit each per audit, and states and
+unplaced sets are ints used as bit sets, so a pair costs one int
+transition per step that can come next. The link checks are indexed:
+support costs one `apply` per precondition and per link, and a link's
+threat scan unifies only with effects of its negated condition's predicate
+and sign. `execute` is the order-at-a-time executor for callers and tests.
 """
 from __future__ import annotations
 
@@ -68,9 +72,13 @@ def _holds(state: frozenset[Literal], condition: Literal) -> bool:
     return condition.atom() not in state
 
 
-def _transition(state: frozenset, deletes, adds) -> frozenset:
-    """The state after one step: every state change in this module goes through here."""
-    return (state - deletes) | adds
+def _transition(state, deletes, adds):
+    """The state after one step: every state change in this module goes through here.
+
+    States are frozensets of literals for `execute` and `brute_force`, and
+    ints used as bit sets for the audit; this one expression serves both.
+    """
+    return (state - (state & deletes)) | adds
 
 
 def _progress(state: frozenset[Literal], effects) -> frozenset[Literal]:
@@ -349,11 +357,11 @@ def _match(pattern, term, env: dict[Variable, Term]) -> bool:
     return pattern == term
 
 
-def _check_orders(steps, pred, cap: int, state, goals) -> tuple[list[Violation], int]:
-    """Execute every order of the steps that respects `pred`, sharing subtrees.
+def _check_orders(steps, cap: int, state: int, goals) -> tuple[list[Violation], int]:
+    """Execute every order of the steps that respects their predecessors, sharing subtrees.
 
-    Orders are enumerated depth first, the unplaced steps tried in sorted
-    order, and the walk stops taking new orders once more than `cap` are
+    Orders are enumerated depth first, the unplaced steps tried in ascending
+    id order, and the walk stops taking new orders once more than `cap` are
     taken. The state after a prefix is computed once and carried down to all
     of its completions; a prefix that fails a precondition is not executed
     further, but each of its completions is still taken and reported.
@@ -368,53 +376,58 @@ def _check_orders(steps, pred, cap: int, state, goals) -> tuple[list[Violation],
     (unplaced set, state) pair reached, however many orders pass through the
     pair; failing prefixes are still walked order by order.
 
-    States are sets of interned literal ids: `steps[sid]` is `(conditions,
-    deletes, adds)`, and each condition and goal is `(literal, atom id,
-    positive)`.
+    Sets are ints used as bit sets. `steps` lists `(sid, bit, predecessors,
+    step)` in ascending id order: `bit` is the step's own bit, and a step can
+    be placed once no bit of `predecessors` is left unplaced, so the unplaced
+    set is an int and so is the memo key `(unplaced, state)`. A state has
+    one bit per interned ground atom. `step` is `(conditions, on, off,
+    deletes, adds)`: each condition and goal is `(literal, bit, positive)`,
+    and the conditions hold when every bit of `on` is set and none of `off`.
+    Placing a step, or testing one, is then a few int operations.
     """
     violations: list[Violation] = []
-    done: list[int] = []
-    left = set(steps)
+    done: list[tuple[int, tuple]] = []
+    left = 0
+    for _, bit, _, _ in steps:
+        left |= bit
     count = 0
-    clean: dict[tuple[frozenset[int], frozenset[int]], int] = {}
+    clean: dict[tuple[int, int], int] = {}
 
-    def walk(state: frozenset[int], failure: str | None) -> None:
-        nonlocal count
+    def walk(state: int, failure: str | None) -> None:
+        nonlocal count, left
         if count > cap:
             return
         if done and failure is None:
-            sid = done[-1]
-            conditions, deletes, adds = steps[sid]
-            for lit, atom, positive in conditions:
-                if (atom in state) != positive:
-                    failure = f"fails at step {sid} needing {lit}"
-                    break
+            sid, (conditions, on, off, deletes, adds) = done[-1]
+            if state & on != on or state & off:
+                lit = next(l for l, bit, positive in conditions if bool(state & bit) != positive)
+                failure = f"fails at step {sid} needing {lit}"
             else:
                 state = _transition(state, deletes, adds)
         if not left:
             count += 1
-            order = tuple(done)
+            order = tuple(sid for sid, _ in done)
             if failure is not None:
                 violations.append(Violation("execution", f"linearization {order} {failure}"))
                 return
             violations.extend(
                 Violation("goal", f"linearization {order} ends without goal {g}")
-                for g, atom, positive in goals
-                if (atom in state) != positive
+                for g, bit, positive in goals
+                if bool(state & bit) != positive
             )
             return
         if failure is None:
-            key = (frozenset(left), state)
+            key = (left, state)
             if key in clean:
                 count = min(count + clean[key], cap + 1)
                 return
             first, found = count, len(violations)
-        for m in sorted(left):
-            if pred[m].isdisjoint(left):
-                done.append(m)
-                left.remove(m)
+        for sid, bit, predecessors, step in steps:
+            if left & bit and not left & predecessors:
+                done.append((sid, step))
+                left ^= bit
                 walk(state, failure)
-                left.add(m)
+                left |= bit
                 done.pop()
         if failure is None and len(violations) == found:
             clean[key] = count - first
@@ -424,7 +437,8 @@ def _check_orders(steps, pred, cap: int, state, goals) -> tuple[list[Violation],
 
 
 def _id_faults(plan, steps) -> list[str]:
-    """One message per step id shared by several steps, and per link naming a missing step."""
+    """One message per step id shared by several steps, per link naming a missing
+    step, and per kind of boundary step the plan has more than one of."""
     out = [
         f"step id {sid} names {n} steps"
         for sid, n in Counter(s.sid for s in plan.steps).items()
@@ -441,26 +455,45 @@ def _id_faults(plan, steps) -> list[str]:
             out.append(
                 f"decomposition link of step {d.parent} references missing step {missing[0]}"
             )
+    for kind in ("initial", "final"):
+        sids = [str(s.sid) for s in plan.steps if s.kind == kind]
+        if len(sids) > 1:
+            out.append(f"more than one {kind} step: steps {', '.join(sids)}")
     return out
+
+
+def _signature(lit: Literal) -> tuple[str, bool]:
+    """What `unify` compares first: two literals of different signatures never unify."""
+    return lit.predicate, lit.positive
 
 
 def verify_soundness(plan, problem: Problem, max_orders: int = 5_000) -> AuditReport:
     """Audit a claimed solution against first principles and the problem it claims to solve.
 
-    Checks: step ids are unique and every link names steps of the plan (if
-    not, the audit stops at those `structure` violations), the initial step
-    carries the problem's initial state and the final step its goals, causal
-    support for every precondition, an empty threat set,
-    successful goal-achieving execution of every linearization of the
-    primitive steps, and end-subplan preconditions supported from within or
-    before their subplan. Violations are report content, never exceptions.
+    Checks: step ids are unique, every link names steps of the plan, and
+    there is at most one initial and one final step (if not, the audit stops
+    at those `structure` violations); the initial step carries the problem's
+    initial state and the final step its goals, causal support for every
+    precondition, an empty threat set, successful goal-achieving execution of
+    every linearization of the primitive steps, and end-subplan
+    preconditions supported from within or before their subplan. Violations
+    are report content, never exceptions.
 
     Linearizations are taken in lexicographic order, at most `max_orders`
     plus one; the report gives the count but does not flag a cut-off walk.
     Their cost is one state transition per step that can come next after
     each distinct (unplaced set, state) pair reached, not one per step of
     every order (see `_check_orders`); prefixes that fail a precondition are
-    still walked order by order.
+    still walked order by order. Unplaced sets and states are ints used as
+    bit sets, so each transition and each test is a few int operations.
+
+    The link checks are indexed, not scans over every pair. Support applies
+    the bindings to each link's condition once and counts links per
+    (consumer, condition), so it costs one `apply` per precondition and per
+    link. The threat scan unifies a link's negated condition only with the
+    effects of the same predicate and sign, on the steps that have one,
+    since `unify` fails on any other; the produce check likewise tries only
+    the producer's effects of the condition's predicate and sign.
     """
     violations: list[Violation] = []
     bindings = getattr(plan, "bindings", EMPTY_BINDINGS)
@@ -477,12 +510,7 @@ def verify_soundness(plan, problem: Problem, max_orders: int = 5_000) -> AuditRe
             return AuditReport(tuple(violations))
 
     intervals = {d.parent: (d.begin, d.end) for d in plan.decomposition_links}
-
-    def begin_of(sid):
-        return intervals.get(sid, (sid, sid))[0]
-
-    def end_of(sid):
-        return intervals.get(sid, (sid, sid))[1]
+    bounds = {sid: intervals.get(sid, (sid, sid)) for sid in steps}
 
     initial = next((s for s in plan.steps if s.kind == "initial"), None)
     final = next((s for s in plan.steps if s.kind == "final"), None)
@@ -509,20 +537,15 @@ def verify_soundness(plan, problem: Problem, max_orders: int = 5_000) -> AuditRe
     # become under the bindings needs 1 to k links. The planner links two
     # distinct preconditions apart and a verbatim repeat once, and a plan file
     # lists both kinds alike, applied. Producers really produce; orders hold.
+    linked = Counter((l.consumer, apply(bindings, l.condition)) for l in plan.causal_links)
     for s in plan.steps:
-        listed = Counter(apply(bindings, p) for p in s.preconditions)
-        for applied in (apply(bindings, p) for p in s.preconditions):
-            supporters = [
-                l for l in plan.causal_links
-                if l.consumer == s.sid and apply(bindings, l.condition) == applied
-            ]
-            if not 1 <= len(supporters) <= listed[applied]:
+        applied = [apply(bindings, p) for p in s.preconditions]
+        listed = Counter(applied)
+        for a in applied:
+            n = linked[s.sid, a]
+            if not 1 <= n <= listed[a]:
                 violations.append(
-                    Violation(
-                        "support",
-                        f"precondition {applied} of step {s.sid} has "
-                        f"{len(supporters)} supporting links",
-                    )
+                    Violation("support", f"precondition {a} of step {s.sid} has {n} supporting links")
                 )
     for l in plan.causal_links:
         if l.consumer not in reach[l.producer]:
@@ -530,26 +553,38 @@ def verify_soundness(plan, problem: Problem, max_orders: int = 5_000) -> AuditRe
                 Violation("order", f"producer {l.producer} not ordered before {l.consumer}")
             )
         producer = steps[l.producer]
-        produced = any(unify(e, l.condition, bindings) is not None for e in producer.effects)
+        sig = _signature(l.condition)
+        produced = any(
+            unify(e, l.condition, bindings) is not None
+            for e in producer.effects
+            if _signature(e) == sig
+        )
         if not produced and not (producer.kind == "initial" and cwa_ok(l.condition)):
             violations.append(
                 Violation("produce", f"step {l.producer} does not produce {l.condition}")
             )
 
-    # Threat scan over interval endpoints.
+    # Threat scan over interval endpoints, over the steps with an effect of
+    # the negated condition's signature, in plan step order.
+    effects_by_signature: dict[tuple[str, bool], dict[int, list[Literal]]] = {}
+    for s in plan.steps:
+        for e in s.effects:
+            effects_by_signature.setdefault(_signature(e), {}).setdefault(s.sid, []).append(e)
     for l in plan.causal_links:
         negated = l.condition.negate()
-        for s in plan.steps:
-            if s.sid in (l.producer, l.consumer):
+        producer_end = bounds[l.producer][1]
+        consumer_begin = bounds[l.consumer][0]
+        for sid, effects in effects_by_signature.get(_signature(negated), {}).items():
+            if sid in (l.producer, l.consumer):
                 continue
-            s_begin, s_end = begin_of(s.sid), end_of(s.sid)
-            if s_end == end_of(l.producer) or end_of(l.producer) in reach[s_end]:
+            s_begin, s_end = bounds[sid]
+            if s_end == producer_end or producer_end in reach[s_end]:
                 continue
-            if begin_of(l.consumer) == s_begin or s_begin in reach[begin_of(l.consumer)]:
+            if consumer_begin == s_begin or s_begin in reach[consumer_begin]:
                 continue
-            if any(unify(e, negated, bindings) is not None for e in s.effects):
+            if any(unify(e, negated, bindings) is not None for e in effects):
                 violations.append(
-                    Violation("threat", f"step {s.sid} may undo {l.condition} of link "
+                    Violation("threat", f"step {sid} may undo {l.condition} of link "
                                         f"{l.producer}->{l.consumer}")
                 )
 
@@ -575,12 +610,18 @@ def verify_soundness(plan, problem: Problem, max_orders: int = 5_000) -> AuditRe
 
     ids: dict[Literal, int] = {}
 
-    def intern(lit: Literal) -> int:
-        return ids.setdefault(lit, len(ids))
+    def bit_of(lit: Literal) -> int:
+        return 1 << ids.setdefault(lit, len(ids))
 
     def condition(lit: Literal) -> tuple[Literal, int, bool]:
         g = ground(lit)
-        return g, intern(g.atom()), g.positive
+        return g, bit_of(g.atom()), g.positive
+
+    def mask(bits) -> int:
+        out = 0
+        for b in bits:
+            out |= b
+        return out
 
     def compiled(s) -> tuple:
         pre = tuple(condition(p) for p in s.preconditions)
@@ -588,15 +629,22 @@ def verify_soundness(plan, problem: Problem, max_orders: int = 5_000) -> AuditRe
         for lit in [g for g, _, _ in pre] + eff:
             if not is_ground(lit):
                 raise ValueError(f"step {s.sid} is not ground: {lit}")
-        deletes = frozenset(intern(e.atom()) for e in eff if not e.positive)
-        return pre, deletes, frozenset(intern(e) for e in eff if e.positive)
+        return (
+            pre,
+            mask(b for _, b, positive in pre if positive),
+            mask(b for _, b, positive in pre if not positive),
+            mask(bit_of(e.atom()) for e in eff if not e.positive),
+            mask(bit_of(e) for e in eff if e.positive),
+        )
 
-    prims = [s.sid for s in plan.steps if s.kind == "primitive"]
-    pred = {m: {n for n in prims if n != m and m in reach[n]} for m in prims}
-    start = frozenset(intern(ground(e)) for e in initial.effects)
+    prims = sorted(s.sid for s in plan.steps if s.kind == "primitive")
+    bit = {m: 1 << i for i, m in enumerate(prims)}
+    order_steps = [
+        (m, bit[m], mask(bit[n] for n in prims if n != m and m in reach[n]), compiled(steps[m]))
+        for m in prims
+    ]
+    start = mask(bit_of(ground(e)) for e in initial.effects)
     goals = [condition(g) for g in final.preconditions]
-    found, checked = _check_orders(
-        {sid: compiled(steps[sid]) for sid in prims}, pred, max_orders, start, goals
-    )
+    found, checked = _check_orders(order_steps, max_orders, start, goals)
     violations += found
     return AuditReport(tuple(violations), linearizations_checked=checked)

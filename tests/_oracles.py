@@ -6,6 +6,7 @@ brute force, textbook algorithms) without calling the code path under test.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from functools import lru_cache
 
 from discoplan.sexp import Diagnostic, SAtom, SList, SNode, SourceSpan
@@ -351,6 +352,94 @@ def brute_force_threats(plan):
             if any(unify(e, negated, plan.bindings) is not None for e in s.effects):
                 found.append((s.sid, link))
     return found
+
+
+def link_checks_by_full_scan(plan):
+    """Reference for the audit's support, order, produce, threat and subplan checks.
+
+    The unindexed loops the audit used before its scans were indexed: every
+    precondition scans every link, and every link scans every step. Returns
+    the `(code, message)` pairs in the audit's order. The plan must have
+    unique step ids, links to existing steps, one initial step and no cycle.
+    """
+    from discoplan.terms import EMPTY_BINDINGS, unify
+
+    bindings = getattr(plan, "bindings", EMPTY_BINDINGS)
+    steps = {s.sid: s for s in plan.steps}
+    closure = floyd_warshall(list(steps), plan.orderings)
+    reach = {a: {b for b in steps if closure[(a, b)]} for a in steps}
+    intervals = {d.parent: (d.begin, d.end) for d in plan.decomposition_links}
+
+    def begin_of(sid):
+        return intervals.get(sid, (sid, sid))[0]
+
+    def end_of(sid):
+        return intervals.get(sid, (sid, sid))[1]
+
+    initial = next(s for s in plan.steps if s.kind == "initial")
+
+    def cwa_ok(condition: Literal) -> bool:
+        if condition.positive:
+            return False
+        atom = condition.atom()
+        return not any(
+            e.predicate == atom.predicate and unify(atom, e, bindings) is not None
+            for e in initial.effects
+        )
+
+    violations = []
+    for s in plan.steps:
+        listed = Counter(apply(bindings, p) for p in s.preconditions)
+        for applied in (apply(bindings, p) for p in s.preconditions):
+            supporters = [
+                l for l in plan.causal_links
+                if l.consumer == s.sid and apply(bindings, l.condition) == applied
+            ]
+            if not 1 <= len(supporters) <= listed[applied]:
+                violations.append(
+                    (
+                        "support",
+                        f"precondition {applied} of step {s.sid} has "
+                        f"{len(supporters)} supporting links",
+                    )
+                )
+    for l in plan.causal_links:
+        if l.consumer not in reach[l.producer]:
+            violations.append(("order", f"producer {l.producer} not ordered before {l.consumer}"))
+        producer = steps[l.producer]
+        produced = any(unify(e, l.condition, bindings) is not None for e in producer.effects)
+        if not produced and not (producer.kind == "initial" and cwa_ok(l.condition)):
+            violations.append(("produce", f"step {l.producer} does not produce {l.condition}"))
+
+    for l in plan.causal_links:
+        negated = l.condition.negate()
+        for s in plan.steps:
+            if s.sid in (l.producer, l.consumer):
+                continue
+            s_begin, s_end = begin_of(s.sid), end_of(s.sid)
+            if s_end == end_of(l.producer) or end_of(l.producer) in reach[s_end]:
+                continue
+            if begin_of(l.consumer) == s_begin or s_begin in reach[begin_of(l.consumer)]:
+                continue
+            if any(unify(e, negated, bindings) is not None for e in s.effects):
+                violations.append(
+                    ("threat", f"step {s.sid} may undo {l.condition} of link "
+                               f"{l.producer}->{l.consumer}")
+                )
+
+    for d in plan.decomposition_links:
+        allowed = set(d.members) | {d.begin}
+        for l in plan.causal_links:
+            if l.consumer != d.end or l.producer in allowed or d.begin in reach[l.producer]:
+                continue
+            violations.append(
+                (
+                    "subplan",
+                    f"goal {apply(bindings, l.condition)} of subplan under {d.parent} "
+                    f"supported by outside step {l.producer}",
+                )
+            )
+    return violations
 
 
 def conflict_by_enumeration(effect, condition, bindings, constants):

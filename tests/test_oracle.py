@@ -1,17 +1,23 @@
 """Executor, brute-force enumerator, and soundness auditor."""
+import importlib.util
 import itertools
 import random
+import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from discoplan import oracle
 from discoplan.emit import plan_to_dict, plan_view_from_dict
+from discoplan.language import parse_domain, parse_problem
 from discoplan.model import ActionOperator, BindingConstraint, Domain, Problem
 from discoplan.oracle import (
     GroundAction,
     UniverseTooLargeError,
+    ViewLink,
+    ViewStep,
     brute_force,
     execute,
     ground_actions,
@@ -23,10 +29,12 @@ from discoplan.terms import Constant, Variable, apply, unify_terms
 from _oracles import (
     audit_by_reexecution,
     floyd_warshall,
+    link_checks_by_full_scan,
     orders_consistent_with,
     reexecute_orders,
 )
 from _worlds import (
+    CORPUS,
     boundary_steps,
     flat_step,
     link_world,
@@ -260,6 +268,121 @@ def test_audit_applies_each_unplaced_set_and_state_pair_once(monkeypatch):
     assert transitions <= 7 * 2**6
 
 
+LINK_CODES = ("support", "order", "produce", "threat", "subplan")
+WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+
+
+def _scaled_views(out):
+    """The solved plan of each `scaled` benchmark problem of seed 1, reloaded."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    for case in workloads.build("scaled", 1, CORPUS, out).cases:
+        domain, _ = parse_domain(Path(case.domain).read_text(), case.domain)
+        problem, _ = parse_problem(Path(case.problem).read_text(), case.problem)
+        yield plan_view_from_dict(plan_to_dict(solve(domain, problem).plan, None)), problem
+
+
+def _tampered(view, rng):
+    """The view with a link dropped, a link reversed, an unordered deleter of a
+    link's condition injected, and each subplan goal linked from outside;
+    three draws of each of the first three."""
+    links = view.causal_links
+    new = max(s.sid for s in view.steps) + 1
+    for _ in range(3):
+        i = rng.randrange(len(links))
+        yield replace(view, causal_links=links[:i] + links[i + 1:])
+        reversed_link = ViewLink(links[i].consumer, links[i].condition, links[i].producer)
+        yield replace(view, causal_links=links[:i] + (reversed_link,) + links[i + 1:])
+        undoes = rng.choice(links).condition.negate()
+        yield replace(
+            view,
+            steps=view.steps + (ViewStep(new, "saboteur", (), (), (undoes,), "primitive"),),
+            orderings=view.orderings | {(0, new), (new, 1)},
+        )
+    for d in view.decomposition_links:
+        for victim in [l for l in links if l.consumer == d.end]:
+            yield replace(
+                view,
+                steps=view.steps
+                + (ViewStep(new, "outsider", (), (), (victim.condition,), "primitive"),),
+                orderings=view.orderings | {(0, new), (new, 1), (new, d.end)},
+                causal_links=tuple(l for l in links if l != victim)
+                + (ViewLink(new, victim.condition, d.end),),
+            )
+
+
+def test_audit_link_checks_match_a_full_scan(tmp_path):
+    # The indexed support and threat scans against the loops that scan every
+    # link per precondition and every step per link. The link checks do not
+    # depend on the order cap, so the tampered views are audited at cap 0.
+    rng = random.Random(31)
+    cases = [(_random_audit_plan(rng), Problem("p", "d"), 5_000) for _ in range(60)]
+    cases += [(plan, problem, 5_000) for plan, problem in _corpus_views_with_orderings_dropped(rng)]
+    corpus = [
+        (plan_view_from_dict(plan_to_dict(solve(load_domain(d), load_problem(p)).plan, None)),
+         load_problem(p))
+        for d, p in [("discourse.dpd", "lucentio.dpp"), ("discourse.dpd", "multirole.dpp"),
+                     ("sidefx.dpd", "sidefx.dpp"), ("switches.dpd", "switches-demo.dpp")]
+    ]
+    for view, problem in corpus + list(_scaled_views(tmp_path)):
+        cases += [(tampered, problem, 0) for tampered in _tampered(view, rng)]
+    codes = Counter()
+    for plan, problem, cap in cases:
+        report = verify_soundness(plan, problem, max_orders=cap)
+        found = [(v.code, v.message) for v in report.violations if v.code in LINK_CODES]
+        assert found == link_checks_by_full_scan(plan)
+        codes.update(code for code, _ in found)
+    assert min(codes[code] for code in LINK_CODES) > 10, codes
+
+
+def _unordered_plan(links, prims, preconditions=0):
+    """`links` links from the initial to the final step, each for one (p ci),
+    and `prims` unordered primitives, each adding its own (q dj) after
+    `preconditions` preconditions (p ci); no effect is a (not (p ...))."""
+    conditions = [lit("p", Constant(f"c{i}")) for i in range(links)]
+    ids = range(2, 2 + prims)
+    steps = boundary_steps(conditions, conditions) + tuple(
+        flat_step(s, f"s{s}", pre=conditions[:preconditions], eff=(lit("q", Constant(f"d{s}")),))
+        for s in ids
+    )
+    orderings = {(0, s) for s in ids} | {(s, 1) for s in ids}
+    return make_plan(steps, orderings, [CausalLink(0, c, 1) for c in conditions])
+
+
+def _counted(monkeypatch, name, plan):
+    calls = 0
+    original = getattr(oracle, name)
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(oracle, name, counted)
+    verify_soundness(plan, Problem("p", "d", init=plan.steps[0].effects))
+    monkeypatch.setattr(oracle, name, original)
+    return calls
+
+
+def test_audit_unifies_a_link_only_with_effects_of_its_negated_signature(monkeypatch):
+    # No primitive can undo a link, so the threat scan has no step to unify
+    # with: adding primitives adds no unify call.
+    counts = [_counted(monkeypatch, "unify", _unordered_plan(3, n)) for n in (4, 8)]
+    assert counts[0] == counts[1]
+
+
+def test_audit_applies_bindings_once_per_literal_and_link(monkeypatch):
+    # k links and 4k preconditions: growing k by four at a time grows the
+    # apply calls by a fixed amount, where checking each precondition against
+    # each link grows them by more each time.
+    counts = [
+        _counted(monkeypatch, "apply", _unordered_plan(k, 3, preconditions=k)) for k in (4, 8, 12)
+    ]
+    assert counts[2] - counts[1] == counts[1] - counts[0]
+
+
 def _paint_domain():
     x = Variable("x")
     return Domain(
@@ -462,6 +585,20 @@ def test_audit_reports_duplicate_and_dangling_step_ids_instead_of_raising():
             report = verify_soundness(audited, problem)
             assert [v.code for v in report.violations] == ["structure"]
             assert culprit in report.violations[0].message
+
+
+@pytest.mark.parametrize("kind, ids", [("initial", "0, 2"), ("final", "1, 2")])
+def test_audit_reports_a_second_initial_or_final_step(kind, ids):
+    # Step 2 of the lucentio plan is composite, so it is in no order: as a
+    # second boundary step it changes no other check's answer.
+    problem = load_problem("lucentio.dpp")
+    data = plan_to_dict(solve(load_domain("discourse.dpd"), problem).plan, None)
+    assert data["steps"][2]["id"] == 2
+    data["steps"][2]["kind"] = kind
+    report = verify_soundness(plan_view_from_dict(data), problem)
+    assert [(v.code, v.message) for v in report.violations] == [
+        ("structure", f"more than one {kind} step: steps {ids}")
+    ]
 
 
 def test_audit_flags_a_plan_for_another_problem():
