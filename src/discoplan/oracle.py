@@ -75,8 +75,8 @@ def _holds(state: frozenset[Literal], condition: Literal) -> bool:
 def _transition(state, deletes, adds):
     """The state after one step: every state change in this module goes through here.
 
-    States are frozensets of literals for `execute` and `brute_force`, and
-    ints used as bit sets for the audit; this one expression serves both.
+    One expression for both kinds of state: frozensets of literals in
+    `execute` and `brute_force`, ints used as bit sets in the audit.
     """
     return (state - (state & deletes)) | adds
 
@@ -387,9 +387,7 @@ def _check_orders(steps, cap: int, state: int, goals) -> tuple[list[Violation], 
     """
     violations: list[Violation] = []
     done: list[tuple[int, tuple]] = []
-    left = 0
-    for _, bit, _, _ in steps:
-        left |= bit
+    left = sum(bit for _, bit, _, _ in steps)
     count = 0
     clean: dict[tuple[int, int], int] = {}
 
@@ -487,13 +485,10 @@ def verify_soundness(plan, problem: Problem, max_orders: int = 5_000) -> AuditRe
     still walked order by order. Unplaced sets and states are ints used as
     bit sets, so each transition and each test is a few int operations.
 
-    The link checks are indexed, not scans over every pair. Support applies
-    the bindings to each link's condition once and counts links per
-    (consumer, condition), so it costs one `apply` per precondition and per
-    link. The threat scan unifies a link's negated condition only with the
-    effects of the same predicate and sign, on the steps that have one,
-    since `unify` fails on any other; the produce check likewise tries only
-    the producer's effects of the condition's predicate and sign.
+    Support costs one `apply` per precondition and per link: links are
+    counted per (consumer, applied condition) once. The threat and produce
+    checks unify a condition only with effects of its predicate and sign,
+    since `unify` fails on any other.
     """
     violations: list[Violation] = []
     bindings = getattr(plan, "bindings", EMPTY_BINDINGS)
@@ -537,16 +532,17 @@ def verify_soundness(plan, problem: Problem, max_orders: int = 5_000) -> AuditRe
     # become under the bindings needs 1 to k links. The planner links two
     # distinct preconditions apart and a verbatim repeat once, and a plan file
     # lists both kinds alike, applied. Producers really produce; orders hold.
+    needs = [(s.sid, apply(bindings, p)) for s in plan.steps for p in s.preconditions]
+    listed = Counter(needs)
     linked = Counter((l.consumer, apply(bindings, l.condition)) for l in plan.causal_links)
-    for s in plan.steps:
-        applied = [apply(bindings, p) for p in s.preconditions]
-        listed = Counter(applied)
-        for a in applied:
-            n = linked[s.sid, a]
-            if not 1 <= n <= listed[a]:
-                violations.append(
-                    Violation("support", f"precondition {a} of step {s.sid} has {n} supporting links")
+    for sid, applied in needs:
+        n = linked[sid, applied]
+        if not 1 <= n <= listed[sid, applied]:
+            violations.append(
+                Violation(
+                    "support", f"precondition {applied} of step {sid} has {n} supporting links"
                 )
+            )
     for l in plan.causal_links:
         if l.consumer not in reach[l.producer]:
             violations.append(
@@ -557,7 +553,7 @@ def verify_soundness(plan, problem: Problem, max_orders: int = 5_000) -> AuditRe
         produced = any(
             unify(e, l.condition, bindings) is not None
             for e in producer.effects
-            if _signature(e) == sig
+            if (e.predicate, e.positive) == sig
         )
         if not produced and not (producer.kind == "initial" and cwa_ok(l.condition)):
             violations.append(

@@ -360,9 +360,9 @@ def _counted(monkeypatch, name, plan):
         calls += 1
         return original(*args)
 
-    monkeypatch.setattr(oracle, name, counted)
-    verify_soundness(plan, Problem("p", "d", init=plan.steps[0].effects))
-    monkeypatch.setattr(oracle, name, original)
+    with monkeypatch.context() as patched:
+        patched.setattr(oracle, name, counted)
+        verify_soundness(plan, Problem("p", "d", init=plan.steps[0].effects))
     return calls
 
 
