@@ -152,7 +152,8 @@ def _random_audit_plan(rng):
     return make_plan(steps, orderings)
 
 
-def _corpus_views_with_orderings_dropped(rng):
+def _corpus_views():
+    """The solved plan of four corpus problems, reloaded, with its problem."""
     for dname, pname in [
         ("discourse.dpd", "lucentio.dpp"),
         ("discourse.dpd", "multirole.dpp"),
@@ -160,7 +161,11 @@ def _corpus_views_with_orderings_dropped(rng):
         ("switches.dpd", "switches-demo.dpp"),
     ]:
         problem = load_problem(pname)
-        view = plan_view_from_dict(plan_to_dict(solve(load_domain(dname), problem).plan, None))
+        yield plan_view_from_dict(plan_to_dict(solve(load_domain(dname), problem).plan, None)), problem
+
+
+def _corpus_views_with_orderings_dropped(rng):
+    for view, problem in _corpus_views():
         for _ in range(4):
             kept = frozenset(o for o in view.orderings if 1 in o or rng.random() < 0.5)
             yield replace(view, orderings=kept), problem
@@ -320,13 +325,7 @@ def test_audit_link_checks_match_a_full_scan(tmp_path):
     rng = random.Random(31)
     cases = [(_random_audit_plan(rng), Problem("p", "d"), 5_000) for _ in range(60)]
     cases += [(plan, problem, 5_000) for plan, problem in _corpus_views_with_orderings_dropped(rng)]
-    corpus = [
-        (plan_view_from_dict(plan_to_dict(solve(load_domain(d), load_problem(p)).plan, None)),
-         load_problem(p))
-        for d, p in [("discourse.dpd", "lucentio.dpp"), ("discourse.dpd", "multirole.dpp"),
-                     ("sidefx.dpd", "sidefx.dpp"), ("switches.dpd", "switches-demo.dpp")]
-    ]
-    for view, problem in corpus + list(_scaled_views(tmp_path)):
+    for view, problem in itertools.chain(_corpus_views(), _scaled_views(tmp_path)):
         cases += [(tampered, problem, 0) for tampered in _tampered(view, rng)]
     codes = Counter()
     for plan, problem, cap in cases:
