@@ -10,7 +10,7 @@ import functools
 import json
 import sys
 
-from .emit import FORMATS, PlanFileError, emit, plan_view_from_dict, report_to_dict
+from .emit import FORMATS, PlanFileError, emit, plan_view_from_dict, report_to_dict, to_json
 from .intention import classify_effects, informational_structure
 from .language import parse_domain, parse_problem
 from .model import validate_domain, validate_problem
@@ -141,7 +141,7 @@ def cmd_plan(args) -> int:
 def cmd_analyze(args) -> int:
     def render(plan):
         doc = report_to_dict(plan, classify_effects(plan), informational_structure(plan))
-        return json.dumps(doc, indent=2) + "\n"
+        return to_json(doc) + "\n"
 
     return _solve_and_write(args, render)
 

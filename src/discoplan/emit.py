@@ -4,10 +4,16 @@ Output is byte-stable for a fixed plan: every collection is emitted in a
 sorted or declaration order, never in hash order. Literals are written in
 the same symbolic syntax the corpus uses, with plan bindings applied, so an
 emitted plan file can be reloaded and audited on its own.
+
+Cost: each literal object of a plan is resolved and printed once per
+rendering (see `_texts`), though a link's condition is written again as its
+consumer's precondition and in every chain hop through it. JSON documents
+are written by `to_json`, which gives `json.dumps(value, indent=2)` byte for
+byte without the pure-Python encoder that `indent` selects.
 """
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii
 
 from .intention import IntentionReport
 from .language import parse_literal, parse_term
@@ -37,7 +43,7 @@ def step_label(step, bindings: BindingSet) -> str:
 
 def emit(plan: Plan, report: IntentionReport | None, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(plan_to_dict(plan, report), indent=2) + "\n"
+        return to_json(plan_to_dict(plan, report)) + "\n"
     if fmt == "dot":
         return _emit_dot(plan)
     if fmt == "text":
@@ -45,8 +51,69 @@ def emit(plan: Plan, report: IntentionReport | None, fmt: str) -> str:
     raise ValueError(f"unknown format {fmt}")
 
 
-def _lit(plan: Plan, l: Literal) -> str:
-    return str(apply(plan.bindings, l))
+def to_json(value) -> str:
+    """`json.dumps(value, indent=2)`, for values of exact type str, int, bool,
+    None, list, tuple, and dict with str keys; any other value raises TypeError.
+
+    One join over the document's tokens, each string through the C escaper
+    that `json.dumps` itself uses.
+    """
+    parts: list[str] = []
+    _write_json(value, "\n", parts.append)
+    return "".join(parts)
+
+
+def _write_json(value, newline: str, add) -> None:
+    kind = type(value)
+    if kind is str:
+        add(encode_basestring_ascii(value))
+    elif kind is int:
+        add(int.__repr__(value))
+    elif kind is list or kind is tuple:
+        if not value:
+            add("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            add(sep)
+            sep = "," + inner
+            _write_json(item, inner, add)
+        add(newline + "]")
+    elif kind is dict:
+        if not value:
+            add("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            # The escaper raises TypeError on a key that is not a str.
+            add(sep + encode_basestring_ascii(key) + ": ")
+            sep = "," + inner
+            _write_json(item, inner, add)
+        add(newline + "}")
+    elif value is None or kind is bool:
+        add("null" if value is None else "true" if value else "false")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _texts(plan: Plan):
+    """`text(l)` is `str(apply(plan.bindings, l))`, made once per literal object.
+
+    The memo is keyed by `id(l)`: it lives for one rendering, and the plan
+    holds every literal it is asked about for that long, so no id is reused.
+    """
+    memo: dict[int, str] = {}
+    bindings = plan.bindings
+
+    def text(l: Literal) -> str:
+        s = memo.get(id(l))
+        if s is None:
+            s = memo[id(l)] = str(apply(bindings, l))
+        return s
+
+    return text
 
 
 def _in_order(plan: Plan):
@@ -62,27 +129,27 @@ def _labels_in_order(report: IntentionReport):
     return sorted(report.labels, key=lambda l: (l.step, l.effect_index))
 
 
-def _link_dict(plan: Plan, link: CausalLink) -> dict:
+def _link_dict(text, link: CausalLink) -> dict:
     """A causal link as a plan file writes it, in `causal_links` and in chains alike."""
-    return {"producer": link.producer, "condition": _lit(plan, link.condition),
+    return {"producer": link.producer, "condition": text(link.condition),
             "consumer": link.consumer}
 
 
-def _hop_dict(plan: Plan, hop) -> dict:
+def _hop_dict(text, hop) -> dict:
     if isinstance(hop, CausalLink):
-        return {"kind": "causal", **_link_dict(plan, hop)}
+        return {"kind": "causal", **_link_dict(text, hop)}
     return {"kind": "correspondence", "end": hop.end, "parent": hop.parent,
             "effect_index": hop.effect_index}
 
 
-def _label_dicts(plan: Plan, report: IntentionReport) -> list[dict]:
+def _label_dicts(text, report: IntentionReport) -> list[dict]:
     return [
         {
             "step": l.step,
             "effect_index": l.effect_index,
             "effect": str(l.effect),
             "intended": l.intended,
-            "chain": [_hop_dict(plan, h) for h in l.chain] if l.chain else [],
+            "chain": [_hop_dict(text, h) for h in l.chain] if l.chain else [],
         }
         for l in _labels_in_order(report)
     ]
@@ -90,6 +157,7 @@ def _label_dicts(plan: Plan, report: IntentionReport) -> list[dict]:
 
 def plan_to_dict(plan: Plan, report: IntentionReport | None = None) -> dict:
     steps, links, decos = _in_order(plan)
+    text = _texts(plan)
     out = {
         "format": PLAN_FORMAT_TAG,
         "domain": plan.domain_name,
@@ -101,13 +169,13 @@ def plan_to_dict(plan: Plan, report: IntentionReport | None = None) -> dict:
                 "kind": s.kind,
                 "args": [str(plan.bindings.resolve(a)) for a in s.params],
                 "depth": s.depth,
-                "preconditions": [_lit(plan, p) for p in s.preconditions],
-                "effects": [_lit(plan, e) for e in s.effects],
+                "preconditions": [text(p) for p in s.preconditions],
+                "effects": [text(e) for e in s.effects],
             }
             for s in steps
         ],
         "orderings": sorted([a, b] for a, b in plan.orderings),
-        "causal_links": [_link_dict(plan, l) for l in links],
+        "causal_links": [_link_dict(text, l) for l in links],
         "decomposition_links": [
             {
                 "parent": d.parent,
@@ -115,7 +183,7 @@ def plan_to_dict(plan: Plan, report: IntentionReport | None = None) -> dict:
                 "begin": d.begin,
                 "end": d.end,
                 "members": sorted(d.members),
-                "constraints": [_lit(plan, c) for c in d.constraints],
+                "constraints": [text(c) for c in d.constraints],
                 "correspondence": [[i, i] for i in range(len(plan.step(d.parent).effects))],
             }
             for d in decos
@@ -128,7 +196,7 @@ def plan_to_dict(plan: Plan, report: IntentionReport | None = None) -> dict:
         },
     }
     if report is not None:
-        out["intention"] = _label_dicts(plan, report)
+        out["intention"] = _label_dicts(text, report)
     return out
 
 
@@ -138,12 +206,13 @@ def _quote(s: str) -> str:
 
 def _emit_dot(plan: Plan) -> str:
     steps, links, decos = _in_order(plan)
+    text = _texts(plan)
     lines = ["digraph plan {", "  rankdir=LR;"]
     for s in steps:
         lines.append(f"  s{s.sid} [label={_quote(step_label(s, plan.bindings))}];")
     for l in links:
         lines.append(
-            f"  s{l.producer} -> s{l.consumer} [label={_quote(_lit(plan, l.condition))}];"
+            f"  s{l.producer} -> s{l.consumer} [label={_quote(text(l.condition))}];"
         )
     for d in decos:
         lines.append(f"  s{d.parent} -> s{d.begin} [style=dashed];")
@@ -156,27 +225,28 @@ def _emit_dot(plan: Plan) -> str:
 
 def _emit_text(plan: Plan, report: IntentionReport | None) -> str:
     steps, links, decos = _in_order(plan)
+    text = _texts(plan)
     lines = [f"plan for problem {plan.problem_name} (domain {plan.domain_name})"]
     lines.append("steps:")
     for s in steps:
         lines.append(f"  [{s.sid}] {step_label(s, plan.bindings)} ({s.kind})")
         for p in s.preconditions:
-            lines.append(f"        needs {_lit(plan, p)}")
+            lines.append(f"        needs {text(p)}")
         for e in s.effects:
-            lines.append(f"        gives {_lit(plan, e)}")
+            lines.append(f"        gives {text(e)}")
     lines.append("orderings:")
     for a, b in sorted(plan.orderings):
         lines.append(f"  {a} < {b}")
     lines.append("causal links:")
     for l in links:
-        lines.append(f"  [{l.producer}] --{_lit(plan, l.condition)}--> [{l.consumer}]")
+        lines.append(f"  [{l.producer}] --{text(l.condition)}--> [{l.consumer}]")
     lines.append("decomposition links:")
     for d in decos:
         members = " ".join(str(m) for m in sorted(d.members))
         name = plan.step(d.parent).name
         lines.append(f"  {name} [{d.parent}]: begin [{d.begin}], end [{d.end}], members [{members}]")
         for c in d.constraints:
-            lines.append(f"    constraint {_lit(plan, c)}")
+            lines.append(f"    constraint {text(c)}")
     if report is not None:
         lines.append("effects:")
         for l in _labels_in_order(report):
@@ -190,7 +260,7 @@ def report_to_dict(plan: Plan, report: IntentionReport, info) -> dict:
         "format": "intention.json/1",
         "domain": plan.domain_name,
         "problem": plan.problem_name,
-        "labels": _label_dicts(plan, report),
+        "labels": _label_dicts(_texts(plan), report),
         "informational": [
             {
                 "parent": e.parent,

@@ -65,17 +65,29 @@ def classify_effects(plan: Plan) -> IntentionReport:
     _require_complete(plan)
     final_sid = plan.final.sid
     ends: dict[int, DecompositionLink] = {d.end: d for d in plan.decomposition_links}
+    # Each literal object is applied once, keyed by id while the plan holds
+    # it: an end step's preconditions are its parent's effects, so a link
+    # condition may be an effect too.
+    resolved: dict[int, Literal] = {}
+
+    def applied_once(l: Literal) -> Literal:
+        if id(l) not in resolved:
+            resolved[id(l)] = apply(plan.bindings, l)
+        return resolved[id(l)]
+
     applied = {
-        (s.sid, i): apply(plan.bindings, e)
+        (s.sid, i): applied_once(e)
         for s in plan.steps
         for i, e in enumerate(s.effects)
     }
-    links_from: dict[int, list] = {}
+    # The links each effect feeds, in link order: those whose condition,
+    # applied, equals the effect.
+    uses: dict[tuple[int, int], list[CausalLink]] = {}
     for link in plan.causal_links:
-        links_from.setdefault(link.producer, []).append(link)
-
-    def uses(sid: int, idx: int, link) -> bool:
-        return applied[(sid, idx)] == apply(plan.bindings, link.condition)
+        condition = applied_once(link.condition)
+        for i in range(len(plan.step(link.producer).effects)):
+            if applied[(link.producer, i)] == condition:
+                uses.setdefault((link.producer, i), []).append(link)
 
     chains: dict[tuple[int, int], tuple[Hop, ...]] = {}
     changed = True
@@ -84,9 +96,7 @@ def classify_effects(plan: Plan) -> IntentionReport:
         for (sid, idx) in applied:
             if (sid, idx) in chains:
                 continue
-            for link in links_from.get(sid, ()):
-                if not uses(sid, idx, link):
-                    continue
+            for link in uses.get((sid, idx), ()):
                 if link.consumer == final_sid:
                     chains[(sid, idx)] = (link,)
                     changed = True

@@ -460,9 +460,13 @@ def _id_faults(plan, steps) -> list[str]:
     return out
 
 
-def _signature(lit: Literal) -> tuple[str, bool]:
-    """What `unify` compares first: two literals of different signatures never unify."""
-    return lit.predicate, lit.positive
+def _signature(lit: Literal) -> tuple[str, bool, int]:
+    """What `unify` compares first: two literals of different signatures never unify.
+
+    The arity is part of it, since `unify` raises on a predicate used with
+    two arities, and a plan file may hold such a pair.
+    """
+    return lit.predicate, lit.positive, len(lit.args)
 
 
 def verify_soundness(plan, problem: Problem, max_orders: int = 5_000) -> AuditReport:
@@ -487,8 +491,9 @@ def verify_soundness(plan, problem: Problem, max_orders: int = 5_000) -> AuditRe
 
     Support costs one `apply` per precondition and per link: links are
     counted per (consumer, applied condition) once. The threat and produce
-    checks unify a condition only with effects of its predicate and sign,
-    since `unify` fails on any other.
+    checks, and the closed-world check of a link from the initial step,
+    unify a condition only with effects of its predicate, sign and arity,
+    since `unify` fails or raises on any other.
     """
     violations: list[Violation] = []
     bindings = getattr(plan, "bindings", EMPTY_BINDINGS)
@@ -523,8 +528,9 @@ def verify_soundness(plan, problem: Problem, max_orders: int = 5_000) -> AuditRe
         if condition.positive:
             return False
         atom = condition.atom()
+        sig = _signature(atom)
         return not any(
-            e.predicate == atom.predicate and unify(atom, e, bindings) is not None
+            _signature(e) == sig and unify(atom, e, bindings) is not None
             for e in initial.effects
         )
 
@@ -553,7 +559,7 @@ def verify_soundness(plan, problem: Problem, max_orders: int = 5_000) -> AuditRe
         produced = any(
             unify(e, l.condition, bindings) is not None
             for e in producer.effects
-            if (e.predicate, e.positive) == sig
+            if _signature(e) == sig
         )
         if not produced and not (producer.kind == "initial" and cwa_ok(l.condition)):
             violations.append(
@@ -562,7 +568,7 @@ def verify_soundness(plan, problem: Problem, max_orders: int = 5_000) -> AuditRe
 
     # Threat scan over interval endpoints, over the steps with an effect of
     # the negated condition's signature, in plan step order.
-    effects_by_signature: dict[tuple[str, bool], dict[int, list[Literal]]] = {}
+    effects_by_signature: dict[tuple[str, bool, int], dict[int, list[Literal]]] = {}
     for s in plan.steps:
         for e in s.effects:
             effects_by_signature.setdefault(_signature(e), {}).setdefault(s.sid, []).append(e)

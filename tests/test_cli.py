@@ -289,6 +289,27 @@ def test_verify_rejects_a_non_integer_step_id(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "condition, code",
+    [("(off a extra)", "produce"), ("(not (on a extra))", "support")],
+)
+def test_verify_reports_a_link_condition_of_another_arity(tmp_path, capsys, condition, code):
+    # The initial step's effects use `off` and `on` with one argument: the
+    # produce and closed-world checks must not unify them with two.
+    demo = str(CORPUS / "switches-demo.dpp")
+    out = tmp_path / "plan.json"
+    assert cli_main(["plan", "--domain", SWITCHES, "--problem", demo, "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    link = next(l for l in data["causal_links"] if l["condition"] == "(off a)")
+    assert link["producer"] == 0
+    link["condition"] = condition
+    out.write_text(json.dumps(data))
+    assert cli_main(["verify", "--domain", SWITCHES, "--problem", demo, "--plan", str(out)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert f"violation [{code}]" in "\n".join(lines)
+    assert all(line.startswith("violation [") for line in lines)
+
+
 def _first_step_with(data, field):
     return next(s for s in data["steps"] if s[field])[field]
 

@@ -154,3 +154,73 @@ def test_plan_view_reload_keeps_noncodesignation_pairs(world, flaw_policy):
     assert len(view.bindings.distinct) == len(out.plan.bindings.distinct)
     report = verify_soundness(view, problem)
     assert report.ok, report.violations
+
+
+def _golden_documents():
+    """The plan and intention documents of every corpus configuration `test_golden.py` runs."""
+    from test_golden import CONFIGS
+
+    for dname, pname, flaw, reuse in CONFIGS:
+        domain, problem = load_domain(f"{dname}.dpd"), load_problem(f"{pname}.dpp")
+        config = SearchConfig(flaw_policy=flaw, reuse_policy=reuse, max_nodes=3000)
+        out = solve(domain, problem, config)
+        if isinstance(out, Solution):
+            report = classify_effects(out.plan)
+            yield plan_to_dict(out.plan, report)
+            yield plan_to_dict(out.plan, None)
+            yield report_to_dict(out.plan, report, informational_structure(out.plan))
+
+
+HAND_BUILT = [
+    "",
+    "café → \U0001d11e",
+    'say "no" \\ then \\"yes\\"',
+    "".join(chr(c) for c in range(32)) + "\x7f",
+    [],
+    {},
+    [[], {}, [[]], [{}], {"": []}],
+    [[1, [2, [3, []]]], (4, (5,))],
+    {"t": True, "f": False, "n": None, "i": -17, "big": 2**70, "zero": 0},
+    {"kéy \"q\"": {"nested": [None, True, "x\ty"]}},
+    ("a", ["b", ("c",)]),
+]
+
+
+def test_to_json_writes_what_json_dumps_writes():
+    documents = list(_golden_documents())
+    assert len(documents) >= 100
+    for doc in documents + HAND_BUILT:
+        assert discoplan.emit.to_json(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, [0.0], {"x": float("nan")}, {1: "a"}, {None: 1},
+                                   {("a",): 1}, [b"bytes"], {"s": {2}}])
+def test_to_json_rejects_what_it_does_not_write(value):
+    with pytest.raises(TypeError):
+        discoplan.emit.to_json(value)
+
+
+def _literal_objects(plan):
+    lits = [l for s in plan.steps for l in s.preconditions + s.effects]
+    lits += [l.condition for l in plan.causal_links]
+    lits += [c for d in plan.decomposition_links for c in d.constraints]
+    return {id(l) for l in lits}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_emit_applies_bindings_once_per_literal_object(monkeypatch, fmt):
+    plan, _ = _solved("discourse.dpd", "multirole.dpp")
+    report = classify_effects(plan)
+    applied = []
+    apply = discoplan.emit.apply
+
+    def counted(bindings, literal):
+        applied.append(id(literal))
+        return apply(bindings, literal)
+
+    monkeypatch.setattr(discoplan.emit, "apply", counted)
+    text = emit(plan, report, fmt)
+    assert len(applied) == len(set(applied))
+    assert set(applied) <= _literal_objects(plan)
+    monkeypatch.undo()
+    assert text == emit(plan, report, fmt)

@@ -1,6 +1,7 @@
 """Intended-effect classification against the recursive reference reading."""
 import pytest
 
+import discoplan.intention
 from discoplan.intention import classify_effects, informational_structure
 from discoplan.model import Problem
 from discoplan.plan import CausalLink
@@ -155,3 +156,23 @@ def test_emitted_ground_constraints_are_kb_members():
         for entry in info.entries:
             for c in entry.constraints:
                 assert c in problem.facts
+
+
+def test_classification_applies_each_literal_object_once(monkeypatch):
+    plan = _solve("discourse.dpd", "multirole.dpp")
+    conditions = {id(l.condition) for l in plan.causal_links}
+    applied = []
+    apply = discoplan.intention.apply
+
+    def counted(bindings, literal):
+        applied.append(id(literal))
+        return apply(bindings, literal)
+
+    monkeypatch.setattr(discoplan.intention, "apply", counted)
+    labels = classify_effects(plan).labels
+    # Some link conditions are effects too: an end step's preconditions are
+    # its parent's effect objects.
+    assert len(applied) == len(set(applied))
+    assert conditions <= set(applied)
+    monkeypatch.undo()
+    assert labels == classify_effects(plan).labels
