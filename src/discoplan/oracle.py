@@ -528,9 +528,10 @@ def verify_soundness(plan, problem: Problem, max_orders: int = 5_000) -> AuditRe
         if condition.positive:
             return False
         atom = condition.atom()
-        sig = _signature(atom)
+        arity = len(atom.args)
         return not any(
-            _signature(e) == sig and unify(atom, e, bindings) is not None
+            e.predicate == atom.predicate and len(e.args) == arity
+            and unify(atom, e, bindings) is not None
             for e in initial.effects
         )
 
@@ -559,7 +560,7 @@ def verify_soundness(plan, problem: Problem, max_orders: int = 5_000) -> AuditRe
         produced = any(
             unify(e, l.condition, bindings) is not None
             for e in producer.effects
-            if _signature(e) == sig
+            if (e.predicate, e.positive, len(e.args)) == sig
         )
         if not produced and not (producer.kind == "initial" and cwa_ok(l.condition)):
             violations.append(
