@@ -65,14 +65,7 @@ from .intention import (
     classify_effects,
     informational_structure,
 )
-from .oracle import (
-    AuditReport,
-    ExecutionTrace,
-    PlanView,
-    brute_force,
-    execute,
-    verify_soundness,
-)
+from .oracle import AuditReport, PlanView, verify_soundness
 from .language import parse_domain, parse_problem, serialize_domain, serialize_problem
 
 __version__ = "0.1.0"

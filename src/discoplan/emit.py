@@ -142,12 +142,12 @@ def _hop_dict(text, hop) -> dict:
             "effect_index": hop.effect_index}
 
 
-def _label_dicts(text, report: IntentionReport) -> list[dict]:
+def _label_dicts(plan: Plan, text, report: IntentionReport) -> list[dict]:
     return [
         {
             "step": l.step,
             "effect_index": l.effect_index,
-            "effect": str(l.effect),
+            "effect": text(plan.step(l.step).effects[l.effect_index]),
             "intended": l.intended,
             "chain": [_hop_dict(text, h) for h in l.chain] if l.chain else [],
         }
@@ -196,7 +196,7 @@ def plan_to_dict(plan: Plan, report: IntentionReport | None = None) -> dict:
         },
     }
     if report is not None:
-        out["intention"] = _label_dicts(text, report)
+        out["intention"] = _label_dicts(plan, text, report)
     return out
 
 
@@ -251,7 +251,8 @@ def _emit_text(plan: Plan, report: IntentionReport | None) -> str:
         lines.append("effects:")
         for l in _labels_in_order(report):
             tag = "intended" if l.intended else "side effect"
-            lines.append(f"  [{l.step}] {l.effect}: {tag}")
+            effect = text(plan.step(l.step).effects[l.effect_index])
+            lines.append(f"  [{l.step}] {effect}: {tag}")
     return "\n".join(lines) + "\n"
 
 
@@ -260,7 +261,7 @@ def report_to_dict(plan: Plan, report: IntentionReport, info) -> dict:
         "format": "intention.json/1",
         "domain": plan.domain_name,
         "problem": plan.problem_name,
-        "labels": _label_dicts(_texts(plan), report),
+        "labels": _label_dicts(plan, _texts(plan), report),
         "informational": [
             {
                 "parent": e.parent,

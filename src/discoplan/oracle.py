@@ -1,4 +1,4 @@
-"""Independent checkers: a ground executor, a brute-force planner, a soundness auditor.
+"""Independent checks of a plan: the soundness auditor, and an order-at-a-time executor.
 
 This module deliberately shares only the term/literal/binding layer with the
 planner. Reachability, linearization enumeration, and threat scanning are
@@ -13,16 +13,15 @@ unplaced sets are ints used as bit sets, so a pair costs one int
 transition per step that can come next. The link checks are indexed:
 support costs one `apply` per precondition and per link, and a link's
 threat scan unifies only with effects of its negated condition's predicate
-and sign. `execute` is the order-at-a-time executor for callers and tests.
+and sign. `execute` runs one order at a time; the benchmark traces it.
 """
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .model import Domain, Problem
+from .model import Problem
 from .terms import (
     BindingSet,
     Compound,
@@ -34,12 +33,7 @@ from .terms import (
     apply,
     is_ground,
     unify,
-    variables_in,
 )
-
-
-class UniverseTooLargeError(Exception):
-    """Ground action universe exceeds the configured bound."""
 
 
 @dataclass(frozen=True)
@@ -76,7 +70,7 @@ def _transition(state, deletes, adds):
     """The state after one step: every state change in this module goes through here.
 
     One expression for both kinds of state: frozensets of literals in
-    `execute` and `brute_force`, ints used as bit sets in the audit.
+    `execute`, ints used as bit sets in the audit.
     """
     return (state - (state & deletes)) | adds
 
@@ -108,137 +102,6 @@ def execute(initial_state: Iterable[Literal], steps: Sequence) -> ExecutionTrace
         entries.append(TraceEntry(sid, state, after))
         state = after
     return ExecutionTrace(tuple(entries), "success", initial)
-
-
-@dataclass(frozen=True)
-class GroundAction:
-    sid: str
-    name: str
-    args: tuple[Term, ...]
-    preconditions: tuple[Literal, ...]
-    effects: tuple[Literal, ...]
-
-
-def _substitute(t: Term, env: dict[Variable, Term]) -> Term:
-    if isinstance(t, Variable):
-        return env[t]
-    if isinstance(t, Compound):
-        return Compound(t.functor, tuple(_substitute(a, env) for a in t.args))
-    return t
-
-
-def _sub_literal(l: Literal, env: dict[Variable, Term]) -> Literal:
-    return Literal(l.predicate, tuple(_substitute(a, env) for a in l.args), l.positive)
-
-
-def _constants_of(obj, pool: set[Constant]) -> None:
-    if isinstance(obj, Constant):
-        pool.add(obj)
-    elif isinstance(obj, Compound):
-        for a in obj.args:
-            _constants_of(a, pool)
-    elif isinstance(obj, Literal):
-        for a in obj.args:
-            _constants_of(a, pool)
-
-
-def ground_actions(domain: Domain, problem: Problem, max_ground: int = 10_000) -> list[GroundAction]:
-    """All primitive operators instantiated over the constant pool.
-
-    Parameters range over constants only; static neq/eq constraints filter
-    combinations. Faults when the universe exceeds `max_ground`.
-    """
-    pool: set[Constant] = set()
-    for lit in problem.init + problem.goals + problem.facts:
-        _constants_of(lit, pool)
-    for op in domain.operators:
-        for lit in op.preconditions + op.effects:
-            _constants_of(lit, pool)
-    constants = sorted(pool, key=lambda c: c.name)
-    out: list[GroundAction] = []
-    for op in domain.operators:
-        if op.composite:
-            continue
-        for combo in itertools.product(constants, repeat=len(op.params)):
-            env = dict(zip(op.params, combo))
-            ok = True
-            for c in op.constraints:
-                left = _substitute(c.left, env) if not isinstance(c.left, Constant) else c.left
-                right = _substitute(c.right, env) if not isinstance(c.right, Constant) else c.right
-                if c.kind == "eq" and left != right:
-                    ok = False
-                if c.kind == "neq" and left == right:
-                    ok = False
-            if not ok:
-                continue
-            name = "{}({})".format(op.name, ",".join(str(a) for a in combo))
-            out.append(
-                GroundAction(
-                    sid=name,
-                    name=op.name,
-                    args=combo,
-                    preconditions=tuple(_sub_literal(p, env) for p in op.preconditions),
-                    effects=tuple(_sub_literal(e, env) for e in op.effects),
-                )
-            )
-            if len(out) > max_ground:
-                raise UniverseTooLargeError(f"more than {max_ground} ground actions")
-    return out
-
-
-def brute_force(
-    domain: Domain, problem: Problem, max_len: int, max_ground: int = 10_000
-) -> list[tuple[GroundAction, ...]]:
-    """Breadth-first enumeration of every executable goal-achieving sequence.
-
-    Exhaustive over sequences of length <= max_len and duplicate-free; a
-    sequence qualifies when its own final state satisfies every goal. A goal
-    may hold variables: then one substitution must make each positive goal
-    an atom of the state and leave each negative goal, ground after it,
-    absent. A negative goal with a variable that no positive goal holds
-    raises ValueError, since no state can say which objects it ranges over.
-    """
-    actions = ground_actions(domain, problem, max_ground)
-    ground = [g for g in problem.goals if is_ground(g)]
-    lifted = [g for g in problem.goals if not is_ground(g)]
-    positives = [g for g in lifted if g.positive]
-    negatives = [g for g in lifted if not g.positive]
-    bound = {v for g in positives for v in variables_in(g)}
-    for g in negatives:
-        if not bound.issuperset(variables_in(g)):
-            raise ValueError(f"negative goal {g} has a variable that no positive goal binds")
-    results: list[tuple[GroundAction, ...]] = []
-    frontier: list[tuple[tuple[GroundAction, ...], frozenset[Literal]]] = [
-        ((), frozenset(problem.init))
-    ]
-    for _ in range(max_len + 1):
-        next_frontier = []
-        for seq, state in frontier:
-            if all(_holds(state, g) for g in ground) and _satisfies(state, positives, negatives, {}):
-                results.append(seq)
-            if len(seq) == max_len:
-                continue
-            for ga in actions:
-                if all(_holds(state, p) for p in ga.preconditions):
-                    next_frontier.append((seq + (ga,), _progress(state, ga.effects)))
-        frontier = next_frontier
-        if not frontier:
-            break
-    return results
-
-
-def _satisfies(state, positives, negatives, env) -> bool:
-    """Whether one extension of `env` makes each of `positives` an atom of
-    `state` by one-way matching and leaves each of `negatives` absent."""
-    if not positives:
-        return all(_sub_literal(n, env).atom() not in state for n in negatives)
-    for atom in state:
-        extended = dict(env)
-        if _match(positives[0], atom, extended) and _satisfies(
-            state, positives[1:], negatives, extended
-        ):
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +359,7 @@ def verify_soundness(plan, problem: Problem, max_orders: int = 5_000) -> AuditRe
     since `unify` fails or raises on any other.
     """
     violations: list[Violation] = []
-    bindings = getattr(plan, "bindings", EMPTY_BINDINGS)
+    bindings = plan.bindings
     steps = {s.sid: s for s in plan.steps}
     faults = _id_faults(plan, steps)
     if faults:
@@ -629,9 +492,6 @@ def verify_soundness(plan, problem: Problem, max_orders: int = 5_000) -> AuditRe
     def compiled(s) -> tuple:
         pre = tuple(condition(p) for p in s.preconditions)
         eff = [ground(e) for e in s.effects]
-        for lit in [g for g, _, _ in pre] + eff:
-            if not is_ground(lit):
-                raise ValueError(f"step {s.sid} is not ground: {lit}")
         return (
             pre,
             mask(b for _, b, positive in pre if positive),

@@ -27,8 +27,8 @@ signature a new step carries, tested against the new steps; and, when the
 bindings or orderings changed, each old link with known threats, which are
 re-tested. Every other link keeps the ancestor's threats as they are. Any
 other change (an expansion adds an interval, pruning drops steps) and
-direct construction compute both from scratch; `check_invariants` compares
-the maintained values with that computation.
+direct construction compute both from scratch; the tests' invariant checker
+compares the maintained values with that computation.
 """
 from __future__ import annotations
 
@@ -381,65 +381,3 @@ def ordering_pairs(plan: Plan, before: int, after: int) -> frozenset[tuple[int, 
     if a == b or plan.reaches(b, a):
         return None
     return frozenset() if plan.reaches(a, b) else frozenset({(a, b)})
-
-
-def scan_flaws(plan: Plan) -> tuple[set, set]:
-    """From-scratch flaw computation: (open conditions, unexpanded composites).
-
-    The maintained agenda must always equal this scan.
-    """
-    supported = {(l.consumer, l.condition) for l in plan.causal_links}
-    opens = {
-        OpenCondition(s.sid, p)
-        for s in plan.steps
-        for p in s.preconditions
-        if (s.sid, p) not in supported
-    }
-    unexpanded = {
-        UnexpandedComposite(s.sid)
-        for s in plan.steps
-        if s.kind == KIND_COMPOSITE and s.sid not in plan._intervals
-    }
-    return opens, unexpanded
-
-
-def check_invariants(plan: Plan) -> list[str]:
-    """Structural invariant audit used by tests; empty list means healthy."""
-    issues = []
-    if not plan.is_acyclic:
-        issues.append("ordering closure is cyclic")
-    init, final = plan.initial.sid, plan.final.sid
-    for s in plan.steps:
-        if s.sid != init and not plan.reaches(init, s.sid):
-            issues.append(f"initial does not precede step {s.sid}")
-        if s.sid != final and not plan.reaches(s.sid, final):
-            issues.append(f"step {s.sid} does not precede final")
-    for link in plan.causal_links:
-        if not plan.reaches(link.producer, link.consumer):
-            issues.append(f"link {link.producer}->{link.consumer} not ordered")
-        producer = plan.step(link.producer)
-        if next(establishments(plan.bindings, producer, link.condition), None) is None:
-            issues.append(f"link condition {link.condition} matches no effect of {link.producer}")
-        consumer = plan.step(link.consumer)
-        if not any(unify(p, link.condition, plan.bindings) is not None for p in consumer.preconditions):
-            issues.append(f"link condition {link.condition} matches no precondition of {link.consumer}")
-    for d in plan.decomposition_links:
-        for m in d.members:
-            if not plan.reaches(d.begin, m):
-                issues.append(f"member {m} not after begin {d.begin}")
-            if not plan.reaches(m, d.end):
-                issues.append(f"member {m} not before end {d.end}")
-        parent = plan.step(d.parent)
-        if plan.step(d.end).preconditions != parent.effects:
-            issues.append(f"end {d.end} does not copy the effects of parent {d.parent}")
-        if plan.step(d.begin).effects != parent.preconditions:
-            issues.append(f"begin {d.begin} does not copy the preconditions of parent {d.parent}")
-    opens, unexpanded = scan_flaws(plan)
-    agenda = set(plan.flaws)
-    if agenda != opens | unexpanded:
-        issues.append("flaw agenda differs from from-scratch scan")
-    if plan._reach != _closure(plan._index, plan.orderings):
-        issues.append("ordering closure differs from from-scratch closure")
-    if detect_threats(plan) != [t for threats in _scan_threats(plan) for t in threats]:
-        issues.append("threats differ from from-scratch scan")
-    return issues

@@ -7,10 +7,22 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from dataclasses import dataclass
 from functools import lru_cache
 
+from discoplan.model import Domain, Problem
+from discoplan.oracle import _holds, _match, _progress, execute
 from discoplan.sexp import Diagnostic, SAtom, SList, SNode, SourceSpan
-from discoplan.terms import Compound, Constant, Literal, Term, Variable, apply
+from discoplan.terms import (
+    Compound,
+    Constant,
+    Literal,
+    Term,
+    Variable,
+    apply,
+    is_ground,
+    variables_in,
+)
 
 
 def ground(t: Term, env: dict):
@@ -23,6 +35,131 @@ def ground(t: Term, env: dict):
 
 def ground_literal(l: Literal, env: dict) -> Literal:
     return Literal(l.predicate, tuple(ground(a, env) for a in l.args), l.positive)
+
+
+class UniverseTooLargeError(Exception):
+    """Ground action universe exceeds the configured bound."""
+
+
+@dataclass(frozen=True)
+class GroundAction:
+    sid: str
+    name: str
+    args: tuple[Term, ...]
+    preconditions: tuple[Literal, ...]
+    effects: tuple[Literal, ...]
+
+
+def _constants_of(obj, pool: set[Constant]) -> None:
+    if isinstance(obj, Constant):
+        pool.add(obj)
+    elif isinstance(obj, Compound):
+        for a in obj.args:
+            _constants_of(a, pool)
+    elif isinstance(obj, Literal):
+        for a in obj.args:
+            _constants_of(a, pool)
+
+
+def ground_actions(domain: Domain, problem: Problem, max_ground: int = 10_000) -> list[GroundAction]:
+    """All primitive operators instantiated over the constant pool.
+
+    Parameters range over constants only; static neq/eq constraints filter
+    combinations. Faults when the universe exceeds `max_ground`.
+    """
+    pool: set[Constant] = set()
+    for lit in problem.init + problem.goals + problem.facts:
+        _constants_of(lit, pool)
+    for op in domain.operators:
+        for lit in op.preconditions + op.effects:
+            _constants_of(lit, pool)
+    constants = sorted(pool, key=lambda c: c.name)
+    out: list[GroundAction] = []
+    for op in domain.operators:
+        if op.composite:
+            continue
+        for combo in itertools.product(constants, repeat=len(op.params)):
+            env = dict(zip(op.params, combo))
+            ok = True
+            for c in op.constraints:
+                left = ground(c.left, env)
+                right = ground(c.right, env)
+                if c.kind == "eq" and left != right:
+                    ok = False
+                if c.kind == "neq" and left == right:
+                    ok = False
+            if not ok:
+                continue
+            name = "{}({})".format(op.name, ",".join(str(a) for a in combo))
+            out.append(
+                GroundAction(
+                    sid=name,
+                    name=op.name,
+                    args=combo,
+                    preconditions=tuple(ground_literal(p, env) for p in op.preconditions),
+                    effects=tuple(ground_literal(e, env) for e in op.effects),
+                )
+            )
+            if len(out) > max_ground:
+                raise UniverseTooLargeError(f"more than {max_ground} ground actions")
+    return out
+
+
+def brute_force(
+    domain: Domain, problem: Problem, max_len: int, max_ground: int = 10_000
+) -> list[tuple[GroundAction, ...]]:
+    """Breadth-first enumeration of every executable goal-achieving sequence.
+
+    Exhaustive over sequences of length <= max_len and duplicate-free; a
+    sequence qualifies when its own final state satisfies every goal. A goal
+    may hold variables: then one substitution must make each positive goal
+    an atom of the state and leave each negative goal, ground after it,
+    absent. A negative goal with a variable that no positive goal holds
+    raises ValueError, since no state can say which objects it ranges over.
+    """
+    actions = ground_actions(domain, problem, max_ground)
+    ground_goals = [g for g in problem.goals if is_ground(g)]
+    lifted = [g for g in problem.goals if not is_ground(g)]
+    positives = [g for g in lifted if g.positive]
+    negatives = [g for g in lifted if not g.positive]
+    bound = {v for g in positives for v in variables_in(g)}
+    for g in negatives:
+        if not bound.issuperset(variables_in(g)):
+            raise ValueError(f"negative goal {g} has a variable that no positive goal binds")
+    results: list[tuple[GroundAction, ...]] = []
+    frontier: list[tuple[tuple[GroundAction, ...], frozenset[Literal]]] = [
+        ((), frozenset(problem.init))
+    ]
+    for _ in range(max_len + 1):
+        next_frontier = []
+        for seq, state in frontier:
+            if all(_holds(state, g) for g in ground_goals) and _satisfies(
+                state, positives, negatives, {}
+            ):
+                results.append(seq)
+            if len(seq) == max_len:
+                continue
+            for ga in actions:
+                if all(_holds(state, p) for p in ga.preconditions):
+                    next_frontier.append((seq + (ga,), _progress(state, ga.effects)))
+        frontier = next_frontier
+        if not frontier:
+            break
+    return results
+
+
+def _satisfies(state, positives, negatives, env) -> bool:
+    """Whether one extension of `env` makes each of `positives` an atom of
+    `state` by one-way matching and leaves each of `negatives` absent."""
+    if not positives:
+        return all(ground_literal(n, env).atom() not in state for n in negatives)
+    for atom in state:
+        extended = dict(env)
+        if _match(positives[0], atom, extended) and _satisfies(
+            state, positives[1:], negatives, extended
+        ):
+            return True
+    return False
 
 
 def collect_variables(objs) -> list[Variable]:
@@ -144,8 +281,6 @@ def reexecute_orders(plan, max_orders: int):
     one list per order of the `(code, message)` pairs of its precondition
     failure or missed goals.
     """
-    from discoplan.oracle import GroundAction, execute
-
     def grounded(l: Literal) -> Literal:
         l = apply(plan.bindings, l)
         env = {v: Constant(f"sk:{v.name}:{v.iid}") for v in collect_variables([l])}

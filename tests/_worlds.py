@@ -1,4 +1,5 @@
-"""Shared fixtures: corpus loading, programmatic domains, hand-built plans."""
+"""Shared fixtures: corpus loading, programmatic domains, hand-built plans,
+and the from-scratch check of a plan's structural invariants."""
 from __future__ import annotations
 
 from pathlib import Path
@@ -6,16 +7,22 @@ from pathlib import Path
 from discoplan.language import parse_domain, parse_problem
 from discoplan.model import ActionOperator, Domain, Problem, knowledge_base
 from discoplan.plan import (
+    KIND_COMPOSITE,
     KIND_FINAL,
     KIND_INITIAL,
     KIND_PRIMITIVE,
+    OpenCondition,
     Plan,
     Step,
+    UnexpandedComposite,
+    _closure,
+    _scan_threats,
     detect_threats,
+    establishments,
     init_plan,
 )
 from discoplan.search import SearchConfig, _select_flaw, successors
-from discoplan.terms import Constant, EMPTY_BINDINGS, Literal, Variable
+from discoplan.terms import Constant, EMPTY_BINDINGS, Literal, Variable, unify
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -50,6 +57,68 @@ def make_plan(steps, orderings=(), links=(), bindings=EMPTY_BINDINGS, decos=(), 
         domain_name="test",
         problem_name="test",
     )
+
+
+def scan_flaws(plan: Plan) -> tuple[set, set]:
+    """From-scratch flaw computation: (open conditions, unexpanded composites).
+
+    The maintained agenda must always equal this scan.
+    """
+    supported = {(l.consumer, l.condition) for l in plan.causal_links}
+    opens = {
+        OpenCondition(s.sid, p)
+        for s in plan.steps
+        for p in s.preconditions
+        if (s.sid, p) not in supported
+    }
+    unexpanded = {
+        UnexpandedComposite(s.sid)
+        for s in plan.steps
+        if s.kind == KIND_COMPOSITE and s.sid not in plan._intervals
+    }
+    return opens, unexpanded
+
+
+def check_invariants(plan: Plan) -> list[str]:
+    """Structural invariant audit used by tests; empty list means healthy."""
+    issues = []
+    if not plan.is_acyclic:
+        issues.append("ordering closure is cyclic")
+    init, final = plan.initial.sid, plan.final.sid
+    for s in plan.steps:
+        if s.sid != init and not plan.reaches(init, s.sid):
+            issues.append(f"initial does not precede step {s.sid}")
+        if s.sid != final and not plan.reaches(s.sid, final):
+            issues.append(f"step {s.sid} does not precede final")
+    for link in plan.causal_links:
+        if not plan.reaches(link.producer, link.consumer):
+            issues.append(f"link {link.producer}->{link.consumer} not ordered")
+        producer = plan.step(link.producer)
+        if next(establishments(plan.bindings, producer, link.condition), None) is None:
+            issues.append(f"link condition {link.condition} matches no effect of {link.producer}")
+        consumer = plan.step(link.consumer)
+        if not any(unify(p, link.condition, plan.bindings) is not None for p in consumer.preconditions):
+            issues.append(f"link condition {link.condition} matches no precondition of {link.consumer}")
+    for d in plan.decomposition_links:
+        for m in d.members:
+            if not plan.reaches(d.begin, m):
+                issues.append(f"member {m} not after begin {d.begin}")
+            if not plan.reaches(m, d.end):
+                issues.append(f"member {m} not before end {d.end}")
+        parent = plan.step(d.parent)
+        if plan.step(d.end).preconditions != parent.effects:
+            issues.append(f"end {d.end} does not copy the effects of parent {d.parent}")
+        if plan.step(d.begin).effects != parent.preconditions:
+            issues.append(f"begin {d.begin} does not copy the preconditions of parent {d.parent}")
+    opens, unexpanded = scan_flaws(plan)
+    agenda = set(plan.flaws)
+    if agenda != opens | unexpanded:
+        issues.append("flaw agenda differs from from-scratch scan")
+    if plan._reach != _closure(plan._index, plan.orderings):
+        issues.append("ordering closure differs from from-scratch closure")
+    if detect_threats(plan) != [t for threats in _scan_threats(plan) for t in threats]:
+        issues.append("threats differ from from-scratch scan")
+    return issues
 
 
 def flat_step(sid, name="act", pre=(), eff=(), kind=KIND_PRIMITIVE):

@@ -11,10 +11,10 @@ from discoplan.emit import plan_to_dict, plan_view_from_dict
 from discoplan.intention import classify_effects
 from discoplan.language import parse_domain, parse_problem, serialize_domain, serialize_problem
 from discoplan.model import Problem
-from discoplan.oracle import brute_force, verify_soundness
+from discoplan.oracle import verify_soundness
 from discoplan.search import SearchConfig, Solution, solve
 from discoplan.terms import Compound, Constant, Literal, apply
-from _oracles import recursive_intended
+from _oracles import brute_force, recursive_intended
 from _worlds import CORPUS, lit, load_domain, load_problem
 
 A, B, C = Constant("a"), Constant("b"), Constant("c")

@@ -11,7 +11,7 @@ from discoplan.intention import classify_effects, informational_structure
 from discoplan.model import Problem
 from discoplan.oracle import verify_soundness
 from discoplan.search import FLAW_POLICIES, SearchConfig, Solution, solve
-from discoplan.terms import Constant
+from discoplan.terms import Constant, Literal
 from _worlds import lit, load_domain, load_problem, marks_domain, marks_problem
 
 L = Constant("l")
@@ -218,9 +218,20 @@ def test_emit_applies_bindings_once_per_literal_object(monkeypatch, fmt):
         applied.append(id(literal))
         return apply(bindings, literal)
 
+    printed = []
+    to_str = Literal.__str__
+
+    def counted_str(literal):
+        printed.append(literal)
+        return to_str(literal)
+
     monkeypatch.setattr(discoplan.emit, "apply", counted)
+    monkeypatch.setattr(Literal, "__str__", counted_str)
     text = emit(plan, report, fmt)
     assert len(applied) == len(set(applied))
     assert set(applied) <= _literal_objects(plan)
+    # Each literal object is printed once, and each causal link's condition
+    # once more for the sort key of `_in_order`.
+    assert len(printed) == len(applied) + len(plan.causal_links)
     monkeypatch.undo()
     assert text == emit(plan, report, fmt)

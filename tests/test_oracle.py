@@ -13,22 +13,17 @@ from discoplan import oracle
 from discoplan.emit import plan_to_dict, plan_view_from_dict
 from discoplan.language import parse_domain, parse_problem
 from discoplan.model import ActionOperator, BindingConstraint, Domain, Problem
-from discoplan.oracle import (
-    GroundAction,
-    UniverseTooLargeError,
-    ViewLink,
-    ViewStep,
-    brute_force,
-    execute,
-    ground_actions,
-    verify_soundness,
-)
+from discoplan.oracle import ViewLink, ViewStep, execute, verify_soundness
 from discoplan.plan import KIND_COMPOSITE, CausalLink
 from discoplan.search import FLAW_POLICIES, REUSE_POLICIES, SearchConfig, Solution, solve
 from discoplan.terms import Constant, Variable, apply, unify_terms
 from _oracles import (
+    GroundAction,
+    UniverseTooLargeError,
     audit_by_reexecution,
+    brute_force,
     floyd_warshall,
+    ground_actions,
     link_checks_by_full_scan,
     orders_consistent_with,
     reexecute_orders,

@@ -19,11 +19,9 @@ from discoplan.plan import (
     Step,
     Threat,
     add_ordering,
-    check_invariants,
     detect_threats,
     establishments,
     init_plan,
-    scan_flaws,
 )
 from discoplan.model import Problem
 from discoplan.terms import Compound, Constant, EMPTY_BINDINGS, Variable, unify_terms
@@ -32,7 +30,7 @@ from _oracles import (
     conflict_by_enumeration,
     floyd_warshall,
 )
-from _worlds import boundary_steps, flat_step, lit, make_plan
+from _worlds import boundary_steps, check_invariants, flat_step, lit, make_plan, scan_flaws
 
 L, B = Constant("l"), Constant("b")
 MODELED = Compound("modeled", (L, B))

@@ -12,9 +12,10 @@ from pathlib import Path
 
 from discoplan.emit import plan_to_dict, plan_view_from_dict
 from discoplan.model import ActionOperator, Domain, Problem, validate_domain, validate_problem
-from discoplan.oracle import brute_force, verify_soundness
+from discoplan.oracle import verify_soundness
 from discoplan.search import BudgetExceeded, SearchConfig, Solution, solve
 from discoplan.terms import Constant, Literal, Variable, variables_in
+from _oracles import brute_force
 
 CONSTS = [Constant("a"), Constant("b")]
 PREDS = [("p", 1), ("q", 1), ("r", 0)]

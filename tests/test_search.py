@@ -25,7 +25,6 @@ from discoplan.plan import (
     Threat,
     UnexpandedComposite,
     add_ordering,
-    check_invariants,
     detect_threats,
     establishments,
     init_plan,
@@ -43,7 +42,7 @@ from discoplan.search import (
     resolve_threat,
     solve,
 )
-from discoplan.oracle import brute_force, verify_soundness
+from discoplan.oracle import verify_soundness
 from discoplan.terms import (
     EMPTY_BINDINGS,
     Compound,
@@ -53,9 +52,10 @@ from discoplan.terms import (
     apply,
     extensions,
 )
-from _oracles import brute_force_threats, decompose_by_product, operators_achieving
+from _oracles import brute_force, brute_force_threats, decompose_by_product, operators_achieving
 from _worlds import (
     boundary_steps,
+    check_invariants,
     flat_step,
     link_world,
     lit,
