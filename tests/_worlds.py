@@ -2,6 +2,9 @@
 and the from-scratch check of a plan's structural invariants."""
 from __future__ import annotations
 
+import functools
+import importlib.util
+import sys
 from pathlib import Path
 
 from discoplan.language import parse_domain, parse_problem
@@ -25,6 +28,7 @@ from discoplan.search import SearchConfig, _select_flaw, successors
 from discoplan.terms import Constant, EMPTY_BINDINGS, Literal, Variable, unify
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
 
 def load_domain(name: str) -> Domain:
@@ -37,6 +41,20 @@ def load_problem(name: str) -> Problem:
     problem, diags = parse_problem((CORPUS / name).read_text(), name)
     assert problem is not None, diags
     return problem
+
+
+@functools.cache
+def _workloads_module():
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def bench_workload(name: str, seed: int, out: Path):
+    """The benchmark's workload `name` at `seed`, its files written under `out`."""
+    return _workloads_module().build(name, seed, CORPUS, out)
 
 
 def lit(predicate: str, *args, positive: bool = True) -> Literal:

@@ -1,8 +1,6 @@
 """Executor, brute-force enumerator, and soundness auditor."""
-import importlib.util
 import itertools
 import random
-import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -29,7 +27,7 @@ from _oracles import (
     reexecute_orders,
 )
 from _worlds import (
-    CORPUS,
+    bench_workload,
     boundary_steps,
     flat_step,
     link_world,
@@ -269,16 +267,11 @@ def test_audit_applies_each_unplaced_set_and_state_pair_once(monkeypatch):
 
 
 LINK_CODES = ("support", "order", "produce", "threat", "subplan")
-WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
 
 def _scaled_views(out):
     """The solved plan of each `scaled` benchmark problem of seed 1, reloaded."""
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # its dataclasses look their module up
-    spec.loader.exec_module(workloads)
-    for case in workloads.build("scaled", 1, CORPUS, out).cases:
+    for case in bench_workload("scaled", 1, out).cases:
         domain, _ = parse_domain(Path(case.domain).read_text(), case.domain)
         problem, _ = parse_problem(Path(case.problem).read_text(), case.problem)
         yield plan_view_from_dict(plan_to_dict(solve(domain, problem).plan, None)), problem
