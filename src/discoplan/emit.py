@@ -17,8 +17,8 @@ from json.encoder import encode_basestring_ascii
 
 from .intention import IntentionReport
 from .language import parse_literal, parse_term
-from .oracle import PlanView, ViewDecomposition, ViewLink, ViewStep
-from .plan import CausalLink, Plan
+from .oracle import PlanView
+from .plan import CausalLink, DecompositionLink, Plan, Step
 from .sexp import Diagnostic, read
 from .terms import BindingSet, Compound, Literal, Term, apply
 
@@ -303,8 +303,17 @@ def _sid(value) -> int:
     return value
 
 
+def _decomposition_link(d: dict, lit) -> DecompositionLink:
+    """A `decomposition_links` entry, its fields read in the order the file writes them."""
+    parent, begin, end = _sid(d["parent"]), _sid(d["begin"]), _sid(d["end"])
+    members = tuple(_sid(m) for m in d["members"])
+    d["schema"]  # required, but not kept: it is the parent step's name
+    return DecompositionLink(parent, begin, end, members, tuple(lit(c) for c in d["constraints"]))
+
+
 def plan_view_from_dict(data: dict) -> PlanView:
-    """Rebuild an auditable plan view from an emitted json document.
+    """Rebuild an auditable plan view, of the planner's own records, from an emitted
+    json document.
 
     Each distinct text is read once per call; nothing is kept between calls.
     """
@@ -318,7 +327,7 @@ def plan_view_from_dict(data: dict) -> PlanView:
 
     try:
         steps = tuple(
-            ViewStep(
+            Step(
                 sid=_sid(s["id"]),
                 name=s["name"],
                 params=tuple(term(a) for a in s["args"]),
@@ -330,20 +339,10 @@ def plan_view_from_dict(data: dict) -> PlanView:
         )
         orderings = frozenset((_sid(a), _sid(b)) for a, b in data["orderings"])
         links = tuple(
-            ViewLink(_sid(l["producer"]), lit(l["condition"]), _sid(l["consumer"]))
+            CausalLink(_sid(l["producer"]), lit(l["condition"]), _sid(l["consumer"]))
             for l in data["causal_links"]
         )
-        decos = tuple(
-            ViewDecomposition(
-                parent=_sid(d["parent"]),
-                begin=_sid(d["begin"]),
-                end=_sid(d["end"]),
-                members=tuple(_sid(m) for m in d["members"]),
-                schema=d["schema"],
-                constraints=tuple(lit(c) for c in d["constraints"]),
-            )
-            for d in data["decomposition_links"]
-        )
+        decos = tuple(_decomposition_link(d, lit) for d in data["decomposition_links"])
         bindings = data.get("bindings", {})
         if type(bindings) is not dict:
             raise TypeError(f"bindings {bindings!r} is not an object")

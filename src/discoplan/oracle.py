@@ -110,40 +110,18 @@ def execute(initial_state: Iterable[Literal], steps: Sequence) -> ExecutionTrace
 
 
 @dataclass(frozen=True)
-class ViewStep:
-    sid: int
-    name: str
-    params: tuple[Term, ...]
-    preconditions: tuple[Literal, ...]
-    effects: tuple[Literal, ...]
-    kind: str
-
-
-@dataclass(frozen=True)
-class ViewLink:
-    producer: int
-    condition: Literal
-    consumer: int
-
-
-@dataclass(frozen=True)
-class ViewDecomposition:
-    parent: int
-    begin: int
-    end: int
-    members: tuple[int, ...]
-    schema: str
-    constraints: tuple[Literal, ...]
-
-
-@dataclass(frozen=True)
 class PlanView:
-    """A plan as raw data, e.g. reloaded from an emitted file."""
+    """A plan as raw data, e.g. reloaded from an emitted file.
 
-    steps: tuple[ViewStep, ...]
+    A reloaded view holds the planner's own step and link records, but the
+    audit reads only the fields a plan file writes, never what the planner
+    derives from them, so its answers do not echo the planner's.
+    """
+
+    steps: tuple
     orderings: frozenset[tuple[int, int]]
-    causal_links: tuple[ViewLink, ...]
-    decomposition_links: tuple[ViewDecomposition, ...]
+    causal_links: tuple
+    decomposition_links: tuple
     bindings: BindingSet = EMPTY_BINDINGS
 
 

@@ -11,8 +11,8 @@ from discoplan import oracle
 from discoplan.emit import plan_to_dict, plan_view_from_dict
 from discoplan.language import parse_domain, parse_problem
 from discoplan.model import ActionOperator, BindingConstraint, Domain, Problem
-from discoplan.oracle import ViewLink, ViewStep, execute, verify_soundness
-from discoplan.plan import KIND_COMPOSITE, CausalLink
+from discoplan.oracle import execute, verify_soundness
+from discoplan.plan import KIND_COMPOSITE, CausalLink, Step
 from discoplan.search import FLAW_POLICIES, REUSE_POLICIES, SearchConfig, Solution, solve
 from discoplan.terms import Constant, Variable, apply, unify_terms
 from _oracles import (
@@ -286,12 +286,12 @@ def _tampered(view, rng):
     for _ in range(3):
         i = rng.randrange(len(links))
         yield replace(view, causal_links=links[:i] + links[i + 1:])
-        reversed_link = ViewLink(links[i].consumer, links[i].condition, links[i].producer)
+        reversed_link = CausalLink(links[i].consumer, links[i].condition, links[i].producer)
         yield replace(view, causal_links=links[:i] + (reversed_link,) + links[i + 1:])
         undoes = rng.choice(links).condition.negate()
         yield replace(
             view,
-            steps=view.steps + (ViewStep(new, "saboteur", (), (), (undoes,), "primitive"),),
+            steps=view.steps + (Step(new, "saboteur", (), (), (undoes,), "primitive"),),
             orderings=view.orderings | {(0, new), (new, 1)},
         )
     for d in view.decomposition_links:
@@ -299,10 +299,10 @@ def _tampered(view, rng):
             yield replace(
                 view,
                 steps=view.steps
-                + (ViewStep(new, "outsider", (), (), (victim.condition,), "primitive"),),
+                + (Step(new, "outsider", (), (), (victim.condition,), "primitive"),),
                 orderings=view.orderings | {(0, new), (new, 1), (new, d.end)},
                 causal_links=tuple(l for l in links if l != victim)
-                + (ViewLink(new, victim.condition, d.end),),
+                + (CausalLink(new, victim.condition, d.end),),
             )
 
 
