@@ -59,12 +59,7 @@ from .search import (
     resolve_threat,
     solve,
 )
-from .intention import (
-    IntentionReport,
-    InformationalStructure,
-    classify_effects,
-    informational_structure,
-)
+from .intention import IntentionReport, classify_effects
 from .oracle import AuditReport, PlanView, verify_soundness
 from .language import parse_domain, parse_problem, serialize_domain, serialize_problem
 

@@ -11,7 +11,7 @@ import json
 import sys
 
 from .emit import FORMATS, PlanFileError, emit, plan_view_from_dict, report_to_dict, to_json
-from .intention import classify_effects, informational_structure
+from .intention import classify_effects
 from .language import parse_domain, parse_problem
 from .model import validate_domain, validate_problem
 from .oracle import verify_soundness
@@ -139,11 +139,9 @@ def cmd_plan(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    def render(plan):
-        doc = report_to_dict(plan, classify_effects(plan), informational_structure(plan))
-        return to_json(doc) + "\n"
-
-    return _solve_and_write(args, render)
+    return _solve_and_write(
+        args, lambda plan: to_json(report_to_dict(plan, classify_effects(plan))) + "\n"
+    )
 
 
 def cmd_verify(args) -> int:

@@ -256,19 +256,22 @@ def _emit_text(plan: Plan, report: IntentionReport | None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_to_dict(plan: Plan, report: IntentionReport, info) -> dict:
+def report_to_dict(plan: Plan, report: IntentionReport) -> dict:
+    """The intention document; `informational` repeats each decomposition link's
+    constraints, in plan order, as the plan file writes them."""
+    text = _texts(plan)
     return {
         "format": "intention.json/1",
         "domain": plan.domain_name,
         "problem": plan.problem_name,
-        "labels": _label_dicts(plan, _texts(plan), report),
+        "labels": _label_dicts(plan, text, report),
         "informational": [
             {
-                "parent": e.parent,
-                "schema": e.schema,
-                "constraints": [str(c) for c in e.constraints],
+                "parent": d.parent,
+                "schema": plan.step(d.parent).name,
+                "constraints": [text(c) for c in d.constraints],
             }
-            for e in info.entries
+            for d in plan.decomposition_links
         ],
     }
 

@@ -1,4 +1,4 @@
-"""Intended-effect classification and informational structure extraction.
+"""Intended-effect classification.
 
 An effect is intended when it sits on a causal chain that reaches the plan's
 final step, where chains may hop from an end-subplan precondition to the
@@ -35,18 +35,6 @@ class EffectLabel:
 @dataclass(frozen=True)
 class IntentionReport:
     labels: tuple[EffectLabel, ...]
-
-
-@dataclass(frozen=True)
-class ConstraintRecord:
-    parent: int
-    schema: str
-    constraints: tuple[Literal, ...]
-
-
-@dataclass(frozen=True)
-class InformationalStructure:
-    entries: tuple[ConstraintRecord, ...]
 
 
 def _require_complete(plan: Plan) -> None:
@@ -138,16 +126,3 @@ def classify_effects(plan: Plan) -> IntentionReport:
                 )
             )
     return IntentionReport(tuple(labels))
-
-
-def informational_structure(plan: Plan) -> InformationalStructure:
-    """Per decomposition link, the constraint literals with plan bindings applied."""
-    entries = tuple(
-        ConstraintRecord(
-            parent=d.parent,
-            schema=plan.step(d.parent).name,
-            constraints=tuple(apply(plan.bindings, c) for c in d.constraints),
-        )
-        for d in plan.decomposition_links
-    )
-    return InformationalStructure(entries)

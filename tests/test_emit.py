@@ -10,7 +10,7 @@ import pytest
 import discoplan.emit
 import discoplan.oracle
 from discoplan.emit import emit, plan_to_dict, plan_view_from_dict, report_to_dict
-from discoplan.intention import classify_effects, informational_structure
+from discoplan.intention import classify_effects
 from discoplan.model import Problem
 from discoplan.oracle import verify_soundness
 from discoplan.plan import Step
@@ -68,12 +68,33 @@ def test_every_causal_hop_is_a_causal_link_of_its_file(pair, flaw_policy):
     assert isinstance(out, Solution)
     report = classify_effects(out.plan)
     data = json.loads(emit(out.plan, report, "json"))
-    analysis = report_to_dict(out.plan, report, informational_structure(out.plan))
+    analysis = report_to_dict(out.plan, report)
     links = [{"kind": "causal", **l} for l in data["causal_links"]]
     for labels in (data["intention"], analysis["labels"]):
         hops = [h for l in labels for h in l["chain"] if h["kind"] == "causal"]
         assert hops
         assert [h for h in hops if h not in links] == []
+
+
+@pytest.mark.parametrize("pname", ["lucentio.dpp", "multirole.dpp"])
+def test_informational_repeats_each_decomposition_link_of_the_plan_file(pname):
+    plan, problem = _solved("discourse.dpd", pname)
+    report = classify_effects(plan)
+    written = {d["parent"]: d for d in plan_to_dict(plan)["decomposition_links"]}
+    info = report_to_dict(plan, report)["informational"]
+    assert [d.parent for d in plan.decomposition_links] == [e["parent"] for e in info]
+    for entry in info:
+        assert entry == {k: written[entry["parent"]][k] for k in ("parent", "schema", "constraints")}
+        # The instantiated constraints are ground members of the knowledge base.
+        assert set(entry["constraints"]) <= {str(f) for f in problem.facts}
+    if pname == "lucentio.dpp":
+        assert info == [{"parent": 2, "schema": "support",
+                         "constraints": ["(causes (fairest l b) (modeled l b))"]}]
+
+
+def test_informational_is_empty_without_composites():
+    plan, _ = _solved("switches.dpd", "switches-demo.dpp")
+    assert report_to_dict(plan, classify_effects(plan))["informational"] == []
 
 
 def test_dot_draws_dashed_boundaries_and_labeled_link_into_end():
@@ -189,7 +210,7 @@ def _golden_documents():
             report = classify_effects(out.plan)
             yield plan_to_dict(out.plan, report)
             yield plan_to_dict(out.plan, None)
-            yield report_to_dict(out.plan, report, informational_structure(out.plan))
+            yield report_to_dict(out.plan, report)
 
 
 HAND_BUILT = [

@@ -2,15 +2,15 @@
 import pytest
 
 import discoplan.intention
-from discoplan.intention import classify_effects, informational_structure
+from discoplan.intention import classify_effects
 from discoplan.model import Problem
 from discoplan.plan import CausalLink
 from discoplan.search import SearchConfig, Solution, solve
-from discoplan.terms import Compound, Constant
+from discoplan.terms import Constant
 from _oracles import recursive_intended
 from _worlds import lit, load_domain, load_problem, marks_domain, marks_problem
 
-L, B = Constant("l"), Constant("b")
+L = Constant("l")
 
 
 def _solve(dname, pname):
@@ -130,32 +130,6 @@ def test_adding_a_goal_link_flips_a_side_effect():
             l for l in after.labels if (l.step, l.effect_index) == (label.step, label.effect_index)
         ]
         assert relabeled.intended
-
-
-def test_informational_structure_carries_the_instantiated_relation():
-    plan = _solve("discourse.dpd", "lucentio.dpp")
-    info = informational_structure(plan)
-    assert len(info.entries) == 1
-    entry = info.entries[0]
-    assert entry.schema == "support"
-    fairest = Compound("fairest", (L, B))
-    modeled = Compound("modeled", (L, B))
-    assert entry.constraints == (lit("causes", fairest, modeled),)
-
-
-def test_informational_structure_empty_without_composites():
-    plan = _solve("switches.dpd", "switches-demo.dpp")
-    assert informational_structure(plan).entries == ()
-
-
-def test_emitted_ground_constraints_are_kb_members():
-    for dname, pname in [("discourse.dpd", "lucentio.dpp"), ("discourse.dpd", "multirole.dpp")]:
-        domain, problem = load_domain(dname), load_problem(pname)
-        out = solve(domain, problem)
-        info = informational_structure(out.plan)
-        for entry in info.entries:
-            for c in entry.constraints:
-                assert c in problem.facts
 
 
 def test_classification_applies_each_literal_object_once(monkeypatch):
