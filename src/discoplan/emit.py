@@ -116,11 +116,14 @@ def _texts(plan: Plan):
     return text
 
 
-def _in_order(plan: Plan):
-    """Steps, causal links and decomposition links in the order every format writes them."""
+def _in_order(plan: Plan, text):
+    """Steps, causal links and decomposition links in the order every format writes them.
+
+    Links with the same producer and consumer are ordered by their written condition.
+    """
     return (
         sorted(plan.steps, key=lambda s: s.sid),
-        sorted(plan.causal_links, key=lambda l: (l.producer, l.consumer, str(l.condition))),
+        sorted(plan.causal_links, key=lambda l: (l.producer, l.consumer, text(l.condition))),
         sorted(plan.decomposition_links, key=lambda d: d.parent),
     )
 
@@ -156,8 +159,8 @@ def _label_dicts(plan: Plan, text, report: IntentionReport) -> list[dict]:
 
 
 def plan_to_dict(plan: Plan, report: IntentionReport | None = None) -> dict:
-    steps, links, decos = _in_order(plan)
     text = _texts(plan)
+    steps, links, decos = _in_order(plan, text)
     out = {
         "format": PLAN_FORMAT_TAG,
         "domain": plan.domain_name,
@@ -205,8 +208,8 @@ def _quote(s: str) -> str:
 
 
 def _emit_dot(plan: Plan) -> str:
-    steps, links, decos = _in_order(plan)
     text = _texts(plan)
+    steps, links, decos = _in_order(plan, text)
     lines = ["digraph plan {", "  rankdir=LR;"]
     for s in steps:
         lines.append(f"  s{s.sid} [label={_quote(step_label(s, plan.bindings))}];")
@@ -224,8 +227,8 @@ def _emit_dot(plan: Plan) -> str:
 
 
 def _emit_text(plan: Plan, report: IntentionReport | None) -> str:
-    steps, links, decos = _in_order(plan)
     text = _texts(plan)
+    steps, links, decos = _in_order(plan, text)
     lines = [f"plan for problem {plan.problem_name} (domain {plan.domain_name})"]
     lines.append("steps:")
     for s in steps:
