@@ -84,7 +84,8 @@ def test_informational_repeats_each_decomposition_link_of_the_plan_file(pname):
     info = report_to_dict(plan, report)["informational"]
     assert [d.parent for d in plan.decomposition_links] == [e["parent"] for e in info]
     for entry in info:
-        assert entry == {k: written[entry["parent"]][k] for k in ("parent", "schema", "constraints")}
+        link = written[entry["parent"]]
+        assert entry == {k: link[k] for k in ("parent", "schema", "constraints")}
         # The instantiated constraints are ground members of the knowledge base.
         assert set(entry["constraints"]) <= {str(f) for f in problem.facts}
     if pname == "lucentio.dpp":

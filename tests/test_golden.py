@@ -78,27 +78,22 @@ def _run(argv) -> list:
 
 def _digests(domain, problem, flaw, reuse) -> dict:
     """{key: [exit code, stdout sha256, stderr sha256]} for each command of
-    one configuration. The plan and analyze commands name their inputs
-    relative to the repository root. `plan --out` and `verify` run in a fresh
-    directory and name the plan file alone, so no error line they print
-    depends on where the repository or that directory is."""
+    one configuration. The commands run in a fresh directory and name the
+    plan file alone, so no line they print depends on where the repository
+    or that directory is."""
     key = f"{domain}/{problem}/{flaw}/{reuse}"
     inputs = [
         "--domain", str(ROOT / "corpus" / f"{domain}.dpd"),
         "--problem", str(ROOT / "corpus" / f"{problem}.dpp"),
     ]
-    search = ["--flaw-policy", flaw, "--reuse-policy", reuse, "--max-nodes", "3000"]
+    search = inputs + ["--flaw-policy", flaw, "--reuse-policy", reuse, "--max-nodes", "3000"]
     out = {}
-    for name, command in COMMANDS.items():
-        argv = command + [
-            "--domain", f"corpus/{domain}.dpd",
-            "--problem", f"corpus/{problem}.dpp",
-        ] + search
-        out[f"{key}/{name}"] = _run(argv)
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            _run(["plan", "--out", "plan.json"] + inputs + search)
+            for name, command in COMMANDS.items():
+                out[f"{key}/{name}"] = _run(command + search)
+            _run(["plan", "--out", "plan.json"] + search)
             out[f"{key}/verify"] = _run(["verify", "--plan", "plan.json"] + inputs)
             if problem in DECOMPOSING and os.path.exists("plan.json"):
                 written = Path("plan.json").read_text(encoding="utf-8")
