@@ -1,7 +1,7 @@
 """Command-line tool: plan, analyze, verify, check.
 
-Exit codes: 0 solution or clean, 1 exhausted or unsound, 2 budget exceeded,
-3 input error.
+Exit codes: 0 solution or clean, 1 exhausted (a goal proven unreachable
+included) or unsound, 2 budget exceeded, 3 input error.
 """
 from __future__ import annotations
 
@@ -124,6 +124,8 @@ def _solve_and_write(args, render) -> int:
         return EXIT_OK if _write_out(render(outcome.plan), args.out) else EXIT_INPUT
     if isinstance(outcome, Exhausted):
         print("no solution within bounds", file=sys.stderr)
+        for goal in outcome.unreachable:
+            print(f"note: no initial fact or reachable operator adds {goal}", file=sys.stderr)
     else:
         print("node budget exceeded", file=sys.stderr)
     if outcome.over_max_steps:

@@ -91,10 +91,13 @@ class Solution:
 
 # The two failures count in `over_max_steps` the successors the step bound
 # dropped: when it is non-zero, a larger `max_steps` may find a solution.
+# `unreachable` holds, in goal order, the goals that no initial fact or
+# relaxed-reachable operator adds; when it is non-empty no node was expanded.
 @dataclass(frozen=True)
 class Exhausted:
     stats: SearchStats
     over_max_steps: int = 0
+    unreachable: tuple[Literal, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -558,19 +561,66 @@ def successors(
     return kept, len(out) - len(kept)
 
 
+def _relaxed_reachable(domain: Domain, init) -> tuple[set[str], set[str]]:
+    """The predicates and operator names reachable from `init` when delete
+    effects, kb constraints, eq/neq bindings and the bounds are ignored.
+
+    A least fixpoint: a predicate is reachable if an initial fact has it or a
+    reachable operator adds it; an operator is reachable if each positive
+    precondition's predicate is, and a composite also needs one schema whose
+    step actions all are. Negative conditions always hold (closed world).
+    Every step of a solution is reachable, by induction along its order, so
+    the search may drop the rest.
+    """
+    predicates = {lit.predicate for lit in init}
+    operators: set[str] = set()
+    grown = True
+    while grown:
+        grown = False
+        for op in domain.operators:
+            if op.name in operators or any(
+                p.positive and p.predicate not in predicates for p in op.preconditions
+            ):
+                continue
+            if op.composite and not any(
+                all(t.action in operators for t in s.steps) for s in domain.schemata_for(op.name)
+            ):
+                continue
+            operators.add(op.name)
+            predicates.update(e.predicate for e in op.effects if e.positive)
+            grown = True
+    return predicates, operators
+
+
 def solve(domain: Domain, problem: Problem, config: SearchConfig | None = None) -> SearchOutcome:
     """Depth-first refinement search; deterministic for a fixed configuration.
 
     Returns Solution when a plan with an empty flaw agenda is reached (after
     pruning unused steps), Exhausted when the bounded space holds no solution,
     and BudgetExceeded when the node budget runs out first; either of the last
-    two counts the successors the step bound dropped.
+    two counts the successors the step bound dropped. Only relaxed-reachable
+    operators and schemata are searched, and a positive goal whose predicate
+    is unreachable ends the search before the first node.
     """
     config = config or SearchConfig()
     issues = validate_domain(domain) + validate_problem(domain, problem)
     if issues:
         raise DomainValidationError("; ".join(issues))
     kb = knowledge_base(domain, problem)
+    predicates, operators = _relaxed_reachable(domain, problem.init)
+    unreachable = tuple(g for g in problem.goals if g.positive and g.predicate not in predicates)
+    if unreachable:
+        return Exhausted(SearchStats(0, 0, 0), unreachable=unreachable)
+    if len(operators) < len(domain.operators):
+        domain = replace(
+            domain,
+            operators=tuple(op for op in domain.operators if op.name in operators),
+            schemata=tuple(
+                s
+                for s in domain.schemata
+                if s.action in operators and all(t.action in operators for t in s.steps)
+            ),
+        )
 
     nodes = 0
     backtracks = 0

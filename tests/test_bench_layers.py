@@ -65,7 +65,8 @@ def test_solve_calls_detect_threats_once_per_node_for_a_fresh_list(monkeypatch):
 
     monkeypatch.setattr(search, "detect_threats", counted)
     regress, _ = parse_problem(
-        "(problem r (domain discourse) (facts (causes c g)) (init) (goal (bel g)))", "r"
+        "(problem r (domain discourse) (facts (causes c g)) (init (credible c)) (goal (bel g)))",
+        "r",
     )
     for problem, config in [
         (load_problem("lucentio.dpp"), search.SearchConfig()),

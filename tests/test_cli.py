@@ -145,13 +145,16 @@ def test_a_search_cut_by_the_step_bound_says_so_on_stderr(tmp_path, capsys):
             "",
             "no solution within bounds\nnote: successors dropped by --max-steps 4: 1\n",
         )
+    # Relaxed-reachable but unsolvable, so the search runs until the budget ends it.
     regress = tmp_path / "regress.dpp"
-    regress.write_text("(problem r (domain discourse) (facts (causes c g)) (init) (goal (bel g)))")
+    regress.write_text(
+        "(problem r (domain discourse) (facts (causes c g)) (init (credible c)) (goal (bel g)))"
+    )
     bounds = ["--max-depth", "2", "--max-nodes", "50", "--max-steps", "8"]
     assert cli_main(["plan", "--domain", DISCOURSE, "--problem", str(regress), *bounds]) == 2
     assert capsys.readouterr() == (
         "",
-        "node budget exceeded\nnote: successors dropped by --max-steps 8: 3\n",
+        "node budget exceeded\nnote: successors dropped by --max-steps 8: 24\n",
     )
     # No note when the bound dropped nothing, or when a solution was found anyway.
     imp = tmp_path / "imp.dpp"
@@ -160,6 +163,24 @@ def test_a_search_cut_by_the_step_bound_says_so_on_stderr(tmp_path, capsys):
     assert capsys.readouterr().err == "no solution within bounds\n"
     assert cli_main(["plan", *demo, "--max-steps", "5", "--out", str(tmp_path / "p.json")]) == 0
     assert capsys.readouterr() == ("", "")
+
+
+def test_an_unreachable_goal_is_named_on_stderr(tmp_path, capsys):
+    # No initial fact or operator makes anything credible, so no operator that
+    # adds `bel` is reachable; the negative goal is reachable by closed world.
+    prob = tmp_path / "unreachable.dpp"
+    prob.write_text(
+        "(problem r (domain discourse) (facts (causes c g))"
+        " (init) (goal (bel g) (not (bel c)) (credible c)))"
+    )
+    for command in ("plan", "analyze"):
+        assert cli_main([command, "--domain", DISCOURSE, "--problem", str(prob)]) == 1
+        assert capsys.readouterr() == (
+            "",
+            "no solution within bounds\n"
+            "note: no initial fact or reachable operator adds (bel g)\n"
+            "note: no initial fact or reachable operator adds (credible c)\n",
+        )
 
 
 def test_unknown_flag_is_an_input_error(capsys):

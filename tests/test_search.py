@@ -71,7 +71,12 @@ L, B = Constant("l"), Constant("b")
 FAIREST = Compound("fairest", (L, B))
 MODELED = Compound("modeled", (L, B))
 CAUSES = Compound("causes", (FAIREST, MODELED))
-REGRESS = "(problem r (domain discourse) (facts (causes c g)) (init) (goal (bel g)))"
+# No operator adds `credible` and no initial fact holds it, so `bel` is
+# unreachable and the search ends at the root. Its twin, with `(credible c)`,
+# is relaxed-reachable but still unsolvable: combine-belief regresses through
+# ever deeper shared terms until the node budget runs out, a long search.
+UNREACHABLE = "(problem r (domain discourse) (facts (causes c g)) (init) (goal (bel g)))"
+REGRESS = "(problem r (domain discourse) (facts (causes c g)) (init (credible c)) (goal (bel g)))"
 CORPUS_PROBLEMS = [
     ("discourse.dpd", "lucentio.dpp"),
     ("discourse.dpd", "multirole.dpp"),
@@ -663,15 +668,17 @@ def test_node_budget_exhaustion_is_reported():
 
 
 def test_regress_search_counts_are_pinned():
-    # Unsolvable: no credible init, so combine-belief regresses through ever
-    # deeper shared terms until the node budget runs out.
-    problem, diags = parse_problem(
-        "(problem r (domain discourse) (facts (causes c g)) (init) (goal (bel g)))", "r"
-    )
+    config = SearchConfig(max_depth=2, max_nodes=1000)
+    out = solve(load_domain("discourse.dpd"), _regress_problem(), config)
+    assert isinstance(out, BudgetExceeded)
+    assert out.stats == SearchStats(nodes_expanded=1000, backtracks=880, max_stack_depth=125)
+
+
+def test_an_unreachable_goal_ends_the_search_before_the_first_node():
+    problem, diags = parse_problem(UNREACHABLE, "r")
     assert problem is not None, diags
     out = solve(load_domain("discourse.dpd"), problem, SearchConfig(max_depth=2, max_nodes=1000))
-    assert isinstance(out, BudgetExceeded)
-    assert out.stats == SearchStats(nodes_expanded=1000, backtracks=968, max_stack_depth=35)
+    assert out == Exhausted(SearchStats(0, 0, 0), unreachable=problem.goals)
 
 
 def _regress_problem():
@@ -773,7 +780,7 @@ def test_threat_detection_examines_under_a_tenth_of_the_link_step_pairs(monkeypa
     monkeypatch.setattr(search_module, "detect_threats", sized_detect_threats)
     config = SearchConfig(max_depth=2, max_nodes=1000)
     out = solve(load_domain("discourse.dpd"), _regress_problem(), config)
-    assert out.stats == SearchStats(nodes_expanded=1000, backtracks=968, max_stack_depth=35)
+    assert out.stats == SearchStats(nodes_expanded=1000, backtracks=880, max_stack_depth=125)
     # A rescan of every link against every step at every node examines all
     # of `link_step_pairs`; only new links, new steps and known threats are examined.
     assert 0 < examined * 10 < link_step_pairs
