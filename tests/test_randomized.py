@@ -10,12 +10,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+from discoplan import search as search_module
 from discoplan.emit import plan_to_dict, plan_view_from_dict
+from discoplan.language import parse_domain, parse_problem
 from discoplan.model import ActionOperator, Domain, Problem, validate_domain, validate_problem
 from discoplan.oracle import verify_soundness
 from discoplan.search import BudgetExceeded, SearchConfig, Solution, solve
 from discoplan.terms import Constant, Literal, Variable, variables_in
 from _oracles import brute_force
+from _worlds import load_domain, load_problem
+from test_golden import CONFIGS
 
 CONSTS = [Constant("a"), Constant("b")]
 PREDS = [("p", 1), ("q", 1), ("r", 0)]
@@ -114,3 +118,77 @@ def test_generated_domains_do_not_depend_on_string_hashing():
         for seed in ("1", "2")
     ]
     assert outputs[0] and outputs[0] == outputs[1]
+
+
+
+def _everything_reachable(domain, init):
+    return set(domain.predicates), {op.name for op in domain.operators}
+
+
+def _solved(case):
+    """(outcome kind, plan file of a solution, goals proven unreachable) of one solve."""
+    out = solve(*case)
+    plan = plan_to_dict(out.plan) if isinstance(out, Solution) else None
+    return type(out).__name__, plan, getattr(out, "unreachable", ())
+
+
+def test_the_reachability_prune_changes_no_outcome_or_plan(monkeypatch):
+    # Each case is solved with the relaxed-reachability prune, and again with
+    # every predicate and operator called reachable. Wherever the unpruned
+    # run ends within its budget, both give the same outcome and plan file.
+    random_config = SearchConfig(max_steps=5, max_nodes=30_000)
+    cases = [
+        (domain, problem, random_config)
+        for seed in range(1, 41)
+        for domain, problem in _cases(random.Random(seed))
+    ]
+    # Every corpus configuration that solves at all does so within 13 nodes;
+    # the two that spend any budget are compared on nothing.
+    cases += [
+        (load_domain(f"{d}.dpd"), load_problem(f"{p}.dpp"),
+         SearchConfig(flaw_policy=flaw, reuse_policy=reuse, max_nodes=300))
+        for d, p, flaw, reuse in CONFIGS
+    ]
+    pruned = [_solved(case) for case in cases]
+    monkeypatch.setattr(search_module, "_relaxed_reachable", _everything_reachable)
+    for case, (kind, plan, unreachable) in zip(cases, pruned):
+        reference = _solved(case)
+        assert reference[2] == ()
+        if reference[0] != "BudgetExceeded":
+            assert (kind, plan) == reference[:2]
+    # A goal proven unreachable has no plan, and the proof is not vacuous.
+    root_pruned = [case for case, got in zip(cases, pruned) if got[2]]
+    assert len(root_pruned) > 1000
+    for domain, problem, _ in root_pruned:
+        assert brute_force(domain, problem, 3) == []
+
+
+HIERARCHY = """
+(domain hierarchy
+  (predicates (have 0) (missing 0) (done 0))
+  (action (header (top)) (composite) (pre) (eff (done)))
+  (action (header (blocked)) (pre (missing)) (eff (done)))
+  (action (header (direct)) (pre (have)) (eff (done)))
+  (decomposition (header (top))
+    (steps (s1 (blocked)))
+    (links (s1 (done) final))))
+"""
+
+
+def test_a_composite_whose_only_schema_is_unreachable_is_not_searched(monkeypatch):
+    domain, diags = parse_domain(HIERARCHY, "hierarchy")
+    assert domain is not None, diags
+    problem, diags = parse_problem("(problem h (domain hierarchy) (init (have)) (goal (done)))", "h")
+    assert problem is not None, diags
+    # `blocked` needs `missing`, which nothing adds, so `top`'s only schema
+    # cannot be realized: only the primitive route is searched.
+    assert search_module._relaxed_reachable(domain, problem.init) == (
+        {"have", "done"}, {"direct"})
+    config = SearchConfig()
+    got = solve(domain, problem, config)
+    monkeypatch.setattr(search_module, "_relaxed_reachable", _everything_reachable)
+    reference = solve(domain, problem, config)
+    assert isinstance(got, Solution) and isinstance(reference, Solution)
+    assert [s.name for s in got.plan.steps] == ["initial", "final", "direct"]
+    assert plan_to_dict(got.plan) == plan_to_dict(reference.plan)
+    assert got.stats.nodes_expanded < reference.stats.nodes_expanded
