@@ -309,11 +309,18 @@ def _sid(value) -> int:
     return value
 
 
-def _decomposition_link(d: dict, lit) -> DecompositionLink:
-    """A `decomposition_links` entry, its fields read in the order the file writes them."""
+def _decomposition_link(d: dict, lit, names: dict) -> DecompositionLink:
+    """A `decomposition_links` entry, its fields read in the order the file writes them.
+
+    `schema` is not kept: it must be a string equal to the parent step's name,
+    which `names` maps each step id to. A parent that is no step is left to
+    the audit's structure check.
+    """
     parent, begin, end = _sid(d["parent"]), _sid(d["begin"]), _sid(d["end"])
     members = tuple(_sid(m) for m in d["members"])
-    d["schema"]  # required, but not kept: it is the parent step's name
+    schema = d["schema"]
+    if type(schema) is not str or (parent in names and schema != names[parent]):
+        raise PlanFileError(f"schema {schema!r} is not the name of parent step {parent}")
     return DecompositionLink(parent, begin, end, members, tuple(lit(c) for c in d["constraints"]))
 
 
@@ -348,7 +355,8 @@ def plan_view_from_dict(data: dict) -> PlanView:
             CausalLink(_sid(l["producer"]), lit(l["condition"]), _sid(l["consumer"]))
             for l in data["causal_links"]
         )
-        decos = tuple(_decomposition_link(d, lit) for d in data["decomposition_links"])
+        names = {s.sid: s.name for s in steps}
+        decos = tuple(_decomposition_link(d, lit, names) for d in data["decomposition_links"])
         bindings = data.get("bindings", {})
         if type(bindings) is not dict:
             raise TypeError(f"bindings {bindings!r} is not an object")

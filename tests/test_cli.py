@@ -295,6 +295,38 @@ def test_verify_reports_a_decomposition_link_to_a_missing_step(tmp_path, capsys)
     assert "violation [structure]" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("schema", [7, "inform"])
+def test_verify_rejects_a_schema_other_than_the_parent_name(tmp_path, capsys, schema):
+    out = tmp_path / "plan.json"
+    cli_main(["plan", "--domain", DISCOURSE, "--problem", LUCENTIO, "--out", str(out)])
+    data = json.loads(out.read_text())
+    link = data["decomposition_links"][0]
+    assert link["schema"] == "support"
+    link["schema"] = schema
+    out.write_text(json.dumps(data))
+    code = cli_main(
+        ["verify", "--domain", DISCOURSE, "--problem", LUCENTIO, "--plan", str(out)]
+    )
+    assert code == 3
+    assert capsys.readouterr() == (
+        "",
+        f"error: {out}: schema {schema!r} is not the name of parent step {link['parent']}\n",
+    )
+
+
+def test_verify_leaves_a_missing_parent_step_to_the_structure_check(tmp_path, capsys):
+    out = tmp_path / "plan.json"
+    cli_main(["plan", "--domain", DISCOURSE, "--problem", LUCENTIO, "--out", str(out)])
+    data = json.loads(out.read_text())
+    data["decomposition_links"][0]["parent"] = 99
+    out.write_text(json.dumps(data))
+    code = cli_main(
+        ["verify", "--domain", DISCOURSE, "--problem", LUCENTIO, "--plan", str(out)]
+    )
+    assert code == 1
+    assert "violation [structure]" in capsys.readouterr().out
+
+
 def test_verify_rejects_a_non_integer_step_id(tmp_path, capsys):
     out = tmp_path / "plan.json"
     cli_main(["plan", "--domain", DISCOURSE, "--problem", LUCENTIO, "--out", str(out)])
