@@ -606,7 +606,6 @@ def solve(domain: Domain, problem: Problem, config: SearchConfig | None = None) 
     issues = validate_domain(domain) + validate_problem(domain, problem)
     if issues:
         raise DomainValidationError("; ".join(issues))
-    kb = knowledge_base(domain, problem)
     predicates, operators = _relaxed_reachable(domain, problem.init)
     unreachable = tuple(g for g in problem.goals if g.positive and g.predicate not in predicates)
     if unreachable:
@@ -621,6 +620,7 @@ def solve(domain: Domain, problem: Problem, config: SearchConfig | None = None) 
                 if s.action in operators and all(t.action in operators for t in s.steps)
             ),
         )
+    kb = knowledge_base(domain, problem)
 
     nodes = 0
     backtracks = 0
