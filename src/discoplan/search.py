@@ -561,7 +561,7 @@ def successors(
     return kept, len(out) - len(kept)
 
 
-def _relaxed_reachable(domain: Domain, init) -> tuple[set[str], set[str]]:
+def _relaxed_reachable(domain: Domain, init: tuple[Literal, ...]) -> tuple[set[str], set[str]]:
     """The predicates and operator names reachable from `init` when delete
     effects, kb constraints, eq/neq bindings and the bounds are ignored.
 

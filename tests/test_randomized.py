@@ -1,4 +1,5 @@
-"""Randomized cross-checks: bounded search against brute force, audits on every win.
+"""Randomized cross-checks: bounded search against brute force, audits on every win,
+and the reachability prune against the unpruned search.
 
 Domains are generated with delete effects and lifted parameters so threat
 resolution and separation get real exercise. Bounds are matched: a plan of
@@ -120,7 +121,6 @@ def test_generated_domains_do_not_depend_on_string_hashing():
     assert outputs[0] and outputs[0] == outputs[1]
 
 
-
 def _everything_reachable(domain, init):
     return set(domain.predicates), {op.name for op in domain.operators}
 
@@ -151,11 +151,11 @@ def test_the_reachability_prune_changes_no_outcome_or_plan(monkeypatch):
     ]
     pruned = [_solved(case) for case in cases]
     monkeypatch.setattr(search_module, "_relaxed_reachable", _everything_reachable)
-    for case, (kind, plan, unreachable) in zip(cases, pruned):
-        reference = _solved(case)
-        assert reference[2] == ()
-        if reference[0] != "BudgetExceeded":
-            assert (kind, plan) == reference[:2]
+    for case, got in zip(cases, pruned):
+        kind, plan, unreachable = _solved(case)
+        assert unreachable == ()
+        if kind != "BudgetExceeded":
+            assert got[:2] == (kind, plan)
     # A goal proven unreachable has no plan, and the proof is not vacuous.
     root_pruned = [case for case, got in zip(cases, pruned) if got[2]]
     assert len(root_pruned) > 1000
