@@ -154,10 +154,13 @@ def cmd_verify(args) -> int:
     plan_text = _read_file(args.plan)
     if plan_text is None:
         return EXIT_INPUT
+    # Beyond a JSONDecodeError, `json.loads` raises a ValueError on an integer
+    # too long to convert and a RecursionError on arrays or objects nested
+    # too deep.
     try:
         data = json.loads(plan_text)
         view = plan_view_from_dict(data)
-    except (json.JSONDecodeError, PlanFileError) as exc:
+    except (ValueError, RecursionError, PlanFileError) as exc:
         print(f"error: {args.plan}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     report = verify_soundness(view, problem)

@@ -4,17 +4,20 @@ An effect is intended when it sits on a causal chain that reaches the plan's
 final step, where chains may hop from an end-subplan precondition to the
 corresponding effect of the subplan's parent. Everything else a step asserts
 is a side effect of the choices that put the step in the plan.
+
+Hops, labels and reports are named tuples (see `model`). A chain's two kinds
+of hop never compare equal: a `CausalLink` is a dataclass, which equals only
+a `CausalLink`, and a `CorrespondenceHop`, a tuple, equals only a tuple.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .plan import CausalLink, DecompositionLink, Plan, detect_threats
 from .terms import Literal, apply
 
 
-@dataclass(frozen=True)
-class CorrespondenceHop:
+class CorrespondenceHop(NamedTuple):
     end: int
     parent: int
     effect_index: int
@@ -23,8 +26,7 @@ class CorrespondenceHop:
 Hop = CausalLink | CorrespondenceHop
 
 
-@dataclass(frozen=True)
-class EffectLabel:
+class EffectLabel(NamedTuple):
     step: int
     effect_index: int
     effect: Literal
@@ -32,8 +34,7 @@ class EffectLabel:
     chain: tuple[Hop, ...] | None
 
 
-@dataclass(frozen=True)
-class IntentionReport:
+class IntentionReport(NamedTuple):
     labels: tuple[EffectLabel, ...]
 
 

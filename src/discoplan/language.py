@@ -83,21 +83,29 @@ def _parse_terms(nodes, diags, depth: int = 0) -> tuple[Term, ...] | None:
 
 
 def parse_literal(node: SNode, diags: list[Diagnostic]) -> Literal | None:
-    if not isinstance(node, SList) or not node.items:
-        _err(diags, node, "literal must be a non-empty list")
-        return None
-    head = node.items[0]
-    if isinstance(head, SAtom) and head.text == "not":
+    """The literal `node` writes; each `(not ...)` around it flips its sign.
+
+    Negations are unwrapped in a loop, so however deep they nest they cannot
+    exhaust the interpreter stack.
+    """
+    positive = True
+    while True:
+        if not isinstance(node, SList) or not node.items:
+            _err(diags, node, "literal must be a non-empty list")
+            return None
+        head = node.items[0]
+        if not (isinstance(head, SAtom) and head.text == "not"):
+            break
         if len(node.items) != 2:
             _err(diags, node, "negation takes exactly one literal")
             return None
-        inner = parse_literal(node.items[1], diags)
-        return inner.negate() if inner else None
+        positive = not positive
+        node = node.items[1]
     if not isinstance(head, SAtom):
         _err(diags, node, "literal predicate must be a symbol")
         return None
     args = _parse_terms(node.items[1:], diags)
-    return None if args is None else Literal(head.text, args)
+    return None if args is None else Literal(head.text, args, positive)
 
 
 def _parse_literals(nodes, diags, ground: str = "") -> list[Literal]:

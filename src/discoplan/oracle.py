@@ -14,12 +14,13 @@ transition per step that can come next. The link checks are indexed:
 support costs one `apply` per precondition and per link, and a link's
 threat scan unifies only with effects of its negated condition's predicate
 and sign. `execute` runs one order at a time; the benchmark traces it.
+
+Traces, plan views and reports are named tuples (see `model`).
 """
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .model import Problem
 from .terms import (
@@ -36,15 +37,13 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     step_id: object
     before: frozenset[Literal]
     after: frozenset[Literal]
 
 
-@dataclass(frozen=True)
-class ExecutionTrace:
+class ExecutionTrace(NamedTuple):
     entries: tuple[TraceEntry, ...]
     outcome: str  # "success" | "failed-precondition"
     initial_state: frozenset[Literal] = frozenset()
@@ -109,8 +108,7 @@ def execute(initial_state: Iterable[Literal], steps: Sequence) -> ExecutionTrace
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PlanView:
+class PlanView(NamedTuple):
     """A plan as raw data, e.g. reloaded from an emitted file.
 
     A reloaded view holds the planner's own step and link records, but the
@@ -125,14 +123,12 @@ class PlanView:
     bindings: BindingSet = EMPTY_BINDINGS
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     code: str
     message: str
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     violations: tuple[Violation, ...]
     linearizations_checked: int = 0
 

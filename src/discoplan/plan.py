@@ -29,11 +29,23 @@ re-tested. Every other link keeps the ancestor's threats as they are. Any
 other change (an expansion adds an interval, pruning drops steps) and
 direct construction compute both from scratch; the tests' invariant checker
 compares the maintained values with that computation.
+
+Record cost model. Decomposition links and flaws are named tuples (see
+`model`): cheap to define at import, hashed as the tuple of their fields as
+the frozen dataclasses were, read-only, and copied with `._replace`. Flaws of
+two kinds never compare equal: an `UnexpandedComposite` has one field and the
+others two, and the second field of an `OpenCondition` is a literal, a named
+tuple, while that of a `Threat` is a `CausalLink`, a dataclass, which equals
+only a `CausalLink`. Three records stay frozen dataclasses because they
+derive state when made or later: `Plan` (its index, closure and threats),
+`Step` (its cached effect `signatures`) and `CausalLink` (its `negated`
+condition and that condition's `signature`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property
+from typing import NamedTuple
 
 from .model import Problem
 from .terms import BindingSet, EMPTY_BINDINGS, Literal, Term, rename_fresh, unify
@@ -81,8 +93,7 @@ class CausalLink:
         object.__setattr__(self, "signature", (negated.predicate, negated.positive))
 
 
-@dataclass(frozen=True)
-class DecompositionLink:
+class DecompositionLink(NamedTuple):
     """Binds a composite parent to the boundary steps and members of its subplan.
 
     The parent's interval runs from `begin` to `end`. The begin step's effects
@@ -98,19 +109,16 @@ class DecompositionLink:
     constraints: tuple[Literal, ...]
 
 
-@dataclass(frozen=True)
-class OpenCondition:
+class OpenCondition(NamedTuple):
     consumer: int
     condition: Literal
 
 
-@dataclass(frozen=True)
-class UnexpandedComposite:
+class UnexpandedComposite(NamedTuple):
     step: int
 
 
-@dataclass(frozen=True)
-class Threat:
+class Threat(NamedTuple):
     step: int
     link: CausalLink
 

@@ -4,12 +4,20 @@ The planner runs depth-first with chronological backtracking over an
 explicitly ordered successor list, so a fixed configuration makes the search
 a pure function of the domain and problem. Flaw selection is a fixed policy,
 never a backtrack point; only the choice of resolver branches.
+
+The statistics and the three outcomes are named tuples (see `model`).
+Outcomes of two kinds never compare equal: an `Exhausted` has three fields
+and the others two, and the first field of a `Solution` is a `Plan`, a
+dataclass, while that of a `BudgetExceeded` is a `SearchStats`, a named
+tuple. `SearchConfig` stays a frozen dataclass, since it validates its
+bounds and policies when it is made.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
 from functools import partial
+from typing import NamedTuple
 
 from .model import (
     Domain,
@@ -76,15 +84,13 @@ class SearchConfig:
             raise ValueError(f"unknown reuse policy {self.reuse_policy}")
 
 
-@dataclass(frozen=True)
-class SearchStats:
+class SearchStats(NamedTuple):
     nodes_expanded: int
     backtracks: int
     max_stack_depth: int
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(NamedTuple):
     plan: Plan
     stats: SearchStats
 
@@ -93,15 +99,13 @@ class Solution:
 # dropped: when it is non-zero, a larger `max_steps` may find a solution.
 # `unreachable` holds, in goal order, the goals that no initial fact or
 # relaxed-reachable operator adds; when it is non-empty no node was expanded.
-@dataclass(frozen=True)
-class Exhausted:
+class Exhausted(NamedTuple):
     stats: SearchStats
     over_max_steps: int = 0
     unreachable: tuple[Literal, ...] = ()
 
 
-@dataclass(frozen=True)
-class BudgetExceeded:
+class BudgetExceeded(NamedTuple):
     stats: SearchStats
     over_max_steps: int = 0
 
@@ -127,7 +131,7 @@ def _constrain(constraints, iid: int, bindings: BindingSet | None) -> BindingSet
     if bindings is None or not constraints:
         return bindings
     renamed = tuple(
-        replace(c, left=rename_term(c.left, iid), right=rename_term(c.right, iid))
+        c._replace(left=rename_term(c.left, iid), right=rename_term(c.right, iid))
         for c in constraints
     )
     return apply_binding_constraints(renamed, bindings)
@@ -160,7 +164,7 @@ def _with_membership(plan: Plan, producer: int, consumer: int, changes: dict) ->
         if pairs:
             changes["orderings"] = changes.get("orderings", plan.orderings) | pairs
         links = list(plan.decomposition_links)
-        links[i] = replace(d, members=tuple(sorted(d.members + (producer,))))
+        links[i] = d._replace(members=tuple(sorted(d.members + (producer,))))
         changes["decomposition_links"] = tuple(links)
         return changes
     return changes
@@ -358,7 +362,7 @@ def _expand(plan, parent, flaw, schema, sigma, bindings, realized, constraints):
             if s.sid >= begin_sid or OpenCondition(s.sid, p) in plan.flaws
         ]
 
-    templates = [replace(t, condition=rename_fresh([t.condition], sigma)[0]) for t in schema.links]
+    templates = [t._replace(condition=rename_fresh([t.condition], sigma)[0]) for t in schema.links]
     options = partial(_link_options, label_step, open_map)
     assignment = next(extensions(templates, options, bindings), None)
     if assignment is None:
@@ -521,7 +525,7 @@ def prune_unused(plan: Plan) -> Plan:
             orderings=frozenset(pairs),
             causal_links=tuple(l for l in plan.causal_links if l.consumer not in removable),
             decomposition_links=tuple(
-                replace(d, members=tuple(m for m in d.members if m not in removable))
+                d._replace(members=tuple(m for m in d.members if m not in removable))
                 for d in plan.decomposition_links
             ),
             flaws=tuple(

@@ -12,15 +12,14 @@ code points from 1, so CR and tab are one column each.
 Cost model: one regex pass per line. `_TOKEN.finditer` skips blanks and
 matches a whole token inside the regex engine, so the Python loop runs once
 per token rather than once per character, and building the nodes dominates
-what is left. Spans, atoms and lists are named tuples, so reading a field
-is a C-level lookup. A named tuple's own constructor is a Python-level
+what is left. Spans, atoms, lists and diagnostics are named tuples, so
+reading a field is a C-level lookup. A named tuple's own constructor is a Python-level
 function, so `read` builds its nodes with `tuple.__new__(cls, fields)`,
 one C call per node; the nodes are the same as the constructor's.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 
@@ -34,8 +33,7 @@ class SourceSpan(NamedTuple):
         return f"{self.file}:{self.line}:{self.column}"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     span: SourceSpan
     message: str
 

@@ -5,9 +5,9 @@ never share variables. A BindingSet is a persistent value: every
 extending operation returns a new store and leaves its input untouched,
 so backtracking search never has to undo anything.
 
-Cost model. Terms and literals are named tuples, so field access, hashing
-and equality run in C, and each hash equals the hash of the tuple of its
-fields. Terms or literals of two kinds never compare equal: their field
+Cost model. Terms, literals and binding sets are named tuples, so field
+access, hashing and equality run in C, and each hash equals the hash of the
+tuple of its fields. Terms or literals of two kinds never compare equal: their field
 tuples differ in length or in the type of the second field. Terms are
 DAGs: a variable bound to a compound that mentions further bound
 variables can reach one subterm along many paths, so a
@@ -27,7 +27,6 @@ unbound class by that one name, wherever the term comes from.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 
@@ -251,18 +250,18 @@ def compare_terms(x: Term, y: Term) -> int:
     return _compare(x, y, {}, {})
 
 
-@dataclass(frozen=True)
-class BindingSet:
+class BindingSet(NamedTuple):
     """Codesignation classes plus non-codesignation pairs.
 
     `assignments` maps a variable to another term in its class (union-find
     style chains ending at the class representative, which is the smallest
     variable of an unbound class). `distinct` holds pairs of terms
     forbidden from ever denoting the same object. Instances are never
-    mutated; extension happens through the module-level operations.
+    mutated; extension happens through the module-level operations. Every
+    store is given its own `assignments`, so none is shared by default.
     """
 
-    assignments: Mapping[Variable, Term] = field(default_factory=dict)
+    assignments: Mapping[Variable, Term]
     distinct: tuple[tuple[Term, Term], ...] = ()
 
     def walk(self, t: Term) -> Term:
@@ -277,7 +276,7 @@ class BindingSet:
         return _compare(x, y, self.assignments, {}) == 0
 
 
-EMPTY_BINDINGS = BindingSet()
+EMPTY_BINDINGS = BindingSet({})
 
 
 def _unify_pairs(pairs: list[tuple[Term, Term]], asg: dict) -> bool:

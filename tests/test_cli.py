@@ -110,6 +110,46 @@ def test_verify_rejects_malformed_plan_file(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        pytest.param("[" * 200_000, "recursion", id="nested-200000-deep"),
+        pytest.param('{"steps": ' + "7" * 5_000 + "}", "digits", id="integer-of-5000-digits"),
+    ],
+)
+def test_verify_rejects_json_the_decoder_cannot_hold(tmp_path, capsys, text, message):
+    bad = tmp_path / "plan.json"
+    bad.write_text(text)
+    code = cli_main(["verify", "--domain", DISCOURSE, "--problem", LUCENTIO, "--plan", str(bad)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+    assert message in err
+
+
+def _negated(literal: str, depth: int) -> str:
+    return "(not " * depth + literal + ")" * depth
+
+
+def test_a_goal_under_5000_negations_is_checked_planned_and_verified(tmp_path, capsys):
+    problem = tmp_path / "deep.dpp"
+    problem.write_text(
+        f"(problem deep (domain switches) (init (off s1)) (goal {_negated('(on s1)', 5_000)}))"
+    )
+    out = tmp_path / "plan.json"
+    files = ["--domain", SWITCHES, "--problem", str(problem)]
+    assert cli_main(["check", *files]) == 0
+    assert cli_main(["plan", *files, "--out", str(out)]) == 0
+    assert cli_main(["verify", *files, "--plan", str(out)]) == 0
+    assert capsys.readouterr().out == "ok\nsound: 1 linearizations checked\n"
+    # The plan file's texts are read back by the same parser.
+    data = json.loads(out.read_text())
+    final = next(s for s in data["steps"] if s["kind"] == "final")
+    final["preconditions"] = [_negated(p, 5_000) for p in final["preconditions"]]
+    out.write_text(json.dumps(data))
+    assert cli_main(["verify", *files, "--plan", str(out)]) == 0
+
+
 def test_analyze_emits_labels_and_informational_structure(capsys):
     code = cli_main(["analyze", "--domain", DISCOURSE, "--problem", LUCENTIO])
     assert code == 0

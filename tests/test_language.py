@@ -173,6 +173,26 @@ def test_parser_survives_pathological_nesting():
     assert any("nesting" in d.message for d in diags)
 
 
+def test_negations_unwrap_to_one_sign_with_the_innermost_diagnostic():
+    for depth in (0, 1, 2, 3, 5_000):
+        wrap = "(not " * depth
+        value, diags = parse_problem(f"(problem p (domain d) (goal {wrap}(p a){')' * depth}))")
+        assert not diags
+        assert value.goals == (lit("p", Constant("a"), positive=depth % 2 == 0),)
+        # A malformed literal at any depth is reported once, at its own span.
+        column = 29 + 5 * depth
+        for inner, message in (
+            ("a", "literal must be a non-empty list"),
+            ("(not (p a) (q b))", "negation takes exactly one literal"),
+            ("((p) a)", "literal predicate must be a symbol"),
+        ):
+            value, diags = parse_problem(
+                f"(problem p (domain d) (goal {wrap}{inner}{')' * depth}))", "f"
+            )
+            assert value is None
+            assert [str(d) for d in diags] == [f"f:1:{column}: {message}"]
+
+
 # One row per diagnostic the lowering can report: (parser, input, every
 # diagnostic as `file:line:col: message`). Each input is otherwise well
 # formed, so the listed diagnostics are all it produces and the parse

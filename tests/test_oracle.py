@@ -161,7 +161,7 @@ def _corpus_views_with_orderings_dropped(rng):
     for view, problem in _corpus_views():
         for _ in range(4):
             kept = frozenset(o for o in view.orderings if 1 in o or rng.random() < 0.5)
-            yield replace(view, orderings=kept), problem
+            yield view._replace(orderings=kept), problem
 
 
 def _total_orders(plan):
@@ -285,19 +285,17 @@ def _tampered(view, rng):
     new = max(s.sid for s in view.steps) + 1
     for _ in range(3):
         i = rng.randrange(len(links))
-        yield replace(view, causal_links=links[:i] + links[i + 1:])
+        yield view._replace(causal_links=links[:i] + links[i + 1:])
         reversed_link = CausalLink(links[i].consumer, links[i].condition, links[i].producer)
-        yield replace(view, causal_links=links[:i] + (reversed_link,) + links[i + 1:])
+        yield view._replace(causal_links=links[:i] + (reversed_link,) + links[i + 1:])
         undoes = rng.choice(links).condition.negate()
-        yield replace(
-            view,
+        yield view._replace(
             steps=view.steps + (Step(new, "saboteur", (), (), (undoes,), "primitive"),),
             orderings=view.orderings | {(0, new), (new, 1)},
         )
     for d in view.decomposition_links:
         for victim in [l for l in links if l.consumer == d.end]:
-            yield replace(
-                view,
+            yield view._replace(
                 steps=view.steps
                 + (Step(new, "outsider", (), (), (victim.condition,), "primitive"),),
                 orderings=view.orderings | {(0, new), (new, 1), (new, d.end)},
@@ -545,7 +543,7 @@ def test_audit_wants_one_link_for_a_precondition_repeated_verbatim():
 
 
 def test_a_planned_repeated_goal_audits_sound():
-    problem = replace(load_problem("switches-demo.dpp"), goals=(lit("on", A), lit("on", A)))
+    problem = load_problem("switches-demo.dpp")._replace(goals=(lit("on", A), lit("on", A)))
     out = solve(load_domain("switches.dpd"), problem)
     assert isinstance(out, Solution)
     assert sum(l.consumer == 1 for l in out.plan.causal_links) == 1
@@ -563,8 +561,8 @@ def test_audit_reports_duplicate_and_dangling_step_ids_instead_of_raising():
     producer = plan.step(next(l.producer for l in plan.causal_links if l.consumer == 1))
     undoer = replace(producer, effects=tuple(e.negate() for e in producer.effects))
     for broken, culprit in (
-        (plan.evolve(decomposition_links=(replace(deco, end=99),)), "99"),
-        (plan.evolve(decomposition_links=(replace(deco, members=deco.members + (99,)),)), "99"),
+        (plan.evolve(decomposition_links=(deco._replace(end=99),)), "99"),
+        (plan.evolve(decomposition_links=(deco._replace(members=deco.members + (99,)),)), "99"),
         (plan.evolve(causal_links=(replace(link, consumer=99),) + plan.causal_links[1:]), "99"),
         (plan.evolve(steps=(undoer,) + plan.steps), f"step id {producer.sid} names 2 steps"),
     ):

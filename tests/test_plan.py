@@ -319,7 +319,7 @@ def test_a_change_of_members_alone_keeps_the_maintained_threats():
     plan = _expand_wrecker(_deleter_plan(wrecker_after_user=True))
     assert detect_threats(plan)
     (d,) = plan.decomposition_links
-    child = plan.evolve(decomposition_links=(replace(d, members=(4,)),))
+    child = plan.evolve(decomposition_links=(d._replace(members=(4,)),))
     assert child._base is plan
     assert detect_threats(child) == detect_threats(plan)
     assert check_invariants(child) == []

@@ -1,7 +1,6 @@
 """The refinement search: causal, decompositional, threats, pruning, determinism."""
 import gc
 import random
-from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -189,7 +188,7 @@ def _two_step_membership(plan, producer, consumer):
         if plan is None:
             return None
         links = list(plan.decomposition_links)
-        links[i] = replace(d, members=tuple(sorted(d.members + (producer,))))
+        links[i] = d._replace(members=tuple(sorted(d.members + (producer,))))
         return plan.evolve(decomposition_links=tuple(links))
     return plan
 
