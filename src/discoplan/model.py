@@ -16,12 +16,12 @@ dict orders are the same; assigning to a field raises AttributeError;
 same items, but no two records of this module meet in one collection or
 comparison. `Domain` stays a frozen dataclass: it builds its by-name
 indexes of operators and schemata when it is made, which a named tuple's
-constructor cannot do.
+constructor cannot do, and its table of functor arities on first use.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Iterator, NamedTuple
 
 from .terms import (
@@ -125,6 +125,14 @@ class Domain:
         """The schemata for action `name`, in declaration order."""
         return self._schemata.get(name, ())
 
+    @cached_property
+    def _functors(self) -> tuple[dict[str, int], tuple[str, ...]]:
+        """The arity each functor is first used with, and one diagnostic per later
+        use with another arity (see `_domain_functors`); found on first use, since
+        validating a problem needs the table as well."""
+        clashes: list[str] = []
+        return _domain_functors(self, clashes), tuple(clashes)
+
 
 class Problem(NamedTuple):
     name: str
@@ -146,25 +154,41 @@ def _literal_arity_issues(lit: Literal, arities: dict[str, int], where: str) -> 
     return issues
 
 
-def _functor_issues(lit: Literal, functors: dict[str, int], where: str) -> list[str]:
-    issues: list[str] = []
-    for a in lit.args:
-        _check_functors(a, functors, where, issues)
-    return issues
+def _check_functors(terms, functors: dict[str, int], where: str, issues: list[str]) -> None:
+    """Record the first arity of each functor in `terms` in `functors`, and
+    report any later use with another arity to `issues`, in term order."""
+    for t in terms:
+        if isinstance(t, Compound):
+            seen = functors.setdefault(t.functor, len(t.args))
+            if seen != len(t.args):
+                issues.append(
+                    f"{where}: functor {t.functor} used with arities {seen} and {len(t.args)}"
+                )
+            _check_functors(t.args, functors, where, issues)
 
 
-def _check_functors(t: Term, functors: dict[str, int], where: str, issues: list[str]) -> None:
-    """Record each functor's first arity in `functors`; report any later clash to `issues`."""
-    if isinstance(t, Compound):
-        seen = functors.get(t.functor)
-        if seen is None:
-            functors[t.functor] = len(t.args)
-        elif seen != len(t.args):
-            issues.append(
-                f"{where}: functor {t.functor} used with arities {seen} and {len(t.args)}"
-            )
-        for a in t.args:
-            _check_functors(a, functors, where, issues)
+def _domain_functors(domain: Domain, issues: list[str]) -> dict[str, int]:
+    """The arity each functor of the domain is first used with, reporting any
+    later use with another arity to `issues`.
+
+    Functors share the symbol namespace with predicates. Every term that
+    search may unify with another is checked: operator literals and binding
+    constraints, and schema headers, constraints, bindings, step arguments
+    and link conditions, since `unify` raises on one functor of two arities.
+    """
+    functors: dict[str, int] = dict(domain.predicates)
+    functors.update({k: v for k, v in domain.kb_predicates.items() if k not in functors})
+    for op in domain.operators:
+        terms = [a for lit in op.preconditions + op.effects for a in lit.args]
+        terms += [t for c in op.constraints for t in (c.left, c.right)]
+        _check_functors(terms, functors, f"operator {op.name}", issues)
+    for i, schema in enumerate(domain.schemata):
+        terms = [*schema.params, *(a for lit in schema.constraints for a in lit.args)]
+        terms += [t for c in schema.bindings for t in (c.left, c.right)]
+        terms += [a for t in schema.steps for a in t.args]
+        terms += [a for link in schema.links for a in link.condition.args]
+        _check_functors(terms, functors, f"schema {i} for {schema.action}", issues)
+    return functors
 
 
 def validate_domain(domain: Domain) -> list[str]:
@@ -173,10 +197,7 @@ def validate_domain(domain: Domain) -> list[str]:
     shared = set(domain.predicates) & set(domain.kb_predicates)
     for name in sorted(shared):
         issues.append(f"domain {domain.name}: predicate {name} declared both as state and kb vocabulary")
-
-    # Functors share the symbol namespace with predicates.
-    functors: dict[str, int] = dict(domain.predicates)
-    functors.update({k: v for k, v in domain.kb_predicates.items() if k not in functors})
+    issues.extend(domain._functors[1])
 
     names = set()
     for op in domain.operators:
@@ -189,7 +210,6 @@ def validate_domain(domain: Domain) -> list[str]:
             header_vars.update(variables_in_constraint(c))
         for lit in op.preconditions + op.effects:
             issues.extend(_literal_arity_issues(lit, domain.predicates, where))
-            issues.extend(_functor_issues(lit, functors, where))
             if lit.predicate in domain.kb_predicates:
                 issues.append(f"{where}: kb predicate {lit.predicate} used as a state condition")
             for v in variables_in(lit):
@@ -260,6 +280,11 @@ def validate_problem(domain: Domain, problem: Problem) -> list[str]:
             issues.append(f"{where}: init literal {lit} is not ground")
     for lit in problem.goals:
         issues.extend(_literal_arity_issues(lit, domain.predicates, f"problem {problem.name} goal"))
+    # The domain's own clashes are validate_domain's to report.
+    functors = dict(domain._functors[0])
+    for part, literals in (("facts", problem.facts), ("init", problem.init), ("goal", problem.goals)):
+        terms = [a for lit in literals for a in lit.args]
+        _check_functors(terms, functors, f"problem {problem.name} {part}", issues)
     return issues
 
 

@@ -8,12 +8,16 @@ evidence, not an echo.
 The audit executes linearizations by a depth-first walk that carries the
 state down the tree of orders and reuses each clean subtree it has walked,
 so each distinct (unplaced steps, state) pair is expanded once rather than
-once per order. Ground atoms get one bit each per audit, and states and
-unplaced sets are ints used as bit sets, so a pair costs one int
-transition per step that can come next. The link checks are indexed:
-support costs one `apply` per precondition and per link, and a link's
-threat scan unifies only with effects of its negated condition's predicate
-and sign. `execute` runs one order at a time; the benchmark traces it.
+once per order, and a pair already walked costs a lookup, not a call.
+Each literal object is grounded once per audit and each ground atom gets
+one bit, and states and unplaced sets are ints used as bit sets, so a pair
+costs one int transition per step that can come next. The link checks are
+indexed: support costs one `apply` per precondition and per link, and a
+link's produce and threat checks test its condition only against effects
+of the same predicate, sign and arity. Two ground literals under a store
+without assignments are compared, not unified; `unify` runs only for a
+literal that keeps a variable or a store that has assignments.
+`execute` runs one order at a time; the benchmark traces it.
 
 Traces, plan views and reports are named tuples (see `model`).
 """
@@ -24,6 +28,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .model import Problem
 from .terms import (
+    ArityMismatchError,
     BindingSet,
     Compound,
     Constant,
@@ -166,6 +171,9 @@ def _skolem_term(t: Term, table: dict[Variable, Constant]) -> Term:
 
 
 def _skolemize(lit: Literal, table: dict[Variable, Constant]) -> Literal:
+    """`lit` with each variable made a constant of its own; `lit` itself if it has none."""
+    if is_ground(lit):
+        return lit
     return Literal(lit.predicate, tuple(_skolem_term(a, table) for a in lit.args), lit.positive)
 
 
@@ -206,12 +214,15 @@ def _check_orders(steps, cap: int, state: int, goals) -> tuple[list[Violation], 
     The completions of a prefix that has not failed depend only on the steps
     it leaves unplaced and the state it reaches. So a subtree walked without a
     violation is stored under that pair with its number of orders, and a
-    later prefix reaching the same pair adds that number, up to the cap,
-    without descending. (A subtree the cap cut short is stored too, but
-    nothing is walked once the cap is passed, so it is never read.) The cost
-    is one state transition per step that can come next after each distinct
-    (unplaced set, state) pair reached, however many orders pass through the
-    pair; failing prefixes are still walked order by order.
+    later prefix reaching the same pair adds that number, up to the cap.
+    (A subtree the cap cut short is stored too, but nothing is walked once
+    the cap is passed, so it is never read.) `walk` is called once per
+    distinct (unplaced set, state) pair reached: for each step that can come
+    next it tests the step, applies it with one state transition and looks
+    the pair it reaches up itself, so a stored subtree costs no call. The
+    cost is one transition per step that can come next after each distinct
+    pair, however many orders pass through the pair; failing prefixes are
+    still walked order by order, by `fail`.
 
     Sets are ints used as bit sets. `steps` lists `(sid, bit, predecessors,
     step)` in ascending id order: `bit` is the step's own bit, and a step can
@@ -223,51 +234,71 @@ def _check_orders(steps, cap: int, state: int, goals) -> tuple[list[Violation], 
     Placing a step, or testing one, is then a few int operations.
     """
     violations: list[Violation] = []
-    done: list[tuple[int, tuple]] = []
-    left = sum(bit for _, bit, _, _ in steps)
+    placed: list[int] = []
     count = 0
     clean: dict[tuple[int, int], int] = {}
 
-    def walk(state: int, failure: str | None) -> None:
-        nonlocal count, left
-        if count > cap:
-            return
-        if done and failure is None:
-            sid, (conditions, on, off, deletes, adds) = done[-1]
-            if state & on != on or state & off:
-                lit = next(l for l, bit, positive in conditions if bool(state & bit) != positive)
-                failure = f"fails at step {sid} needing {lit}"
-            else:
-                state = _transition(state, deletes, adds)
+    def end(state: int) -> None:
+        nonlocal count
+        count += 1
+        violations.extend(
+            Violation("goal", f"linearization {tuple(placed)} ends without goal {g}")
+            for g, bit, positive in goals
+            if bool(state & bit) != positive
+        )
+
+    def fail(left: int, failure: str) -> None:
+        nonlocal count
         if not left:
             count += 1
-            order = tuple(sid for sid, _ in done)
-            if failure is not None:
-                violations.append(Violation("execution", f"linearization {order} {failure}"))
-                return
-            violations.extend(
-                Violation("goal", f"linearization {order} ends without goal {g}")
-                for g, bit, positive in goals
-                if bool(state & bit) != positive
-            )
+            violations.append(Violation("execution", f"linearization {tuple(placed)} {failure}"))
             return
-        if failure is None:
-            key = (left, state)
-            if key in clean:
-                count = min(count + clean[key], cap + 1)
+        for sid, bit, predecessors, _ in steps:
+            if count > cap:
                 return
-            first, found = count, len(violations)
-        for sid, bit, predecessors, step in steps:
             if left & bit and not left & predecessors:
-                done.append((sid, step))
-                left ^= bit
-                walk(state, failure)
-                left |= bit
-                done.pop()
-        if failure is None and len(violations) == found:
-            clean[key] = count - first
+                placed.append(sid)
+                fail(left ^ bit, failure)
+                placed.pop()
 
-    walk(state, None)
+    def walk(left: int, state: int) -> None:
+        nonlocal count
+        first, found = count, len(violations)
+        for sid, bit, predecessors, step in steps:
+            if count > cap:
+                break
+            if not left & bit or left & predecessors:
+                continue
+            conditions, on, off, deletes, adds = step
+            rest = left ^ bit
+            if state & on != on or state & off:
+                lit = next(l for l, b, positive in conditions if bool(state & b) != positive)
+                placed.append(sid)
+                fail(rest, f"fails at step {sid} needing {lit}")
+                placed.pop()
+                continue
+            after = _transition(state, deletes, adds)
+            # No pair with nothing left unplaced is stored.
+            known = clean.get((rest, after))
+            if known is not None:
+                count += known
+                if count > cap:
+                    count = cap + 1
+                continue
+            placed.append(sid)
+            if rest:
+                walk(rest, after)
+            else:
+                end(after)
+            placed.pop()
+        if len(violations) == found:
+            clean[left, state] = count - first
+
+    left = sum(bit for _, bit, _, _ in steps)
+    if left:
+        walk(left, state)
+    else:
+        end(state)
     return violations, count
 
 
@@ -306,6 +337,51 @@ def _signature(lit: Literal) -> tuple[str, bool, int]:
     return lit.predicate, lit.positive, len(lit.args)
 
 
+def _unifier(bindings: BindingSet):
+    """The audit's link test: `unifies(literals, lit)` is whether `unify(e, lit,
+    bindings)` is not None for some `e` of `literals`, an arity clash, at the
+    top or nested, counting as no.
+
+    A reloaded plan's store holds no assignments, and its literals are almost
+    always ground. Under a store without assignments, in which no `distinct`
+    pair names one term twice, two ground literals unify exactly when they
+    are equal: `unify` would add no assignment, so no forbidden pair could
+    come to codesignate. So when `lit` and every literal of `literals` are
+    ground, `lit` is looked up in `literals`, and `unify` is called only when
+    a literal keeps a variable or the store has assignments. Groundness is
+    found once per argument tuple, which a literal's negation and atom share
+    with it, and once per list of literals; the memo holds each tuple and
+    list, so no id is reused while the test lives.
+    """
+    compare = not bindings.assignments and all(x != y for x, y in bindings.distinct)
+    grounds: dict[int, tuple[object, bool]] = {}
+
+    def ground(lit: Literal) -> bool:
+        known = grounds.get(id(lit.args))
+        if known is None:
+            known = grounds[id(lit.args)] = (lit.args, is_ground(lit))
+        return known[1]
+
+    def all_ground(literals) -> bool:
+        known = grounds.get(id(literals))
+        if known is None:
+            known = grounds[id(literals)] = (literals, all(ground(e) for e in literals))
+        return known[1]
+
+    def unified(e: Literal, lit: Literal) -> bool:
+        try:
+            return unify(e, lit, bindings) is not None
+        except ArityMismatchError:
+            return False
+
+    def unifies(literals, lit: Literal) -> bool:
+        if compare and ground(lit) and all_ground(literals):
+            return lit in literals
+        return any(unified(e, lit) for e in literals)
+
+    return unifies
+
+
 def verify_soundness(plan, problem: Problem, max_orders: int = 5_000) -> AuditReport:
     """Audit a claimed solution against first principles and the problem it claims to solve.
 
@@ -322,15 +398,21 @@ def verify_soundness(plan, problem: Problem, max_orders: int = 5_000) -> AuditRe
     plus one; the report gives the count but does not flag a cut-off walk.
     Their cost is one state transition per step that can come next after
     each distinct (unplaced set, state) pair reached, not one per step of
-    every order (see `_check_orders`); prefixes that fail a precondition are
-    still walked order by order. Unplaced sets and states are ints used as
-    bit sets, so each transition and each test is a few int operations.
+    every order, and one call per distinct pair, none for a pair already
+    walked (see `_check_orders`); prefixes that fail a precondition are
+    still walked order by order. Each literal object is grounded, and its
+    atom numbered, once per audit. Unplaced sets and states are ints used
+    as bit sets, so each transition and each test is a few int operations.
 
     Support costs one `apply` per precondition and per link: links are
     counted per (consumer, applied condition) once. The threat and produce
     checks, and the closed-world check of a link from the initial step,
-    unify a condition only with effects of its predicate, sign and arity,
-    since `unify` fails or raises on any other.
+    test a condition only against effects of its predicate, sign and arity,
+    since `unify` fails or raises on any other. A test compares two ground
+    literals when the store has no assignments, and calls `unify` only for
+    a literal that keeps a variable or a store that has assignments (see
+    `_unifier`); an arity clash inside a term fails the test, so a plan
+    file that holds one gets violations, not an exception.
     """
     violations: list[Violation] = []
     bindings = plan.bindings
@@ -361,16 +443,16 @@ def verify_soundness(plan, problem: Problem, max_orders: int = 5_000) -> AuditRe
             Violation("problem", "final preconditions are not the problem's goals")
         )
 
-    def cwa_ok(condition: Literal) -> bool:
-        if condition.positive:
-            return False
-        atom = condition.atom()
-        arity = len(atom.args)
-        return not any(
-            e.predicate == atom.predicate and len(e.args) == arity
-            and unify(atom, e, bindings) is not None
-            for e in initial.effects
-        )
+    # The link checks test a condition only against effects of its
+    # signature, in plan step order, since `unify` fails or raises on any other.
+    effects_by_signature: dict[tuple[str, bool, int], dict[int, list[Literal]]] = {}
+    for s in plan.steps:
+        for e in s.effects:
+            effects_by_signature.setdefault(_signature(e), {}).setdefault(s.sid, []).append(e)
+    unifies = _unifier(bindings)
+
+    def effect_unifies(sid: int, condition: Literal) -> bool:
+        return unifies(effects_by_signature.get(_signature(condition), {}).get(sid, ()), condition)
 
     # Support per precondition: a literal that k of a step's preconditions
     # become under the bindings needs 1 to k links. The planner links two
@@ -392,24 +474,22 @@ def verify_soundness(plan, problem: Problem, max_orders: int = 5_000) -> AuditRe
             violations.append(
                 Violation("order", f"producer {l.producer} not ordered before {l.consumer}")
             )
-        producer = steps[l.producer]
-        sig = _signature(l.condition)
-        produced = any(
-            unify(e, l.condition, bindings) is not None
-            for e in producer.effects
-            if (e.predicate, e.positive, len(e.args)) == sig
+        if effect_unifies(l.producer, l.condition):
+            continue
+        # A negative condition may be linked from the initial step, which
+        # then holds its atom false under the closed world assumption.
+        cwa = (
+            steps[l.producer].kind == "initial"
+            and not l.condition.positive
+            and not effect_unifies(l.producer, l.condition.atom())
         )
-        if not produced and not (producer.kind == "initial" and cwa_ok(l.condition)):
+        if not cwa:
             violations.append(
                 Violation("produce", f"step {l.producer} does not produce {l.condition}")
             )
 
     # Threat scan over interval endpoints, over the steps with an effect of
     # the negated condition's signature, in plan step order.
-    effects_by_signature: dict[tuple[str, bool, int], dict[int, list[Literal]]] = {}
-    for s in plan.steps:
-        for e in s.effects:
-            effects_by_signature.setdefault(_signature(e), {}).setdefault(s.sid, []).append(e)
     for l in plan.causal_links:
         negated = l.condition.negate()
         producer_end = bounds[l.producer][1]
@@ -422,7 +502,7 @@ def verify_soundness(plan, problem: Problem, max_orders: int = 5_000) -> AuditRe
                 continue
             if consumer_begin == s_begin or s_begin in reach[consumer_begin]:
                 continue
-            if any(unify(e, negated, bindings) is not None for e in effects):
+            if unifies(effects, negated):
                 violations.append(
                     Violation("threat", f"step {sid} may undo {l.condition} of link "
                                         f"{l.producer}->{l.consumer}")
@@ -444,43 +524,41 @@ def verify_soundness(plan, problem: Problem, max_orders: int = 5_000) -> AuditRe
 
     # Every linearization of the primitives executes and achieves the goals.
     table: dict[Variable, Constant] = {}
-
-    def ground(lit: Literal) -> Literal:
-        return _skolemize(apply(bindings, lit), table)
-
     ids: dict[Literal, int] = {}
-
-    def bit_of(lit: Literal) -> int:
-        return 1 << ids.setdefault(lit, len(ids))
+    conditions: dict[int, tuple[Literal, int, bool]] = {}
 
     def condition(lit: Literal) -> tuple[Literal, int, bool]:
-        g = ground(lit)
-        return g, bit_of(g.atom()), g.positive
+        """`lit` ground, the bit of its atom, and its sign; the plan holds each
+        literal asked about for the whole audit, so no id is reused."""
+        known = conditions.get(id(lit))
+        if known is None:
+            g = _skolemize(apply(bindings, lit), table)
+            known = conditions[id(lit)] = (g, 1 << ids.setdefault(g.atom(), len(ids)), g.positive)
+        return known
 
-    def mask(bits) -> int:
-        out = 0
-        for b in bits:
-            out |= b
-        return out
-
-    def compiled(s) -> tuple:
-        pre = tuple(condition(p) for p in s.preconditions)
-        eff = [ground(e) for e in s.effects]
-        return (
-            pre,
-            mask(b for _, b, positive in pre if positive),
-            mask(b for _, b, positive in pre if not positive),
-            mask(bit_of(e.atom()) for e in eff if not e.positive),
-            mask(bit_of(e) for e in eff if e.positive),
-        )
+    def masks(literals) -> tuple[int, int]:
+        """The bits of the positive literals' atoms, and of the negative ones'."""
+        on = off = 0
+        for _, b, positive in literals:
+            if positive:
+                on |= b
+            else:
+                off |= b
+        return on, off
 
     prims = sorted(s.sid for s in plan.steps if s.kind == "primitive")
     bit = {m: 1 << i for i, m in enumerate(prims)}
-    order_steps = [
-        (m, bit[m], mask(bit[n] for n in prims if n != m and m in reach[n]), compiled(steps[m]))
-        for m in prims
-    ]
-    start = mask(bit_of(ground(e)) for e in initial.effects)
+    predecessors = dict.fromkeys(prims, 0)
+    for n in prims:
+        for m in reach[n]:
+            if m in bit:
+                predecessors[m] |= bit[n]
+    order_steps = []
+    for m in prims:
+        pre = tuple(condition(p) for p in steps[m].preconditions)
+        adds, deletes = masks(condition(e) for e in steps[m].effects)
+        order_steps.append((m, bit[m], predecessors[m], (pre, *masks(pre), deletes, adds)))
+    start, _ = masks(condition(e) for e in initial.effects)
     goals = [condition(g) for g in final.preconditions]
     found, checked = _check_orders(order_steps, max_orders, start, goals)
     violations += found

@@ -71,6 +71,41 @@ def test_check_rejects_semantic_problems(tmp_path, capsys):
     assert "?x" in capsys.readouterr().err
 
 
+def _every_command_rejects(domain, problem, plan, capsys, error):
+    # check, plan and verify all load the inputs first: one error line, exit 3.
+    for argv in (["check"], ["plan"], ["verify", "--plan", str(plan)]):
+        code = cli_main(argv + ["--domain", str(domain), "--problem", str(problem)])
+        assert (code, capsys.readouterr()) == (3, ("", f"error: {error}\n")), argv
+
+
+def test_a_problem_using_a_functor_with_another_arity_is_an_input_error(tmp_path, capsys):
+    # causes is a kb predicate of arity 2, so (credible (causes c)) would
+    # make unification raise during search.
+    problem = tmp_path / "p1.dpp"
+    problem.write_text(
+        "(problem p1 (domain discourse) (facts (causes c g))"
+        " (init (credible c) (credible (causes c))) (goal (bel g)))"
+    )
+    plan = tmp_path / "plan.json"
+    assert cli_main(["plan", "--domain", DISCOURSE, "--problem", LUCENTIO, "--out", str(plan)]) == 0
+    _every_command_rejects(
+        DISCOURSE, problem, plan, capsys, "problem p1 init: functor causes used with arities 2 and 1"
+    )
+
+
+def test_a_schema_step_using_a_functor_with_another_arity_is_an_input_error(tmp_path, capsys):
+    text = (CORPUS / "discourse.dpd").read_text()
+    old = "(s2 (cause-to-believe (causes ?prop2 ?prop1)))"
+    assert old in text
+    domain = tmp_path / "discourse.dpd"
+    domain.write_text(text.replace(old, "(s2 (cause-to-believe (causes ?prop2)))"))
+    plan = tmp_path / "plan.json"
+    assert cli_main(["plan", "--domain", DISCOURSE, "--problem", LUCENTIO, "--out", str(plan)]) == 0
+    _every_command_rejects(
+        domain, LUCENTIO, plan, capsys, "schema 0 for support: functor causes used with arities 2 and 1"
+    )
+
+
 def test_missing_file_is_an_input_error(capsys):
     assert cli_main(["check", "--domain", "/nonexistent/x.dpd"]) == 3
 
@@ -401,6 +436,38 @@ def test_verify_reports_a_link_condition_of_another_arity(tmp_path, capsys, cond
     lines = capsys.readouterr().out.splitlines()
     assert f"violation [{code}]" in "\n".join(lines)
     assert all(line.startswith("violation [") for line in lines)
+
+
+@pytest.mark.parametrize(
+    "condition",
+    [
+        "(credible (causes extra (fairest l b) (modeled l b)))",
+        "(credible (causes ?x (fairest l b) (modeled l b)))",
+    ],
+    ids=["ground", "variable"],
+)
+def test_verify_reports_a_link_condition_with_a_nested_functor_of_another_arity(
+    tmp_path, capsys, condition
+):
+    # The initial step's effect uses `causes` with two arguments. A ground
+    # condition is compared with it and one with a variable is unified; an
+    # arity clash inside the term is a failed test either way, not a crash.
+    out = tmp_path / "plan.json"
+    cli_main(["plan", "--domain", DISCOURSE, "--problem", LUCENTIO, "--out", str(out)])
+    data = json.loads(out.read_text())
+    link = next(l for l in data["causal_links"] if (l["producer"], l["consumer"]) == (0, 6))
+    precondition = link["condition"]
+    assert precondition == "(credible (causes (fairest l b) (modeled l b)))"
+    link["condition"] = condition
+    out.write_text(json.dumps(data))
+    capsys.readouterr()
+    code = cli_main(["verify", "--domain", DISCOURSE, "--problem", LUCENTIO, "--plan", str(out)])
+    assert code == 1
+    assert capsys.readouterr() == (
+        f"violation [support]: precondition {precondition} of step 6 has 0 supporting links\n"
+        f"violation [produce]: step 0 does not produce {condition}\n",
+        "",
+    )
 
 
 def _first_step_with(data, field):

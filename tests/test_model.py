@@ -3,6 +3,7 @@ import pytest
 
 from discoplan.model import (
     ActionOperator,
+    BindingConstraint,
     DecompositionSchema,
     Domain,
     DomainValidationError,
@@ -81,6 +82,54 @@ def test_unbound_effect_variable_is_diagnosed():
 def test_kb_and_state_vocabularies_must_be_disjoint():
     domain = Domain(name="d", predicates={"p": 1}, kb_predicates={"p": 1})
     assert any("both" in i for i in validate_domain(domain))
+
+
+CAUSES_1 = Compound("causes", (Variable("prop2"),))  # causes is a kb predicate of arity 2
+
+
+@pytest.mark.parametrize(
+    "part",
+    ["params", "constraints", "bindings", "steps", "links", "operator bindings"],
+)
+def test_a_functor_used_with_another_arity_anywhere_in_the_domain_is_diagnosed(part):
+    domain = load_domain("discourse.dpd")
+    (schema,) = domain.schemata
+    s1, s2, s3 = schema.steps
+    where = "schema 0 for support"
+    if part == "operator bindings":
+        op = domain.operators[0]
+        ops = (op._replace(constraints=(BindingConstraint("neq", op.params[0], CAUSES_1),)),)
+        domain = Domain(
+            domain.name, domain.predicates, domain.kb_predicates,
+            ops + domain.operators[1:], domain.schemata,
+        )
+        where = f"operator {op.name}"
+    else:
+        changed = {
+            "params": {"params": (CAUSES_1,)},
+            "constraints": {"constraints": (lit("causes", CAUSES_1, Variable("prop1")),)},
+            "bindings": {"bindings": (BindingConstraint("neq", Variable("prop1"), CAUSES_1),)},
+            "steps": {"steps": (s1, s2._replace(args=(CAUSES_1,)), s3)},
+            "links": {"links": (schema.links[0]._replace(condition=lit("bel", CAUSES_1)),)
+                      + schema.links[1:]},
+        }[part]
+        domain = Domain(
+            domain.name, domain.predicates, domain.kb_predicates,
+            domain.operators, (schema._replace(**changed),),
+        )
+    assert validate_domain(domain) == [f"{where}: functor causes used with arities 2 and 1"]
+
+
+@pytest.mark.parametrize("part", ["facts", "init", "goals"])
+def test_a_problem_literal_with_a_functor_of_another_arity_is_diagnosed(part):
+    problem = load_problem("lucentio.dpp")
+    term = Compound("causes", (Constant("c"),))
+    literal = lit("causes", term, Constant("g")) if part == "facts" else lit("credible", term)
+    problem = problem._replace(**{part: getattr(problem, part) + (literal,)})
+    where = {"facts": "facts", "init": "init", "goals": "goal"}[part]
+    assert validate_problem(load_domain("discourse.dpd"), problem) == [
+        f"problem {problem.name} {where}: functor causes used with arities 2 and 1"
+    ]
 
 
 def test_validate_domain_is_pure_and_idempotent():

@@ -14,7 +14,18 @@ from discoplan.model import ActionOperator, BindingConstraint, Domain, Problem
 from discoplan.oracle import execute, verify_soundness
 from discoplan.plan import KIND_COMPOSITE, CausalLink, Step
 from discoplan.search import FLAW_POLICIES, REUSE_POLICIES, SearchConfig, Solution, solve
-from discoplan.terms import Constant, Variable, apply, unify_terms
+from discoplan.terms import (
+    EMPTY_BINDINGS,
+    ArityMismatchError,
+    BindingSet,
+    Compound,
+    Constant,
+    Variable,
+    apply,
+    is_ground,
+    unify,
+    unify_terms,
+)
 from _oracles import (
     GroundAction,
     UniverseTooLargeError,
@@ -269,12 +280,17 @@ def test_audit_applies_each_unplaced_set_and_state_pair_once(monkeypatch):
 LINK_CODES = ("support", "order", "produce", "threat", "subplan")
 
 
+def _reloaded(case):
+    """The solved plan of a benchmark case, reloaded, and its problem."""
+    domain, _ = parse_domain(Path(case.domain).read_text(), case.domain)
+    problem, _ = parse_problem(Path(case.problem).read_text(), case.problem)
+    return plan_view_from_dict(plan_to_dict(solve(domain, problem).plan, None)), problem
+
+
 def _scaled_views(out):
     """The solved plan of each `scaled` benchmark problem of seed 1, reloaded."""
     for case in bench_workload("scaled", 1, out).cases:
-        domain, _ = parse_domain(Path(case.domain).read_text(), case.domain)
-        problem, _ = parse_problem(Path(case.problem).read_text(), case.problem)
-        yield plan_view_from_dict(plan_to_dict(solve(domain, problem).plan, None)), problem
+        yield _reloaded(case)
 
 
 def _tampered(view, rng):
@@ -351,11 +367,33 @@ def _counted(monkeypatch, name, plan):
     return calls
 
 
+def _link_tests(monkeypatch, plan):
+    """How many link tests an audit of `plan` makes; each asks whether some
+    effect of a list unifies with a condition."""
+    tests = 0
+    unifier = oracle._unifier
+
+    def counting_unifier(bindings):
+        unifies = unifier(bindings)
+
+        def counted(literals, lit):
+            nonlocal tests
+            tests += 1
+            return unifies(literals, lit)
+
+        return counted
+
+    with monkeypatch.context() as patched:
+        patched.setattr(oracle, "_unifier", counting_unifier)
+        verify_soundness(plan, Problem("p", "d", init=plan.steps[0].effects))
+    return tests
+
+
 def test_audit_unifies_a_link_only_with_effects_of_its_negated_signature(monkeypatch):
-    # No primitive can undo a link, so the threat scan has no step to unify
-    # with: adding primitives adds no unify call.
-    counts = [_counted(monkeypatch, "unify", _unordered_plan(3, n)) for n in (4, 8)]
-    assert counts[0] == counts[1]
+    # No primitive can undo a link, so the threat scan has no step to test:
+    # adding primitives adds no link test, compared or unified.
+    counts = [_link_tests(monkeypatch, _unordered_plan(3, n)) for n in (4, 8)]
+    assert counts[0] == counts[1] > 0
 
 
 def test_audit_applies_bindings_once_per_literal_and_link(monkeypatch):
@@ -366,6 +404,97 @@ def test_audit_applies_bindings_once_per_literal_and_link(monkeypatch):
         _counted(monkeypatch, "apply", _unordered_plan(k, 3, preconditions=k)) for k in (4, 8, 12)
     ]
     assert counts[2] - counts[1] == counts[1] - counts[0]
+
+
+def _random_term(rng, depth):
+    roll = rng.random()
+    if depth and roll < 0.35:
+        # f is used with arities 1 and 2, so nested arity clashes occur.
+        functor, arity = rng.choice([("f", 1), ("f", 2), ("g", 2)])
+        return Compound(functor, tuple(_random_term(rng, depth - 1) for _ in range(arity)))
+    if roll < 0.6:
+        return rng.choice([A, B])
+    return rng.choice([Variable("x", 1), Variable("y", 2)])
+
+
+def _random_literal(rng):
+    arity = rng.choice([1, 1, 2])  # p with two arities: a top-level clash
+    return lit("p", *(_random_term(rng, 2) for _ in range(arity)), positive=rng.random() < 0.8)
+
+
+def _unifies_by_unify(a, b, bindings):
+    try:
+        return unify(a, b, bindings) is not None
+    except ArityMismatchError:
+        return False
+
+
+def test_the_link_test_agrees_with_unify_on_random_pairs():
+    # The audit compares ground literals under a store without assignments
+    # and unifies any other pair; an arity clash is a no. A test of a list
+    # of literals asks whether any of them unifies.
+    x = Variable("x", 1)
+    stores = {
+        "empty": EMPTY_BINDINGS,
+        "assignments": unify_terms(x, Compound("f", (A,))),
+        "distinct": BindingSet({}, ((x, Variable("y", 2)), (A, B))),
+        "distinct-self": BindingSet({}, ((A, A),)),
+    }
+    rng = random.Random(22)
+    kinds = Counter()
+    for _ in range(3000):
+        a, b = _random_literal(rng), _random_literal(rng)
+        if rng.random() < 0.3:
+            b = a._replace(args=tuple(a.args))  # an equal literal, another object
+        others = [_random_literal(rng) for _ in range(rng.randrange(3))]
+        for name, store in stores.items():
+            want = _unifies_by_unify(a, b, store)
+            unifies = oracle._unifier(store)
+            assert unifies([a], b) == want, (name, a, b)
+            assert unifies(others + [a], b) == any(
+                _unifies_by_unify(e, b, store) for e in others + [a]
+            ), (name, others, a, b)
+            try:
+                unify(a, b, store)
+            except ArityMismatchError:
+                kinds["clash"] += 1
+            grounds = is_ground(a) and is_ground(b)
+            kinds[name, "ground" if grounds else "variable", want] += 1
+    for name in stores:
+        for kind in ("ground", "variable"):
+            assert kinds[name, kind, False] > 50, (name, kind, kinds)
+            assert kinds[name, kind, True] > 50 or name == "distinct-self", (name, kind, kinds)
+    assert kinds["clash"] > 100, kinds
+
+
+def test_a_capped_audit_of_a_plan_file_unifies_nothing_and_grounds_each_literal_once(
+    monkeypatch, tmp_path
+):
+    cases = bench_workload("scaled", 1, tmp_path).cases
+    view, problem = _reloaded(next(c for c in cases if c.pid == "switches-8"))
+    unify_calls = 0
+    grounded = Counter()
+    skolemize = oracle._skolemize
+
+    def counted_unify(*args):
+        nonlocal unify_calls
+        unify_calls += 1
+        return unify(*args)
+
+    def counted_skolemize(literal, table):
+        grounded[id(literal)] += 1
+        return skolemize(literal, table)
+
+    monkeypatch.setattr(oracle, "unify", counted_unify)
+    monkeypatch.setattr(oracle, "_skolemize", counted_skolemize)
+    report = verify_soundness(view, problem)
+    assert report == oracle.AuditReport((), 5_001)
+    assert unify_calls == 0
+    # The view holds every literal it grounds, so the ids stay its literals'.
+    held = {id(l) for s in view.steps for l in s.preconditions + s.effects}
+    assert set(grounded) <= held
+    assert set(grounded.values()) == {1}
+    assert len(grounded) >= 8
 
 
 def _paint_domain():
