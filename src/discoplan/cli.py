@@ -13,7 +13,7 @@ import sys
 from .emit import FORMATS, PlanFileError, emit, plan_view_from_dict, report_to_dict, to_json
 from .intention import classify_effects
 from .language import parse_domain, parse_problem
-from .model import validate_domain, validate_problem
+from .model import DomainValidationError, validate_domain, validate_problem
 from .oracle import verify_soundness
 from .search import (
     FLAW_POLICIES,
@@ -51,8 +51,8 @@ def _parse_file(path: str, parse):
     return value
 
 
-def _load(args):
-    """Parse and validate domain and problem; None on any input error."""
+def _load(args, validate=True):
+    """Parse and, if `validate`, validate domain and problem; None on a parse error."""
     domain = _parse_file(args.domain, parse_domain)
     if domain is None:
         return None
@@ -61,13 +61,12 @@ def _load(args):
         problem = _parse_file(args.problem, parse_problem)
         if problem is None:
             return None
-    issues = validate_domain(domain)
-    if problem is not None:
-        issues += validate_problem(domain, problem)
-    for issue in issues:
-        print(f"error: {issue}", file=sys.stderr)
-    if issues:
-        return None
+    if validate:
+        issues = validate_domain(domain)
+        if problem is not None:
+            issues += validate_problem(domain, problem)
+        if issues:
+            raise DomainValidationError(*issues)
     return domain, problem
 
 
@@ -115,11 +114,10 @@ def _add_solve_flags(p: argparse.ArgumentParser) -> None:
 
 def _solve_and_write(args, render) -> int:
     """Search, write `render(plan)` for a solution, and map each outcome to its exit code."""
-    loaded = _load(args)
+    loaded = _load(args, validate=False)  # solve validates
     if loaded is None:
         return EXIT_INPUT
-    domain, problem = loaded
-    outcome = solve(domain, problem, _config(args))
+    outcome = solve(*loaded, _config(args))
     if isinstance(outcome, Solution):
         return EXIT_OK if _write_out(render(outcome.plan), args.out) else EXIT_INPUT
     if isinstance(outcome, Exhausted):
@@ -216,7 +214,12 @@ def cli_main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except DomainValidationError as exc:
+        for issue in exc.args:
+            print(f"error: {issue}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 def entry() -> None:

@@ -309,6 +309,18 @@ def _sid(value) -> int:
     return value
 
 
+def _array(obj: dict, key: str, pairs: bool = False) -> list:
+    """`obj[key]`, which must be a JSON array, of arrays if `pairs`; never a
+    string or an object, which would be iterated as characters or keys."""
+    value = obj[key]
+    if type(value) is not list:
+        raise TypeError(f"{key} {value!r} is not an array")
+    for item in value if pairs else ():
+        if type(item) is not list:
+            raise TypeError(f"{key} item {item!r} is not an array")
+    return value
+
+
 def _decomposition_link(d: dict, lit, names: dict) -> DecompositionLink:
     """A `decomposition_links` entry, its fields read in the order the file writes them.
 
@@ -317,11 +329,12 @@ def _decomposition_link(d: dict, lit, names: dict) -> DecompositionLink:
     the audit's structure check.
     """
     parent, begin, end = _sid(d["parent"]), _sid(d["begin"]), _sid(d["end"])
-    members = tuple(_sid(m) for m in d["members"])
+    members = tuple(_sid(m) for m in _array(d, "members"))
     schema = d["schema"]
     if type(schema) is not str or (parent in names and schema != names[parent]):
         raise PlanFileError(f"schema {schema!r} is not the name of parent step {parent}")
-    return DecompositionLink(parent, begin, end, members, tuple(lit(c) for c in d["constraints"]))
+    constraints = tuple(lit(c) for c in _array(d, "constraints"))
+    return DecompositionLink(parent, begin, end, members, constraints)
 
 
 def plan_view_from_dict(data: dict) -> PlanView:
@@ -343,24 +356,26 @@ def plan_view_from_dict(data: dict) -> PlanView:
             Step(
                 sid=_sid(s["id"]),
                 name=s["name"],
-                params=tuple(term(a) for a in s["args"]),
-                preconditions=tuple(lit(p) for p in s["preconditions"]),
-                effects=tuple(lit(e) for e in s["effects"]),
+                params=tuple(term(a) for a in _array(s, "args")),
+                preconditions=tuple(lit(p) for p in _array(s, "preconditions")),
+                effects=tuple(lit(e) for e in _array(s, "effects")),
                 kind=s["kind"],
             )
-            for s in data["steps"]
+            for s in _array(data, "steps")
         )
-        orderings = frozenset((_sid(a), _sid(b)) for a, b in data["orderings"])
+        orderings = frozenset((_sid(a), _sid(b)) for a, b in _array(data, "orderings", pairs=True))
         links = tuple(
             CausalLink(_sid(l["producer"]), lit(l["condition"]), _sid(l["consumer"]))
-            for l in data["causal_links"]
+            for l in _array(data, "causal_links")
         )
         names = {s.sid: s.name for s in steps}
-        decos = tuple(_decomposition_link(d, lit, names) for d in data["decomposition_links"])
+        decos = _array(data, "decomposition_links")
+        decos = tuple(_decomposition_link(d, lit, names) for d in decos)
         bindings = data.get("bindings", {})
         if type(bindings) is not dict:
             raise TypeError(f"bindings {bindings!r} is not an object")
-        distinct = tuple((term(a), term(b)) for a, b in bindings.get("distinct", []))
+        pairs = _array(bindings, "distinct", pairs=True) if "distinct" in bindings else ()
+        distinct = tuple((term(a), term(b)) for a, b in pairs)
     except (KeyError, TypeError, ValueError) as exc:
         raise PlanFileError(f"missing or malformed plan field: {exc}") from exc
     return PlanView(steps, orderings, links, decos, BindingSet({}, distinct))

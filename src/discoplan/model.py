@@ -42,7 +42,7 @@ RESERVED_LABELS = ("start", "final")
 
 
 class DomainValidationError(Exception):
-    """Raised when an operation is given input the validator would reject."""
+    """Raised on input the validator would reject; one argument per diagnostic line."""
 
 
 class BindingConstraint(NamedTuple):

@@ -10,25 +10,26 @@ begin of the later one), and threat detection asks whether a step's interval
 can intersect the protected span of a causal link.
 
 Incremental maintenance. A plan carries its ordering closure and, once
-`detect_threats` has asked for them, its threats. When `Plan.evolve` only
-appends steps and causal links, only adds ordering pairs and leaves every
-interval alone, the child derives its closure from the parent's: each new
-pair (a, b) adds b and everything b reaches to a and to every step that
-reaches a. Its threats then start from the nearest ancestor whose threats
-are known. Under such a change "possibly between" can only become false (the
-closure only grows) and `unify` can only start failing (the bindings only
-grow: `evolve` must only receive bindings that extend the parent's), so no
-old (link, step) pair becomes a threat. A step is a threat candidate for a
-link only if its effect signatures, the (predicate, sign) pairs of its
-effects, include the link's `signature`, that of its negated condition: no
-other effect can unify with it. So the child visits only three kinds of
-link: each new link, tested against all steps; each old link whose
-signature a new step carries, tested against the new steps; and, when the
-bindings or orderings changed, each old link with known threats, which are
-re-tested. Every other link keeps the ancestor's threats as they are. Any
-other change (an expansion adds an interval, pruning drops steps) and
-direct construction compute both from scratch; the tests' invariant checker
-compares the maintained values with that computation.
+`detect_threats` has asked for them, its threats. One routine,
+`_extend_closure`, derives every closure: each new pair (a, b) adds b and
+everything b reaches to a and to every step that reaches a. A plan that is
+constructed, pruning's included, extends an empty closure; a child of
+`Plan.evolve`, expansions included, extends its parent's by the pairs it
+adds, since any pair it drops is implied by those. A child that also keeps
+its parent's causal links as a prefix and every interval derives its threats
+from its parent's, if those are known. Under such a change "possibly
+between" can only become false (the closure only grows) and `unify` can only
+start failing (the bindings only grow: `evolve` must only receive bindings
+that extend the parent's), so no old (link, step) pair becomes a threat. A
+step is a threat candidate for a link only if its effect signatures, the
+(predicate, sign) pairs of its effects, include the link's `signature`, that
+of its negated condition: no other effect can unify with it. So the child
+visits only three kinds of link: each new link, tested against all steps;
+each old link whose signature a new step carries, tested against the new
+steps; and, when the bindings or orderings changed, each old link with known
+threats, which are re-tested. Every other link keeps the parent's threats.
+Any other plan scans its threats from scratch; the tests' invariant checker
+compares closure and threats with its own from-scratch computation.
 
 Record cost model. Decomposition links and flaws are named tuples (see
 `model`): cheap to define at import, hashed as the tuple of their fields as
@@ -43,7 +44,7 @@ condition and that condition's `signature`).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -140,12 +141,12 @@ class Plan:
     problem_name: str = ""
 
     def __post_init__(self):
-        index = {s.sid: s for s in self.steps}
+        index, reach = _extend_closure(None, self.steps, self.orderings)
         # _intervals: each expanded parent's (begin, end); _threats: one tuple
-        # of threats per causal link, once known; _base: the nearest ancestor
-        # with known threats that this plan extends.
+        # of threats per causal link, once known; _base: the parent whose
+        # threats this plan's derive from.
         vars(self).update(
-            _index=index, _reach=_closure(index, self.orderings), _threats=None, _base=None,
+            _index=index, _reach=reach, _threats=None, _base=None,
             _intervals=_intervals_of(self.decomposition_links),
         )
 
@@ -180,37 +181,34 @@ class Plan:
     def evolve(self, **changes) -> "Plan":
         """A copy with `changes`, sharing or extending the parent's derived state.
 
-        `bindings`, if given, must extend the parent's, and a step added
-        here may only be ordered by pairs added here too. When the child only
-        appends steps and causal links and only adds orderings, with each
-        interval unchanged, its closure is the parent's updated by the new
-        pairs and its threats are later derived from the nearest ancestor's
-        (see the module docstring); otherwise both are computed afresh.
+        `bindings`, if given, must extend the parent's; a step added here may
+        only be ordered by pairs added here; and a pair dropped here must be
+        implied by pairs added here, as when an expansion replaces (a, parent)
+        by (a, begin) and (begin, parent). A child that drops steps is built
+        afresh. Any other extends the parent's closure by the pairs it adds,
+        and derives its threats from the parent's only: when those are known
+        and the child keeps the links as a prefix and every interval (see the
+        module docstring).
         """
         unknown = changes.keys() - _PLAN_FIELDS
         if unknown:
             raise TypeError(f"Plan has no field {sorted(unknown)[0]}")
+        if "steps" in changes and not _extends(changes["steps"], self.steps):
+            return replace(self, **changes)
         child = object.__new__(Plan)
         state = vars(child)
         state.update(vars(self), **changes)
         if "decomposition_links" in changes:
             state["_intervals"] = _intervals_of(child.decomposition_links)
-        added = frozenset() if "orderings" not in changes else child.orderings - self.orderings
-        grows = (
-            child._intervals == self._intervals
-            and _extends(child.steps, self.steps)
+        if child.steps is not self.steps or child.orderings is not self.orderings:
+            fresh, added = child.steps[len(self.steps):], child.orderings - self.orderings
+            state["_index"], state["_reach"] = _extend_closure(self, fresh, added)
+        derives = (
+            self._threats is not None
+            and child._intervals == self._intervals
             and _extends(child.causal_links, self.causal_links)
-            and len(child.orderings) == len(self.orderings) + len(added)
         )
-        if not grows:
-            state["_index"] = {s.sid: s for s in child.steps}
-            state["_reach"] = _closure(state["_index"], child.orderings)
-        elif child.steps is not self.steps or added:
-            state["_index"], state["_reach"] = _extend_closure(
-                self._index, self._reach, child.steps[len(self.steps):], added
-            )
-        base = self if self._threats is not None else self._base
-        state.update(_threats=None, _base=base if grows else None)
+        state.update(_threats=None, _base=self if derives else None)
         return child
 
 
@@ -226,30 +224,12 @@ def _intervals_of(decomposition_links) -> dict[int, tuple[int, int]]:
     return {d.parent: (d.begin, d.end) for d in decomposition_links}
 
 
-def _closure(index, pairs) -> dict[int, frozenset[int]]:
-    succ: dict[int, set[int]] = {sid: set() for sid in index}
-    for a, b in pairs:
-        if a in succ:
-            succ[a].add(b)
-    out: dict[int, frozenset[int]] = {}
-    for sid in index:
-        seen: set[int] = set()
-        stack = list(succ.get(sid, ()))
-        while stack:
-            n = stack.pop()
-            if n in seen:
-                continue
-            seen.add(n)
-            stack.extend(succ.get(n, ()))
-        out[sid] = frozenset(seen)
-    return out
-
-
-def _extend_closure(index, reach, fresh, pairs):
-    """`_closure` of the old pairs plus `pairs` over `index` plus the `fresh`
-    steps, given `reach`, the closure of the old pairs over `index`."""
-    index = dict(index)
-    reach = dict(reach)
+def _extend_closure(base: Plan | None, fresh, pairs):
+    """The step index and closure of `base`'s orderings plus `pairs` over its
+    steps plus the `fresh` ones; with no `base`, of `pairs` over `fresh`. A
+    pair whose first step is no step orders nothing."""
+    index = dict(base._index) if base is not None else {}
+    reach = dict(base._reach) if base is not None else {}
     for s in fresh:
         index[s.sid] = s
         reach[s.sid] = frozenset()
@@ -309,8 +289,8 @@ def detect_threats(plan: Plan) -> list[Threat]:
     The protected span runs from the producer's establishment point (its end
     boundary if expanded) to the consumer's start point (its begin boundary).
     Threats come in causal-link order, then step order, in a fresh list. They
-    are computed once per plan, from the nearest ancestor whose threats are
-    known when the plan extends it (see the module docstring).
+    are computed once per plan, from its parent's when the plan extends a
+    parent whose threats are known (see the module docstring).
     """
     if plan._threats is None:
         vars(plan).update(_threats=_scan_threats(plan, plan._base), _base=None)
@@ -319,7 +299,7 @@ def detect_threats(plan: Plan) -> list[Threat]:
 
 def _scan_threats(plan: Plan, base: Plan | None = None) -> tuple[tuple[Threat, ...], ...]:
     """The threats of each causal link; from scratch, or from those of `base`,
-    an ancestor that `plan` extends."""
+    the parent that `plan` extends."""
     if base is None:
         return tuple(_link_threats(plan, link, (), plan.steps) for link in plan.causal_links)
     fresh = plan.steps[len(base.steps):]

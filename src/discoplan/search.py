@@ -604,12 +604,13 @@ def solve(domain: Domain, problem: Problem, config: SearchConfig | None = None) 
     and BudgetExceeded when the node budget runs out first; either of the last
     two counts the successors the step bound dropped. Only relaxed-reachable
     operators and schemata are searched, and a positive goal whose predicate
-    is unreachable ends the search before the first node.
+    is unreachable ends the search before the first node. Invalid input
+    raises `DomainValidationError`, one argument per validator line.
     """
     config = config or SearchConfig()
     issues = validate_domain(domain) + validate_problem(domain, problem)
     if issues:
-        raise DomainValidationError("; ".join(issues))
+        raise DomainValidationError(*issues)
     predicates, operators = _relaxed_reachable(domain, problem.init)
     unreachable = tuple(g for g in problem.goals if g.positive and g.predicate not in predicates)
     if unreachable:

@@ -18,7 +18,6 @@ from discoplan.plan import (
     Plan,
     Step,
     UnexpandedComposite,
-    _closure,
     _scan_threats,
     detect_threats,
     establishments,
@@ -97,6 +96,28 @@ def scan_flaws(plan: Plan) -> tuple[set, set]:
     return opens, unexpanded
 
 
+def reference_closure(steps, pairs) -> dict[int, frozenset[int]]:
+    """The ordering closure by a walk from each of `steps`: the steps each one
+    reaches through `pairs`. The planner extends closures incrementally; this
+    is the from-scratch reference for it."""
+    succ: dict[int, set[int]] = {s.sid: set() for s in steps}
+    for a, b in pairs:
+        if a in succ:
+            succ[a].add(b)
+    out: dict[int, frozenset[int]] = {}
+    for sid in succ:
+        seen: set[int] = set()
+        stack = list(succ[sid])
+        while stack:
+            n = stack.pop()
+            if n in seen:
+                continue
+            seen.add(n)
+            stack.extend(succ.get(n, ()))
+        out[sid] = frozenset(seen)
+    return out
+
+
 def check_invariants(plan: Plan) -> list[str]:
     """Structural invariant audit used by tests; empty list means healthy."""
     issues = []
@@ -132,7 +153,9 @@ def check_invariants(plan: Plan) -> list[str]:
     agenda = set(plan.flaws)
     if agenda != opens | unexpanded:
         issues.append("flaw agenda differs from from-scratch scan")
-    if plan._reach != _closure(plan._index, plan.orderings):
+    if plan._index != {s.sid: s for s in plan.steps}:
+        issues.append("step index differs from the steps")
+    if plan._reach != reference_closure(plan.steps, plan.orderings):
         issues.append("ordering closure differs from from-scratch closure")
     if detect_threats(plan) != [t for threats in _scan_threats(plan) for t in threats]:
         issues.append("threats differ from from-scratch scan")

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from discoplan import cli as cli_module, model as model_module, search as search_module
 from discoplan.cli import cli_main
 from _worlds import CORPUS
 
@@ -72,8 +73,9 @@ def test_check_rejects_semantic_problems(tmp_path, capsys):
 
 
 def _every_command_rejects(domain, problem, plan, capsys, error):
-    # check, plan and verify all load the inputs first: one error line, exit 3.
-    for argv in (["check"], ["plan"], ["verify", "--plan", str(plan)]):
+    # check, plan, analyze and verify all validate the inputs first: one
+    # error line, exit 3.
+    for argv in (["check"], ["plan"], ["analyze"], ["verify", "--plan", str(plan)]):
         code = cli_main(argv + ["--domain", str(domain), "--problem", str(problem)])
         assert (code, capsys.readouterr()) == (3, ("", f"error: {error}\n")), argv
 
@@ -104,6 +106,45 @@ def test_a_schema_step_using_a_functor_with_another_arity_is_an_input_error(tmp_
     _every_command_rejects(
         domain, LUCENTIO, plan, capsys, "schema 0 for support: functor causes used with arities 2 and 1"
     )
+
+
+@pytest.mark.parametrize("command", ["plan", "analyze", "verify", "check"])
+def test_each_command_validates_its_domain_and_problem_once(tmp_path, monkeypatch, command):
+    plan = tmp_path / "plan.json"
+    assert cli_main(["plan", "--domain", DISCOURSE, "--problem", LUCENTIO, "--out", str(plan)]) == 0
+    calls = []
+    for name in ("validate_domain", "validate_problem"):
+        validate = getattr(model_module, name)
+
+        def counted(*args, _name=name, _validate=validate):
+            calls.append(_name)
+            return _validate(*args)
+
+        for module in (cli_module, search_module):
+            monkeypatch.setattr(module, name, counted)
+    argv = [command, "--domain", DISCOURSE, "--problem", LUCENTIO]
+    argv += ["--plan", str(plan)] if command == "verify" else []
+    argv += ["--out", str(tmp_path / "out")] if command in ("plan", "analyze") else []
+    assert cli_main(argv) == 0
+    assert sorted(calls) == ["validate_domain", "validate_problem"]
+
+
+def test_a_solving_command_prints_every_validation_error_as_check_does(tmp_path, capsys):
+    # Two domain issues and one problem issue, in the validators' order.
+    domain = tmp_path / "d.dpd"
+    domain.write_text(
+        "(domain d (predicates (p 1))"
+        " (action (header (go)) (pre (p ?x)) (eff (p ?y)))"
+        " (action (header (go)) (pre) (eff)))"
+    )
+    problem = tmp_path / "p.dpp"
+    problem.write_text("(problem p (domain other) (init) (goal (p a)))")
+    assert cli_main(["check", "--domain", str(domain), "--problem", str(problem)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("error: ") >= 3
+    for command in ("plan", "analyze"):
+        assert cli_main([command, "--domain", str(domain), "--problem", str(problem)]) == 3
+        assert capsys.readouterr() == ("", err), command
 
 
 def test_missing_file_is_an_input_error(capsys):
@@ -520,3 +561,45 @@ def test_verify_rejects_a_non_string_text_or_a_non_object_bindings(
     err = capsys.readouterr().err
     assert err.startswith(f"error: {out}: ") and err.count("\n") == 1
     assert message in err
+
+
+def _last_distinct_pair(data):
+    _a_distinct_pair(data)
+    return data["bindings"]["distinct"], -1
+
+
+# Every array of a plan file, as (where it sits in a lucentio plan file, a
+# string the reader once iterated character by character).
+ARRAY_FIELDS = {
+    "steps": (lambda d: (d, "steps"), ""),
+    "args": (lambda d: (next(s for s in d["steps"] if len(s["args"]) == 2), "args"), "lb"),
+    "preconditions": (lambda d: (next(s for s in d["steps"] if s["preconditions"]), "preconditions"), ""),
+    "effects": (lambda d: (next(s for s in d["steps"] if s["effects"]), "effects"), ""),
+    "orderings": (lambda d: (d, "orderings"), ""),
+    "orderings item": (lambda d: (d["orderings"], 0), "01"),
+    "causal_links": (lambda d: (d, "causal_links"), ""),
+    "decomposition_links": (lambda d: (d, "decomposition_links"), ""),
+    "members": (lambda d: (d["decomposition_links"][0], "members"), ""),
+    "constraints": (lambda d: (d["decomposition_links"][0], "constraints"), ""),
+    "distinct": (lambda d: (d["bindings"], "distinct"), ""),
+    "distinct item": (_last_distinct_pair, "ab"),
+}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [pytest.param(f, v, id=f"{f}-{json.dumps(v)}") for f in ARRAY_FIELDS for v in (ARRAY_FIELDS[f][1], {})],
+)
+def test_verify_rejects_a_string_or_an_object_for_an_array(tmp_path, capsys, field, value):
+    out = tmp_path / "plan.json"
+    cli_main(["plan", "--domain", DISCOURSE, "--problem", LUCENTIO, "--out", str(out)])
+    data = json.loads(out.read_text())
+    container, key = ARRAY_FIELDS[field][0](data)
+    container[key] = value
+    out.write_text(json.dumps(data))
+    capsys.readouterr()
+    code = cli_main(["verify", "--domain", DISCOURSE, "--problem", LUCENTIO, "--plan", str(out)])
+    assert (code, capsys.readouterr()) == (
+        3,
+        ("", f"error: {out}: missing or malformed plan field: {field} {value!r} is not an array\n"),
+    )

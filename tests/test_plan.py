@@ -218,6 +218,9 @@ def test_evolve_reuses_the_closure_only_while_steps_and_orderings_stay():
         steps=plan.steps + (flat_step(2),), orderings=plan.orderings | {(0, 2), (2, 1)}
     )
     assert grown.reaches(0, 2) and grown.reaches(2, 1) and 2 not in plan._index
+    # Dropping a step builds the child afresh, from an empty closure.
+    pruned = grown.evolve(steps=plan.steps, orderings=plan.orderings)
+    assert pruned == plan and pruned._reach == plan._reach and pruned._index == plan._index
     with pytest.raises(TypeError):
         plan.evolve(no_such_field=1)
 

@@ -19,8 +19,13 @@ from discoplan.model import (
     knowledge_base,
 )
 from discoplan.plan import (
+    KIND_BEGIN,
+    KIND_COMPOSITE,
+    KIND_END,
     CausalLink,
+    DecompositionLink,
     OpenCondition,
+    Step,
     Threat,
     UnexpandedComposite,
     add_ordering,
@@ -63,6 +68,7 @@ from _worlds import (
     make_plan,
     marks_domain,
     marks_problem,
+    reference_closure,
     step_leftmost,
 )
 
@@ -380,6 +386,73 @@ def test_refine_decomposition_no_schema_backtracks():
     succ = refine_causal(plan, plan.flaws[0], domain)
     expansion = next(f for f in succ[0].flaws if isinstance(f, UnexpandedComposite))
     assert refine_decomposition(succ[0], expansion, domain, knowledge_base(domain, problem)) == []
+
+
+def _cycle_world(schema):
+    """The domain whose one schema for `top` is `schema`, and a plan whose
+    composite step 2 (top) establishes (g) for step 3 (act), ordered after it."""
+    g, h = lit("g"), lit("h")
+    domain = Domain(
+        name="loop",
+        predicates={"g": 0, "h": 0},
+        operators=(
+            ActionOperator("top", (), (), (g,), composite=True),
+            ActionOperator("act", (), (g,), (h,)),
+            ActionOperator("other", (), (), (h,)),
+        ),
+        schemata=(schema,),
+    )
+    steps = boundary_steps() + (
+        Step(2, "top", (), (), (g,), KIND_COMPOSITE),
+        flat_step(3, "act", pre=(g,), eff=(h,)),
+    )
+    orderings = {(0, 2), (2, 1), (0, 3), (3, 1), (2, 3)}
+    plan = make_plan(steps, orderings, (CausalLink(2, g, 3),), flaws=(UnexpandedComposite(2),))
+    return domain, plan
+
+
+REUSE_ACT = DecompositionSchema("top", (), steps=(StepTemplate("s", "act", ()),))
+OTHER_BOTH_WAYS = DecompositionSchema(
+    "top",
+    (),
+    steps=(StepTemplate("s", "other", ()), StepTemplate("t", "other", ())),
+    orderings=(("s", "t"), ("t", "s")),
+)
+
+
+@pytest.mark.parametrize(
+    "schema, policy",
+    [
+        pytest.param(REUSE_ACT, "prefer-reuse", id="reused-member-after-the-parent"),
+        pytest.param(OTHER_BOTH_WAYS, "both-branches", id="schema-orderings-both-ways"),
+    ],
+)
+def test_an_expansion_that_closes_a_cycle_gets_no_successor(schema, policy):
+    domain, plan = _cycle_world(schema)
+    kb = knowledge_base(domain, Problem("p", "loop"))
+    assert refine_decomposition(plan, plan.flaws[0], domain, kb, policy) == []
+
+
+def test_an_expansion_reusing_a_step_ordered_after_the_parent_is_cyclic():
+    domain, plan = _cycle_world(REUSE_ACT)
+    kb = knowledge_base(domain, Problem("p", "loop"))
+    # Under both branches only the fresh act step is left.
+    (child,) = refine_decomposition(plan, plan.flaws[0], domain, kb)
+    assert child.decomposition_links[0].members == (6,) and check_invariants(child) == []
+    # Reusing step 3 as the expansion would: (2, 3) becomes (5, 3), and step
+    # 3 joins the subplan from begin 4 to end 5. The pairs on the parent that
+    # are dropped are implied by those added.
+    begin = Step(4, KIND_BEGIN, (), (), (), KIND_BEGIN, 1)
+    end = Step(5, KIND_END, (), (lit("g"),), (), KIND_END, 1)
+    cyclic = plan.evolve(
+        steps=plan.steps + (begin, end),
+        orderings=frozenset({(0, 4), (4, 2), (2, 5), (5, 1), (0, 3), (3, 1), (5, 3), (4, 3), (3, 5)}),
+        decomposition_links=(DecompositionLink(2, 4, 5, (3,), ()),),
+        flaws=(),
+    )
+    assert not cyclic.is_acyclic
+    assert cyclic.reaches(3, 3) and cyclic.reaches(5, 5)
+    assert cyclic._reach == reference_closure(cyclic.steps, cyclic.orderings)
 
 
 def test_refine_decomposition_can_share_a_member_between_parents():
