@@ -9,6 +9,11 @@ The audit executes linearizations by a depth-first walk that carries the
 state down the tree of orders and reuses each clean subtree it has walked,
 so each distinct (unplaced steps, state) pair is expanded once rather than
 once per order, and a pair already walked costs a lookup, not a call.
+When no two unplaced steps interfere (neither precedes the other, and
+neither touches an atom the other changes), every order of them reaches
+one state, so one O(k) pass over the k steps decides whether all k!
+orders are clean, and a clean set's orders are counted, not walked
+(partial-order reduction, Godefroid 1996).
 Each literal object is grounded once per audit and each ground atom gets
 one bit, and states and unplaced sets are ints used as bit sets, so a pair
 costs one int transition per step that can come next. The link checks are
@@ -24,6 +29,7 @@ Traces, plan views and reports are named tuples (see `model`).
 from __future__ import annotations
 
 from collections import Counter
+from math import factorial
 from typing import Iterable, NamedTuple, Sequence
 
 from .model import Problem
@@ -202,6 +208,53 @@ def _match(pattern, term, env: dict[Variable, Term]) -> bool:
     return pattern == term
 
 
+def _masks(conditions) -> tuple[int, int]:
+    """The bits of the positive conditions' atoms, and of the negative ones'."""
+    on = off = 0
+    for _, b, positive in conditions:
+        if positive:
+            on |= b
+        else:
+            off |= b
+    return on, off
+
+
+def _interference(steps) -> dict[int, tuple[int, int, int, int, int]]:
+    """Per step bit: the bits of the steps it interferes with, then its `on`,
+    `off`, `deletes` and `adds` masks.
+
+    Two steps interfere when one precedes the other, or when one changes an
+    atom that the other reads or changes; two steps that only read an atom
+    do not. The masks come from one pass over each step's atoms, which
+    notes per atom the steps that read it and the steps that change it; no
+    pair of steps is visited. Of the orderings, a step's mask holds only its
+    predecessors, which is enough for a test that looks at every step of a
+    set: of two ordered steps, the later one's mask holds the earlier one.
+    """
+    readers: dict[int, int] = {}
+    writers: dict[int, int] = {}
+    for _, bit, _, (conditions, _, _, deletes, adds) in steps:
+        for _, atom, _ in conditions:
+            readers[atom] = readers.get(atom, 0) | bit
+        changed = deletes | adds
+        while changed:
+            atom = changed & -changed
+            writers[atom] = writers.get(atom, 0) | bit
+            changed ^= atom
+    out = {}
+    for _, bit, predecessors, (conditions, on, off, deletes, adds) in steps:
+        others = predecessors
+        for _, atom, _ in conditions:
+            others |= writers.get(atom, 0)
+        changed = deletes | adds
+        while changed:
+            atom = changed & -changed
+            others |= readers.get(atom, 0) | writers[atom]
+            changed ^= atom
+        out[bit] = (others & ~bit, on, off, deletes, adds)
+    return out
+
+
 def _check_orders(steps, cap: int, state: int, goals) -> tuple[list[Violation], int]:
     """Execute every order of the steps that respects their predecessors, sharing subtrees.
 
@@ -224,6 +277,20 @@ def _check_orders(steps, cap: int, state: int, goals) -> tuple[list[Violation], 
     pair, however many orders pass through the pair; failing prefixes are
     still walked order by order, by `fail`.
 
+    One rule counts a subtree instead of walking it. When no two of the k
+    unplaced steps interfere (see `_interference`), no step changes what
+    another reads or changes, so every order of them reaches one state, and
+    each step's conditions hold in every order exactly when they hold now.
+    If they hold now and the goals hold in that state, all k! orders are
+    clean: the pair is stored with k! orders and the count grows by k!, up
+    to the cap, as for a stored subtree. That costs O(k) int operations and
+    one transition. Otherwise the subtree is walked as above, so each
+    failing order is still reported; the test stops at the first unplaced
+    step that interferes with another, so a pair whose steps interfere pays
+    little for it. The violations and the count are those of the full walk
+    at every cap, since the rule replaces only subtrees in which the walk
+    reports nothing.
+
     Sets are ints used as bit sets. `steps` lists `(sid, bit, predecessors,
     step)` in ascending id order: `bit` is the step's own bit, and a step can
     be placed once no bit of `predecessors` is left unplaced, so the unplaced
@@ -237,6 +304,8 @@ def _check_orders(steps, cap: int, state: int, goals) -> tuple[list[Violation], 
     placed: list[int] = []
     count = 0
     clean: dict[tuple[int, int], int] = {}
+    interference = _interference(steps)
+    goals_on, goals_off = _masks(goals)
 
     def end(state: int) -> None:
         nonlocal count
@@ -261,8 +330,34 @@ def _check_orders(steps, cap: int, state: int, goals) -> tuple[list[Violation], 
                 fail(left ^ bit, failure)
                 placed.pop()
 
+    def independent_and_clean(left: int, state: int) -> bool:
+        """Whether no two steps of `left` interfere and every order of them
+        from `state` executes and ends with the goals true."""
+        on = off = deletes = adds = 0
+        rest = left
+        while rest:
+            bit = rest & -rest
+            others, step_on, step_off, step_deletes, step_adds = interference[bit]
+            if others & left:
+                return False
+            on |= step_on
+            off |= step_off
+            deletes |= step_deletes
+            adds |= step_adds
+            rest ^= bit
+        if state & on != on or state & off:
+            return False
+        after = _transition(state, deletes, adds)
+        return after & goals_on == goals_on and not after & goals_off
+
     def walk(left: int, state: int) -> None:
         nonlocal count
+        # The lowest unplaced step's mask turns away most sets whose steps
+        # interfere without a call.
+        if not interference[left & -left][0] & left and independent_and_clean(left, state):
+            orders = clean[left, state] = factorial(left.bit_count())
+            count = min(count + orders, cap + 1)
+            return
         first, found = count, len(violations)
         for sid, bit, predecessors, step in steps:
             if count > cap:
@@ -400,9 +495,13 @@ def verify_soundness(plan, problem: Problem, max_orders: int = 5_000) -> AuditRe
     each distinct (unplaced set, state) pair reached, not one per step of
     every order, and one call per distinct pair, none for a pair already
     walked (see `_check_orders`); prefixes that fail a precondition are
-    still walked order by order. Each literal object is grounded, and its
-    atom numbered, once per audit. Unplaced sets and states are ints used
-    as bit sets, so each transition and each test is a few int operations.
+    still walked order by order. A pair whose k unplaced steps do not
+    interfere, and all of whose orders are clean, costs O(k) int operations
+    and one transition, and its k! orders are counted, not walked: seven or
+    twelve unordered switches cost one transition in all. Each literal
+    object is grounded, and its atom numbered, once per audit. Unplaced sets
+    and states are ints used as bit sets, so each transition and each test
+    is a few int operations.
 
     Support costs one `apply` per precondition and per link: links are
     counted per (consumer, applied condition) once. The threat and produce
@@ -536,16 +635,6 @@ def verify_soundness(plan, problem: Problem, max_orders: int = 5_000) -> AuditRe
             known = conditions[id(lit)] = (g, 1 << ids.setdefault(g.atom(), len(ids)), g.positive)
         return known
 
-    def masks(literals) -> tuple[int, int]:
-        """The bits of the positive literals' atoms, and of the negative ones'."""
-        on = off = 0
-        for _, b, positive in literals:
-            if positive:
-                on |= b
-            else:
-                off |= b
-        return on, off
-
     prims = sorted(s.sid for s in plan.steps if s.kind == "primitive")
     bit = {m: 1 << i for i, m in enumerate(prims)}
     predecessors = dict.fromkeys(prims, 0)
@@ -556,9 +645,9 @@ def verify_soundness(plan, problem: Problem, max_orders: int = 5_000) -> AuditRe
     order_steps = []
     for m in prims:
         pre = tuple(condition(p) for p in steps[m].preconditions)
-        adds, deletes = masks(condition(e) for e in steps[m].effects)
-        order_steps.append((m, bit[m], predecessors[m], (pre, *masks(pre), deletes, adds)))
-    start, _ = masks(condition(e) for e in initial.effects)
+        adds, deletes = _masks(condition(e) for e in steps[m].effects)
+        order_steps.append((m, bit[m], predecessors[m], (pre, *_masks(pre), deletes, adds)))
+    start, _ = _masks(condition(e) for e in initial.effects)
     goals = [condition(g) for g in final.preconditions]
     found, checked = _check_orders(order_steps, max_orders, start, goals)
     violations += found

@@ -1,5 +1,6 @@
 """Executor, brute-force enumerator, and soundness auditor."""
 import itertools
+import math
 import random
 from collections import Counter
 from dataclasses import replace
@@ -277,6 +278,136 @@ def test_audit_applies_each_unplaced_set_and_state_pair_once(monkeypatch):
     assert transitions <= 7 * 2**6
 
 
+def _switch(sid, *extra):
+    """A primitive that turns its own (p c<sid>) on, with `extra` effects."""
+    own = lit("p", Constant(f"c{sid}"))
+    return flat_step(sid, f"s{sid}", pre=(own.negate(),), eff=(own, *extra))
+
+
+def _switch_plan(steps, orderings=()):
+    """`steps` between the boundary steps, each switch's own atom a goal, and
+    each switch's condition linked from the initial step (off there under
+    the closed world) and its own atom from the switch to the final step."""
+    prims = [s.sid for s in steps]
+    switches = [s for s in steps if s.preconditions]
+    links = [CausalLink(0, s.preconditions[0], s.sid) for s in switches]
+    links += [CausalLink(s.sid, s.effects[0], 1) for s in switches]
+    orderings = set(orderings) | {(0, s) for s in prims} | {(s, 1) for s in prims}
+    goals = [s.effects[0] for s in switches]
+    return make_plan(boundary_steps((), goals) + tuple(steps), orderings, links)
+
+
+def test_audit_applies_each_pair_once_when_every_two_steps_interfere(monkeypatch):
+    # The memo path under steps whose orders cannot be counted: each of
+    # seven unordered switches also adds (q a), so every two change one
+    # atom. After a nonempty prefix the state is the prefix's own atoms and
+    # (q a), one state per unplaced set, so the bound above holds here too.
+    plan = _switch_plan([_switch(s, lit("q", A)) for s in range(2, 9)])
+    report, transitions = _counted(monkeypatch, "_transition", plan)
+    assert report.ok and report.linearizations_checked == 5_001
+    assert transitions <= 7 * 2**6
+
+
+@pytest.mark.parametrize(
+    "plan, bound",
+    [
+        # Twelve unordered switches: 12! orders, all clean, counted at the root.
+        (_switch_plan([_switch(s) for s in range(2, 14)]), 12),
+        # Step 2 adds (q a) and step 3 deletes it, in either order, and ten
+        # switches follow both. The root places 2 or 3 and then the other,
+        # two transitions each way; each of the two (unplaced set, state)
+        # pairs reached is counted with one more.
+        (
+            _switch_plan(
+                [
+                    flat_step(2, "set", eff=(lit("q", A),)),
+                    flat_step(3, "clear", eff=(lit("q", A, positive=False),)),
+                    *(_switch(s) for s in range(4, 14)),
+                ],
+                {(a, s) for a in (2, 3) for s in range(4, 14)},
+            ),
+            2 * 2 + 2,
+        ),
+    ],
+    ids=["twelve-unordered-switches", "after-a-dependent-prefix"],
+)
+def test_audit_counts_the_orders_of_steps_that_do_not_interfere(monkeypatch, plan, bound):
+    report, transitions = _counted(monkeypatch, "_transition", plan)
+    assert report.ok and report.linearizations_checked == 5_001
+    assert transitions <= bound
+
+
+def _independent_audit_plan(rng):
+    """Two to seven switches, each mostly over an atom of its own.
+
+    Now and then a switch also reads or changes the shared atom (q a), two
+    switches are ordered, a switch needs its own atom on before it turns it
+    on (so every order fails there), or a goal wants an atom off (so every
+    order misses it). So sets of steps that do not interfere come up at the
+    root and after prefixes of steps that do, clean or not.
+    """
+    shared = lit("q", A)
+
+    def either(l):
+        return l if rng.random() < 0.5 else l.negate()
+
+    prims = list(range(2, 2 + rng.randint(2, 7)))
+    steps, goals = [], []
+    for s in prims:
+        own = lit("p", Constant(f"c{s}"))
+        pre = [own if rng.random() < 0.08 else own.negate()]
+        eff = [own]
+        roll = rng.random()
+        if roll < 0.12:
+            pre.append(either(shared))
+        elif roll < 0.24:
+            eff.append(either(shared))
+        steps.append(flat_step(s, f"s{s}", pre=pre, eff=eff))
+        goals.append(own.negate() if rng.random() < 0.05 else own)
+    if rng.random() < 0.15:
+        goals.append(either(shared))
+    orderings = {(0, s) for s in prims} | {(s, 1) for s in prims}
+    orderings |= {(a, b) for a, b in itertools.combinations(prims, 2) if rng.random() < 0.06}
+    init = [shared] if rng.random() < 0.5 else []
+    return make_plan(boundary_steps(init, goals) + tuple(steps), orderings)
+
+
+def test_counting_the_orders_of_independent_steps_matches_reexecuting_them(monkeypatch):
+    # Every cap from 0 to one past the number of orders, or, past 400
+    # orders, the ends of the range, each k! boundary and random caps
+    # between. The plans must have sets of steps counted at the root and
+    # after a prefix, and orders that fail and that miss a goal.
+    counted = []
+    monkeypatch.setattr(oracle, "factorial", lambda k: counted.append(k) or math.factorial(k))
+    rng = random.Random(31)
+    at_root = after_prefix = 0
+    codes = Counter()
+    for _ in range(40):
+        plan = _independent_audit_plan(rng)
+        prims = sum(s.kind == "primitive" for s in plan.steps)
+        total = _total_orders(plan)
+        runs = reexecute_orders(plan, total)
+        if total <= 400:
+            caps = range(total + 2)
+        else:
+            boundaries = {math.factorial(k) + d for k in range(1, 8) for d in (-1, 0, 1)}
+            caps = sorted(
+                {c for c in boundaries if c <= total + 1}
+                | {0, 1, total - 1, total, total + 1}
+                | set(rng.sample(range(total + 2), 12))
+            )
+        counted.clear()
+        for cap in caps:
+            report = verify_soundness(plan, Problem("p", "d"), max_orders=cap)
+            assert _order_violations(report) == [f for found in runs[: cap + 1] for f in found]
+            assert report.linearizations_checked == min(total, cap + 1)
+        at_root += prims in counted
+        after_prefix += any(k < prims for k in counted)
+        codes.update(code for found in runs for code, _ in found)
+    assert at_root >= 5 and after_prefix >= 5
+    assert codes["execution"] > 100 and codes["goal"] > 100
+
+
 LINK_CODES = ("support", "order", "produce", "threat", "subplan")
 
 
@@ -353,6 +484,8 @@ def _unordered_plan(links, prims, preconditions=0):
 
 
 def _counted(monkeypatch, name, plan):
+    """The audit of `plan` against the problem it claims to solve, and the
+    number of calls it made to `oracle.<name>`."""
     calls = 0
     original = getattr(oracle, name)
 
@@ -361,10 +494,11 @@ def _counted(monkeypatch, name, plan):
         calls += 1
         return original(*args)
 
+    problem = Problem("p", "d", init=plan.steps[0].effects, goals=plan.steps[1].preconditions)
     with monkeypatch.context() as patched:
         patched.setattr(oracle, name, counted)
-        verify_soundness(plan, Problem("p", "d", init=plan.steps[0].effects))
-    return calls
+        report = verify_soundness(plan, problem)
+    return report, calls
 
 
 def _link_tests(monkeypatch, plan):
@@ -401,7 +535,8 @@ def test_audit_applies_bindings_once_per_literal_and_link(monkeypatch):
     # apply calls by a fixed amount, where checking each precondition against
     # each link grows them by more each time.
     counts = [
-        _counted(monkeypatch, "apply", _unordered_plan(k, 3, preconditions=k)) for k in (4, 8, 12)
+        _counted(monkeypatch, "apply", _unordered_plan(k, 3, preconditions=k))[1]
+        for k in (4, 8, 12)
     ]
     assert counts[2] - counts[1] == counts[1] - counts[0]
 
