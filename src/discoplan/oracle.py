@@ -19,9 +19,9 @@ one bit, and states and unplaced sets are ints used as bit sets, so a pair
 costs one int transition per step that can come next. The link checks are
 indexed: support costs one `apply` per precondition and per link, and a
 link's produce and threat checks test its condition only against effects
-of the same predicate, sign and arity. Two ground literals under a store
-without assignments are compared, not unified; `unify` runs only for a
-literal that keeps a variable or a store that has assignments.
+of the same predicate, sign and arity. Whether link tests compare or
+unify is decided once per plan: they compare when the store is empty and
+the plan is ground, and else every test calls `unify`.
 `execute` runs one order at a time; the benchmark traces it.
 
 Traces, plan views and reports are named tuples (see `model`).
@@ -432,36 +432,22 @@ def _signature(lit: Literal) -> tuple[str, bool, int]:
     return lit.predicate, lit.positive, len(lit.args)
 
 
-def _unifier(bindings: BindingSet):
-    """The audit's link test: `unifies(literals, lit)` is whether `unify(e, lit,
-    bindings)` is not None for some `e` of `literals`, an arity clash, at the
+def _unifier(bindings: BindingSet, literals):
+    """The audit's link test: `unifies(effects, lit)` is whether `unify(e, lit,
+    bindings)` is not None for some `e` of `effects`, an arity clash, at the
     top or nested, counting as no.
 
-    A reloaded plan's store holds no assignments, and its literals are almost
-    always ground. Under a store without assignments, in which no `distinct`
+    Decided once per audit from `literals`, the plan's effects and link
+    conditions. Under a store without assignments, in which no `distinct`
     pair names one term twice, two ground literals unify exactly when they
     are equal: `unify` would add no assignment, so no forbidden pair could
-    come to codesignate. So when `lit` and every literal of `literals` are
-    ground, `lit` is looked up in `literals`, and `unify` is called only when
-    a literal keeps a variable or the store has assignments. Groundness is
-    found once per argument tuple, which a literal's negation and atom share
-    with it, and once per list of literals; the memo holds each tuple and
-    list, so no id is reused while the test lives.
+    come to codesignate. So when every literal is ground, a test is `lit in
+    effects`; otherwise, as for a plan file whose step keeps an unbound
+    variable, every test calls `unify`.
     """
     compare = not bindings.assignments and all(x != y for x, y in bindings.distinct)
-    grounds: dict[int, tuple[object, bool]] = {}
-
-    def ground(lit: Literal) -> bool:
-        known = grounds.get(id(lit.args))
-        if known is None:
-            known = grounds[id(lit.args)] = (lit.args, is_ground(lit))
-        return known[1]
-
-    def all_ground(literals) -> bool:
-        known = grounds.get(id(literals))
-        if known is None:
-            known = grounds[id(literals)] = (literals, all(ground(e) for e in literals))
-        return known[1]
+    if compare and all(map(is_ground, literals)):
+        return lambda effects, lit: lit in effects
 
     def unified(e: Literal, lit: Literal) -> bool:
         try:
@@ -469,12 +455,7 @@ def _unifier(bindings: BindingSet):
         except ArityMismatchError:
             return False
 
-    def unifies(literals, lit: Literal) -> bool:
-        if compare and ground(lit) and all_ground(literals):
-            return lit in literals
-        return any(unified(e, lit) for e in literals)
-
-    return unifies
+    return lambda effects, lit: any(unified(e, lit) for e in effects)
 
 
 def verify_soundness(plan, problem: Problem, max_orders: int = 5_000) -> AuditReport:
@@ -507,11 +488,10 @@ def verify_soundness(plan, problem: Problem, max_orders: int = 5_000) -> AuditRe
     counted per (consumer, applied condition) once. The threat and produce
     checks, and the closed-world check of a link from the initial step,
     test a condition only against effects of its predicate, sign and arity,
-    since `unify` fails or raises on any other. A test compares two ground
-    literals when the store has no assignments, and calls `unify` only for
-    a literal that keeps a variable or a store that has assignments (see
-    `_unifier`); an arity clash inside a term fails the test, so a plan
-    file that holds one gets violations, not an exception.
+    since `unify` fails or raises on any other. The tests compare literals
+    when the store is empty and the plan is ground, and else every test
+    calls `unify` (see `_unifier`); an arity clash inside a term fails the
+    test, so a plan file that holds one gets violations, not an exception.
     """
     violations: list[Violation] = []
     bindings = plan.bindings
@@ -548,7 +528,8 @@ def verify_soundness(plan, problem: Problem, max_orders: int = 5_000) -> AuditRe
     for s in plan.steps:
         for e in s.effects:
             effects_by_signature.setdefault(_signature(e), {}).setdefault(s.sid, []).append(e)
-    unifies = _unifier(bindings)
+    effects = [e for s in plan.steps for e in s.effects]
+    unifies = _unifier(bindings, effects + [l.condition for l in plan.causal_links])
 
     def effect_unifies(sid: int, condition: Literal) -> bool:
         return unifies(effects_by_signature.get(_signature(condition), {}).get(sid, ()), condition)

@@ -12,13 +12,14 @@ tuples differ in length or in the type of the second field. Terms are
 DAGs: a variable bound to a compound that mentions further bound
 variables can reach one subterm along many paths, so a
 resolved term may be exponentially larger as a tree than the store that
-describes it. Every deep operation here (the occurs check, resolve, the
-codesignation test, decomposition during unification, term ordering and
-apply) therefore visits each distinct subterm, or each distinct pair of
-subterms, once per call: a set or memo keyed by id() stands in for the
-tree walk. Each keyed subterm is reachable from the call's arguments or
-from the assignments, which a call only ever extends, so its id() cannot
-be reused while the table lives; tables last for one call.
+describes it. Every deep operation here (the occurs check, the groundness
+test, resolve, the codesignation test, decomposition during unification,
+term ordering and apply) therefore visits each distinct subterm, or each
+distinct pair of subterms, once per call: a set or memo keyed by id()
+stands in for the tree walk. Each keyed subterm is reachable from the
+call's arguments or from the assignments, which a call only ever extends,
+so its id() cannot be reused while the table lives; tables last for one
+call.
 
 Naming. Unification binds the later of two unbound variables, in (name,
 iid) order, to the earlier, so the root of every unbound codesignation
@@ -151,7 +152,17 @@ def variables_in(obj) -> Iterator[Variable]:
 
 
 def is_ground(obj) -> bool:
-    return next(variables_in(obj), None) is None
+    """Whether a term or literal holds no variable; visits each distinct subterm once."""
+    seen = set()
+    todo = [obj]
+    for t in todo:
+        kind = type(t)
+        if kind is Variable:
+            return False
+        if (kind is Compound or kind is Literal) and id(t) not in seen:
+            seen.add(id(t))
+            todo += t.args
+    return True
 
 
 def rename_term(t: Term, iid: int) -> Term:

@@ -451,22 +451,78 @@ def _tampered(view, rng):
             )
 
 
-def test_audit_link_checks_match_a_full_scan(tmp_path):
+def _unify_calls(monkeypatch):
+    """A list that gains one entry per call to `oracle.unify` from now on."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return unify(*args)
+
+    monkeypatch.setattr(oracle, "unify", counted)
+    return calls
+
+
+def _lifted(view, rng):
+    """The view with one step given a non-ground effect, two draws: one
+    argument of one of its effects made a variable, or, if no effect has an
+    argument, the effect (lifted ?lifted#1) added. Then the view with one
+    argument of one link's condition made a variable, if a condition has one."""
+    variable = Variable("lifted", 1)
+
+    def lift(literal):
+        args = list(literal.args)
+        args[rng.randrange(len(args))] = variable
+        return literal._replace(args=tuple(args))
+
+    for _ in range(2):
+        step = rng.choice(view.steps)
+        effects = list(step.effects)
+        held = [i for i, e in enumerate(effects) if e.args]
+        if held:
+            i = rng.choice(held)
+            effects[i] = lift(effects[i])
+        else:
+            effects.append(lit("lifted", variable))
+        yield view._replace(
+            steps=tuple(replace(s, effects=tuple(effects)) if s is step else s for s in view.steps)
+        )
+    held = [l for l in view.causal_links if l.condition.args]
+    if held:
+        link = rng.choice(held)
+        yield view._replace(
+            causal_links=tuple(
+                CausalLink(l.producer, lift(l.condition), l.consumer) if l is link else l
+                for l in view.causal_links
+            )
+        )
+
+
+def test_audit_link_checks_match_a_full_scan(monkeypatch, tmp_path):
     # The indexed support and threat scans against the loops that scan every
     # link per precondition and every step per link. The link checks do not
     # depend on the order cap, so the tampered views are audited at cap 0.
+    # Every plan below is ground, so its link tests compare literals, except
+    # the lifted views, whose link tests all call `unify`.
     rng = random.Random(31)
     cases = [(_random_audit_plan(rng), Problem("p", "d"), 5_000) for _ in range(60)]
     cases += [(plan, problem, 5_000) for plan, problem in _corpus_views_with_orderings_dropped(rng)]
+    lifted = []
     for view, problem in itertools.chain(_corpus_views(), _scaled_views(tmp_path)):
         cases += [(tampered, problem, 0) for tampered in _tampered(view, rng)]
+        lifted += [(v, problem, 0) for v in _lifted(view, random.Random(26))]
+    unify_calls = _unify_calls(monkeypatch)
     codes = Counter()
-    for plan, problem, cap in cases:
+    sides = Counter()
+    for plan, problem, cap in cases + lifted:
+        before = len(unify_calls)
         report = verify_soundness(plan, problem, max_orders=cap)
         found = [(v.code, v.message) for v in report.violations if v.code in LINK_CODES]
         assert found == link_checks_by_full_scan(plan)
         codes.update(code for code, _ in found)
+        sides[len(unify_calls) > before] += 1
     assert min(codes[code] for code in LINK_CODES) > 10, codes
+    assert sides == {False: len(cases), True: len(lifted)}, sides
 
 
 def _unordered_plan(links, prims, preconditions=0):
@@ -507,8 +563,8 @@ def _link_tests(monkeypatch, plan):
     tests = 0
     unifier = oracle._unifier
 
-    def counting_unifier(bindings):
-        unifies = unifier(bindings)
+    def counting_unifier(bindings, literals):
+        unifies = unifier(bindings, literals)
 
         def counted(literals, lit):
             nonlocal tests
@@ -564,11 +620,16 @@ def _unifies_by_unify(a, b, bindings):
         return False
 
 
-def test_the_link_test_agrees_with_unify_on_random_pairs():
-    # The audit compares ground literals under a store without assignments
-    # and unifies any other pair; an arity clash is a no. A test of a list
-    # of literals asks whether any of them unifies.
+def test_the_link_test_agrees_with_unify_on_random_pairs(monkeypatch):
+    # The audit compares literals under a store without assignments when
+    # every literal it is built from is ground, and else unifies every pair;
+    # an arity clash is a no. A test of a list of literals asks whether any
+    # of them unifies. Each pair is tested by a link test built from the
+    # literals drawn, and by one built from those and one more that keeps a
+    # variable, so that ground pairs are unified too.
     x = Variable("x", 1)
+    lifted = lit("q", Variable("z", 3))
+    unify_calls = _unify_calls(monkeypatch)
     stores = {
         "empty": EMPTY_BINDINGS,
         "assignments": unify_terms(x, Compound("f", (A,))),
@@ -584,21 +645,33 @@ def test_the_link_test_agrees_with_unify_on_random_pairs():
         others = [_random_literal(rng) for _ in range(rng.randrange(3))]
         for name, store in stores.items():
             want = _unifies_by_unify(a, b, store)
-            unifies = oracle._unifier(store)
-            assert unifies([a], b) == want, (name, a, b)
-            assert unifies(others + [a], b) == any(
-                _unifies_by_unify(e, b, store) for e in others + [a]
-            ), (name, others, a, b)
+            grounds = is_ground(a) and is_ground(b)
+            for extra in ((), (lifted,)):
+                unifies = oracle._unifier(store, [a, b, *others, *extra])
+                before = len(unify_calls)
+                assert unifies([a], b) == want, (name, extra, a, b)
+                assert unifies(others + [a], b) == any(
+                    _unifies_by_unify(e, b, store) for e in others + [a]
+                ), (name, extra, others, a, b)
+                if all(map(is_ground, others)) and grounds:
+                    kinds[name, "all ground", bool(extra), len(unify_calls) > before] += 1
             try:
                 unify(a, b, store)
             except ArityMismatchError:
                 kinds["clash"] += 1
-            grounds = is_ground(a) and is_ground(b)
             kinds[name, "ground" if grounds else "variable", want] += 1
     for name in stores:
         for kind in ("ground", "variable"):
             assert kinds[name, kind, False] > 50, (name, kind, kinds)
             assert kinds[name, kind, True] > 50 or name == "distinct-self", (name, kind, kinds)
+        # With the extra literal, every test of all-ground draws is unified;
+        # without it, they are compared under a store that `unify` cannot
+        # extend, and unified under the others.
+        compared = name in ("empty", "distinct")
+        assert kinds[name, "all ground", True, True] > 50, (name, kinds)
+        assert kinds[name, "all ground", True, False] == 0, (name, kinds)
+        assert kinds[name, "all ground", False, not compared] > 50, (name, kinds)
+        assert kinds[name, "all ground", False, compared] == 0, (name, kinds)
     assert kinds["clash"] > 100, kinds
 
 

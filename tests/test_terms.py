@@ -19,6 +19,7 @@ from discoplan.terms import (
     add_noncodesignation,
     apply,
     compare_terms,
+    is_ground,
     rename_fresh,
     unify,
     unify_terms,
@@ -302,6 +303,33 @@ def test_separation_pairs_visit_each_shared_subterm_once():
     pairs = _separation_pairs(bs, lit("p", xs[0]), lit("p", zs[0]))
     assert pairs == [(xs[-1], A)]
     _within_milliseconds(started)
+
+
+def test_is_ground_visits_each_shared_subterm_once():
+    # (f t t) nested 60 times: 61 distinct subterms, 2**60 leaves as a tree.
+    def shared(leaf):
+        for _ in range(60):
+            leaf = Compound("f", (leaf, leaf))
+        return leaf
+
+    t, u = shared(A), shared(Variable("x"))
+    started = time.perf_counter()
+    assert is_ground(t) and is_ground(lit("p", t, t))
+    # A walk in argument order searches all of t before it meets a variable.
+    assert not is_ground(lit("p", t, Variable("x")))
+    assert not is_ground(Compound("g", (t, u)))
+    _within_milliseconds(started)
+
+
+def test_is_ground_follows_a_chain_deeper_than_the_recursion_limit():
+    t = A
+    for _ in range(1200):
+        t = Compound("g", (t,))
+    assert is_ground(t) and is_ground(lit("p", t))
+    u = Variable("x")
+    for _ in range(1200):
+        u = Compound("g", (u,))
+    assert not is_ground(u) and not is_ground(lit("p", A, u))
 
 
 def test_repr_spells_each_shared_subterm_once_and_is_bounded():
