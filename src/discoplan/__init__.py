@@ -26,12 +26,10 @@ from .model import (
     DecompositionSchema,
     Domain,
     DomainValidationError,
-    KnowledgeBase,
     LinkTemplate,
     Problem,
     StepTemplate,
     kb_satisfy,
-    knowledge_base,
     validate_domain,
     validate_problem,
 )

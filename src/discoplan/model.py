@@ -1,10 +1,12 @@
-"""Action operators, decomposition schemata, the static knowledge base, and problems.
+"""Action operators, decomposition schemata, problems, and closed-world support.
 
 Each action is described in two parts: the operator (preconditions and
 effects, STRIPS style) and zero or more decomposition schemata giving a
 single-layer, partially specified subplan for a composite action. The
-knowledge base holds static domain relations queried by schema constraints;
-it never changes during planning.
+knowledge base, a problem's facts, holds static domain relations queried by
+schema constraints; it never changes during planning. One matcher,
+`establishments`, decides how a step's effects support a condition and how
+the facts support a kb constraint.
 
 Record cost model. A record whose constructor only stores its fields is a
 named tuple, as terms and literals are: defining one costs a sixth or less
@@ -21,7 +23,7 @@ constructor cannot do, and its table of functor arities on first use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Iterator, NamedTuple
 
 from .terms import (
@@ -90,13 +92,6 @@ class DecompositionSchema(NamedTuple):
     links: tuple[LinkTemplate, ...] = ()
     bindings: tuple[BindingConstraint, ...] = ()
     orderings: tuple[tuple[str, str], ...] = ()
-
-
-class KnowledgeBase(NamedTuple):
-    """Ground positive facts over the kb vocabulary; closed world."""
-
-    predicates: dict[str, int]
-    facts: tuple[Literal, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -288,10 +283,6 @@ def validate_problem(domain: Domain, problem: Problem) -> list[str]:
     return issues
 
 
-def knowledge_base(domain: Domain, problem: Problem) -> KnowledgeBase:
-    return KnowledgeBase(dict(domain.kb_predicates), tuple(problem.facts))
-
-
 def apply_binding_constraints(
     constraints: tuple[BindingConstraint, ...], bindings: BindingSet
 ) -> BindingSet | None:
@@ -305,35 +296,44 @@ def apply_binding_constraints(
     return bindings
 
 
-def kb_satisfy(
-    kb: KnowledgeBase, constraints: list[Literal], bindings: BindingSet
+def establishments(
+    bindings: BindingSet, literals: tuple[Literal, ...], condition: Literal, closed_world: bool
 ) -> Iterator[BindingSet]:
-    """Every extension of `bindings` under which all constraints match the kb.
+    """Each extension of `bindings` under which `literals` support `condition`.
 
-    Conjunctive matching with backtracking over facts, in fact declaration
-    order. A negative constraint succeeds iff no fact matches under the
-    candidate bindings (closed world), adding nothing.
+    First one per literal that unifies with the condition, in order; then,
+    if `closed_world` holds (the initial step's effects, or the facts), the
+    condition is negative and no literal can be its atom, the unchanged
+    bindings: closed-world support.
     """
-    for c in constraints:
-        if c.predicate not in kb.predicates:
-            raise DomainValidationError(f"unknown kb predicate {c.predicate}")
+    for e in literals:
+        b = unify(e, condition, bindings)
+        if b is not None:
+            yield b
+    if closed_world and not condition.positive:
+        atom = condition.atom()
+        if not any(
+            e.predicate == atom.predicate and unify(atom, e, bindings) is not None
+            for e in literals
+        ):
+            yield bindings
 
-    for b, _ in extensions(constraints, partial(_kb_options, kb), bindings):
+
+def kb_satisfy(
+    facts: tuple[Literal, ...], constraints: list[Literal], bindings: BindingSet
+) -> Iterator[BindingSet]:
+    """Every extension of `bindings` under which all constraints hold of the facts.
+
+    Conjunctive matching with backtracking over the facts, in declaration
+    order, under the closed world: a negative constraint holds iff no fact
+    matches its atom, adding nothing. Negative constraints are tested after
+    the positive ones (safe negation), so a variable that only a negative
+    constraint mentions means "no fact for any value".
+    """
+
+    def options(c, b, chosen):
+        return ((e, None) for e in establishments(b, facts, c, True))
+
+    ordered = sorted(constraints, key=lambda c: not c.positive)
+    for b, _ in extensions(ordered, options, bindings):
         yield b
-
-
-def _kb_options(kb: KnowledgeBase, c: Literal, bindings: BindingSet, chosen: tuple):
-    """The facts that match constraint `c` under `bindings`; for a negative
-    `c`, the unchanged bindings iff no fact matches its atom."""
-    if c.positive:
-        for fact in kb.facts:
-            if fact.predicate == c.predicate:
-                b = unify(c, fact, bindings)
-                if b is not None:
-                    yield b, fact
-        return
-    atom = c.atom()
-    if not any(
-        f.predicate == atom.predicate and unify(atom, f, bindings) is not None for f in kb.facts
-    ):
-        yield bindings, None

@@ -262,27 +262,6 @@ def init_plan(problem: Problem) -> Plan:
     )
 
 
-def establishments(bindings: BindingSet, producer: Step, condition: Literal):
-    """Each extension of `bindings` under which `producer` establishes `condition`.
-
-    First one per declared effect that unifies with the condition, in
-    declaration order; then, for the initial step and a negative condition
-    whose atom no initial effect can unify with, the unchanged bindings:
-    closed-world support.
-    """
-    for e in producer.effects:
-        b = unify(e, condition, bindings)
-        if b is not None:
-            yield b
-    if producer.kind == KIND_INITIAL and not condition.positive:
-        atom = condition.atom()
-        if not any(
-            e.predicate == atom.predicate and unify(atom, e, bindings) is not None
-            for e in producer.effects
-        ):
-            yield bindings
-
-
 def detect_threats(plan: Plan) -> list[Threat]:
     """Steps whose interval may intersect a link's protected span with a conflicting effect.
 

@@ -21,11 +21,10 @@ from typing import NamedTuple
 
 from .model import (
     Domain,
-    KnowledgeBase,
     Problem,
     apply_binding_constraints,
+    establishments,
     kb_satisfy,
-    knowledge_base,
     validate_domain,
     validate_problem,
     DomainValidationError,
@@ -46,7 +45,6 @@ from .plan import (
     UnexpandedComposite,
     add_ordering,
     detect_threats,
-    establishments,
     init_plan,
     ordering_pairs,
 )
@@ -207,7 +205,7 @@ def refine_causal(plan: Plan, flaw: OpenCondition, domain: Domain) -> list[Plan]
             continue
         # Only the first establishment is tried, so a later one that would
         # succeed is never reached: the completeness gap of ROADMAP item 1.
-        b = next(establishments(plan.bindings, s, condition), None)
+        b = next(establishments(plan.bindings, s.effects, condition, s.kind == KIND_INITIAL), None)
         if s.sid == new_sid:
             b = _constrain(domain.operator(s.name).constraints, new_iid, b)
         if b is None:
@@ -291,7 +289,7 @@ def _link_options(label_step, open_map, template, bindings, chosen):
     producer = label_step[template.producer]
     consumer = label_step[template.consumer]
     taken = {key for key, _ in chosen}
-    for b1 in establishments(bindings, producer, template.condition):
+    for b1 in establishments(bindings, producer.effects, template.condition, False):
         for j in open_map.get(consumer.sid, ()):
             if (consumer.sid, j) in taken:
                 continue
@@ -305,7 +303,7 @@ def refine_decomposition(
     plan: Plan,
     flaw: UnexpandedComposite,
     domain: Domain,
-    kb: KnowledgeBase,
+    facts: tuple[Literal, ...],
     reuse_policy: str = "both-branches",
 ) -> list[Plan]:
     """One successor per schema, kb-satisfying binding, and step realization choice.
@@ -327,7 +325,7 @@ def refine_decomposition(
             continue
         constraints = rename_fresh(schema.constraints, sigma)
         options = partial(_step_options, plan, parent, domain, sigma, reuse_policy)
-        for b1 in kb_satisfy(kb, constraints, b0):
+        for b1 in kb_satisfy(facts, constraints, b0):
             b2 = _constrain(schema.bindings, sigma, b1)
             if b2 is None:
                 continue
@@ -545,7 +543,7 @@ def _select_flaw(plan: Plan, threats: list[Threat], policy: str):
 
 
 def successors(
-    plan: Plan, flaw: Flaw, domain: Domain, kb: KnowledgeBase, config: SearchConfig
+    plan: Plan, flaw: Flaw, domain: Domain, facts: tuple[Literal, ...], config: SearchConfig
 ) -> tuple[list[Plan], int]:
     """The resolvers of `flaw`, in search order, that stay within the depth and
     step bounds, and the number of resolvers the step bound dropped.
@@ -560,7 +558,7 @@ def successors(
     elif plan.step(flaw.step).depth + 1 > config.max_depth:
         return [], 0
     else:
-        out = refine_decomposition(plan, flaw, domain, kb, config.reuse_policy)
+        out = refine_decomposition(plan, flaw, domain, facts, config.reuse_policy)
     kept = [p for p in out if len(p.steps) <= config.max_steps]
     return kept, len(out) - len(kept)
 
@@ -625,7 +623,6 @@ def solve(domain: Domain, problem: Problem, config: SearchConfig | None = None) 
                 if s.action in operators and all(t.action in operators for t in s.steps)
             ),
         )
-    kb = knowledge_base(domain, problem)
 
     nodes = 0
     backtracks = 0
@@ -649,7 +646,7 @@ def solve(domain: Domain, problem: Problem, config: SearchConfig | None = None) 
             return Solution(
                 prune_unused(plan), SearchStats(nodes, backtracks, max_stack_depth)
             )
-        kept, dropped = successors(plan, flaw, domain, kb, config)
+        kept, dropped = successors(plan, flaw, domain, problem.facts, config)
         over_max_steps += dropped
         stack.append(iter(kept))
     return Exhausted(SearchStats(nodes, backtracks, max_stack_depth), over_max_steps)

@@ -327,11 +327,12 @@ def reexecute_orders(plan, max_orders: int):
 
 
 def nested_loop_join(facts, constraints, bindings):
-    """Reference for kb_satisfy: join constraint literals over the fact list."""
+    """Reference for kb_satisfy: join constraint literals over the fact list,
+    the positive ones first, then filter by the negative ones (safe negation)."""
     from discoplan.terms import unify
 
     results = [bindings]
-    for c in constraints:
+    for c in sorted(constraints, key=lambda c: not c.positive):
         nxt = []
         for bs in results:
             if c.positive:
@@ -365,7 +366,7 @@ def operators_achieving(domain, goal: Literal) -> list:
     ]
 
 
-def decompose_by_product(plan, flaw, domain, kb, policy="both-branches"):
+def decompose_by_product(plan, flaw, domain, facts, policy="both-branches"):
     """Reference for refine_decomposition: every realization choice first, then filter.
 
     Per schema and kb match (in `nested_loop_join` order), each step
@@ -416,7 +417,7 @@ def decompose_by_product(plan, flaw, domain, kb, policy="both-branches"):
                 choices.append(reusable)
             else:
                 choices.append(reusable + [None])
-        for b1 in nested_loop_join(kb.facts, constraints, b0):
+        for b1 in nested_loop_join(facts, constraints, b0):
             b2 = apply_binding_constraints(static, b1)
             if b2 is None:
                 continue

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from discoplan.language import parse_domain, parse_problem
-from discoplan.model import ActionOperator, Domain, Problem, knowledge_base
+from discoplan.model import ActionOperator, Domain, Problem, establishments
 from discoplan.plan import (
     KIND_COMPOSITE,
     KIND_FINAL,
@@ -20,7 +20,6 @@ from discoplan.plan import (
     UnexpandedComposite,
     _scan_threats,
     detect_threats,
-    establishments,
     init_plan,
 )
 from discoplan.search import SearchConfig, _select_flaw, successors
@@ -133,7 +132,10 @@ def check_invariants(plan: Plan) -> list[str]:
         if not plan.reaches(link.producer, link.consumer):
             issues.append(f"link {link.producer}->{link.consumer} not ordered")
         producer = plan.step(link.producer)
-        if next(establishments(plan.bindings, producer, link.condition), None) is None:
+        found = establishments(
+            plan.bindings, producer.effects, link.condition, producer.kind == KIND_INITIAL
+        )
+        if next(found, None) is None:
             issues.append(f"link condition {link.condition} matches no effect of {link.producer}")
         consumer = plan.step(link.consumer)
         if not any(unify(p, link.condition, plan.bindings) is not None for p in consumer.preconditions):
@@ -183,7 +185,6 @@ def step_leftmost(domain, problem, config=None, stop=None, limit=300):
     (plan, flaw) instead.
     """
     config = config or SearchConfig()
-    kb = knowledge_base(domain, problem)
     plan = init_plan(problem)
     visited = [plan]
     successor_sets = []
@@ -194,7 +195,7 @@ def step_leftmost(domain, problem, config=None, stop=None, limit=300):
             return plan, flaw
         if flaw is None:
             break
-        succ, _ = successors(plan, flaw, domain, kb, config)
+        succ, _ = successors(plan, flaw, domain, problem.facts, config)
         successor_sets.append((plan, flaw, succ))
         if not succ:
             break

@@ -1,4 +1,6 @@
 """Domain validation, knowledge-base matching, operator lookup."""
+import random
+
 import pytest
 
 from discoplan.model import (
@@ -6,8 +8,6 @@ from discoplan.model import (
     BindingConstraint,
     DecompositionSchema,
     Domain,
-    DomainValidationError,
-    KnowledgeBase,
     LinkTemplate,
     Problem,
     StepTemplate,
@@ -15,9 +15,11 @@ from discoplan.model import (
     validate_domain,
     validate_problem,
 )
+from discoplan.cli import cli_main
+from discoplan.language import parse_domain
 from discoplan.terms import Compound, Constant, EMPTY_BINDINGS, Variable, apply, unify
 from _oracles import nested_loop_join, operators_achieving
-from _worlds import load_domain, load_problem, lit
+from _worlds import CORPUS, load_domain, load_problem, lit
 
 L, B = Constant("l"), Constant("b")
 FAIREST = Compound("fairest", (L, B))
@@ -153,24 +155,34 @@ def test_problem_validation_flags_nonground_and_unknown():
 
 
 def test_kb_satisfy_binds_schema_constraint():
-    kb = KnowledgeBase({"causes": 2}, (lit("causes", FAIREST, MODELED),))
+    facts = (lit("causes", FAIREST, MODELED),)
     p1, p2 = Variable("p1"), Variable("p2")
-    results = list(kb_satisfy(kb, [lit("causes", p2, p1)], EMPTY_BINDINGS))
+    results = list(kb_satisfy(facts, [lit("causes", p2, p1)], EMPTY_BINDINGS))
     assert len(results) == 1
     assert results[0].resolve(p2) == FAIREST
     assert results[0].resolve(p1) == MODELED
 
 
 def test_kb_satisfy_empty_constraints_yields_input():
-    kb = KnowledgeBase({"causes": 2}, ())
-    results = list(kb_satisfy(kb, [], EMPTY_BINDINGS))
+    results = list(kb_satisfy((), [], EMPTY_BINDINGS))
     assert results == [EMPTY_BINDINGS]
 
 
-def test_kb_satisfy_unknown_predicate_is_a_fault():
-    kb = KnowledgeBase({"causes": 2}, ())
-    with pytest.raises(DomainValidationError):
-        list(kb_satisfy(kb, [lit("mystery", Variable("x"))], EMPTY_BINDINGS))
+def test_an_undeclared_kb_predicate_in_a_schema_is_refused_before_search(tmp_path, capsys):
+    # kb_satisfy trusts its constraints: validation refuses a constraint
+    # over an undeclared predicate, and the CLI reports it before searching.
+    text = (CORPUS / "discourse.dpd").read_text()
+    declared = "(constraints (causes ?prop2 ?prop1))"
+    assert text.count(declared) == 1
+    domain_file = tmp_path / "mystery.dpd"
+    domain_file.write_text(text.replace(declared, declared[:-1] + " (mystery ?prop1))"))
+    domain, diags = parse_domain(domain_file.read_text(), str(domain_file))
+    assert domain is not None, diags
+    message = "schema 0 for support constraints: undeclared predicate mystery"
+    assert message in validate_domain(domain)
+    argv = ["plan", "--domain", str(domain_file), "--problem", str(CORPUS / "lucentio.dpp")]
+    assert cli_main(argv) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def _ground_set(results, variables):
@@ -183,36 +195,63 @@ def _ground_set(results, variables):
 def test_kb_satisfy_matches_nested_loop_join():
     a, b, c = Constant("a"), Constant("b"), Constant("c")
     facts = (lit("causes", a, b), lit("causes", b, c), lit("causes", a, c))
-    kb = KnowledgeBase({"causes": 2}, facts)
     va, vb, vc = Variable("x"), Variable("y"), Variable("z")
     constraints = [lit("causes", va, vb), lit("causes", vb, vc)]
-    got = list(kb_satisfy(kb, constraints, EMPTY_BINDINGS))
+    got = list(kb_satisfy(facts, constraints, EMPTY_BINDINGS))
     want = nested_loop_join(facts, constraints, EMPTY_BINDINGS)
     assert _ground_set(got, [va, vb, vc]) == _ground_set(want, [va, vb, vc])
     assert len(got) == len(want)
 
 
+def test_kb_satisfy_matches_nested_loop_join_on_random_constraints():
+    # Negative constraints at any position: both sides test them after the
+    # positive ones, so the declaration order cannot change the answer.
+    rng = random.Random(27)
+    consts = [Constant(n) for n in "abc"]
+    variables = [Variable(n) for n in "xyz"]
+    terms = variables + consts[:1]
+    arities = {"p": 2, "q": 1}
+    negative_first = 0
+    for _ in range(300):
+        facts = tuple(
+            dict.fromkeys(
+                lit(name, *rng.choices(consts, k=arities[name]))
+                for name in rng.choices(list(arities), k=rng.randint(0, 6))
+            )
+        )
+        constraints = [
+            lit(name, *rng.choices(terms, k=arities[name]), positive=rng.random() < 0.6)
+            for name in rng.choices(list(arities), k=rng.randint(1, 3))
+        ]
+        got = list(kb_satisfy(facts, constraints, EMPTY_BINDINGS))
+        want = nested_loop_join(facts, constraints, EMPTY_BINDINGS)
+        assert _ground_set(got, variables) == _ground_set(want, variables), (facts, constraints)
+        assert len(got) == len(want), (facts, constraints)
+        negative_first += any(
+            not c.positive and any(d.positive for d in constraints[i:])
+            for i, c in enumerate(constraints)
+        )
+    assert negative_first > 30
+
+
 def test_kb_satisfy_negative_constraint_closed_world():
     a, b, c = Constant("a"), Constant("b"), Constant("c")
-    kb = KnowledgeBase({"causes": 2}, (lit("causes", a, b),))
+    facts = (lit("causes", a, b),)
     x = Variable("x")
     # x bound by the positive conjunct; the negative one filters
-    results = list(
-        kb_satisfy(kb, [lit("causes", a, x), lit("causes", x, c, positive=False)], EMPTY_BINDINGS)
-    )
+    filtered = [lit("causes", a, x), lit("causes", x, c, positive=False)]
+    results = list(kb_satisfy(facts, filtered, EMPTY_BINDINGS))
     assert len(results) == 1
-    results2 = list(
-        kb_satisfy(kb, [lit("causes", a, x), lit("causes", a, x, positive=False)], EMPTY_BINDINGS)
-    )
+    contradictory = [lit("causes", a, x), lit("causes", a, x, positive=False)]
+    results2 = list(kb_satisfy(facts, contradictory, EMPTY_BINDINGS))
     assert results2 == []
 
 
 def test_kb_satisfy_grounded_results_hold_in_kb():
     a, b = Constant("a"), Constant("b")
     facts = (lit("causes", a, b),)
-    kb = KnowledgeBase({"causes": 2}, facts)
     x, y = Variable("x"), Variable("y")
-    for bs in kb_satisfy(kb, [lit("causes", x, y)], EMPTY_BINDINGS):
+    for bs in kb_satisfy(facts, [lit("causes", x, y)], EMPTY_BINDINGS):
         assert apply(bs, lit("causes", x, y)) in facts
 
 

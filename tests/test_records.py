@@ -18,7 +18,6 @@ from discoplan.model import (
     ActionOperator,
     BindingConstraint,
     DecompositionSchema,
-    KnowledgeBase,
     LinkTemplate,
     Problem,
     StepTemplate,
@@ -65,7 +64,6 @@ FIELDS = {
     DecompositionSchema: (
         "action", "params", "constraints", "steps", "links", "bindings", "orderings"
     ),
-    KnowledgeBase: ("predicates", "facts"),
     Problem: ("name", "domain_name", "facts", "init", "goals"),
     DecompositionLink: ("parent", "begin", "end", "members", "constraints"),
     OpenCondition: ("consumer", "condition"),
@@ -93,7 +91,6 @@ RECORDS = [
     STEP_T,
     LINK_T,
     DecompositionSchema("go", (X,), (CAUSES,), (STEP_T,), (LINK_T,), (NEQ,), (("s1", "final"),)),
-    KnowledgeBase({"causes": 2}, (CAUSES,)),
     PROBLEM,
     DLINK,
     OpenCondition(1, ON_A),
@@ -150,10 +147,9 @@ def test_no_record_shares_a_mutable_default():
     for cls in FIELDS:
         for name, value in cls._field_defaults.items():
             assert type(value) not in (dict, list, set), f"{cls.__name__}.{name}"
-    # The two records that hold a dict are always given one.
-    for cls in (BindingSet, KnowledgeBase):
-        with pytest.raises(TypeError):
-            cls()
+    # The record that holds a dict is always given one.
+    with pytest.raises(TypeError):
+        BindingSet()
 
 
 FAMILIES = {

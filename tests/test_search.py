@@ -6,7 +6,7 @@ from functools import partial
 import pytest
 
 from discoplan import plan as plan_module, search as search_module
-from discoplan.language import parse_problem
+from discoplan.language import parse_domain, parse_problem
 from discoplan.model import (
     ActionOperator,
     BindingConstraint,
@@ -15,13 +15,14 @@ from discoplan.model import (
     LinkTemplate,
     Problem,
     StepTemplate,
+    establishments,
     kb_satisfy,
-    knowledge_base,
 )
 from discoplan.plan import (
     KIND_BEGIN,
     KIND_COMPOSITE,
     KIND_END,
+    KIND_INITIAL,
     CausalLink,
     DecompositionLink,
     OpenCondition,
@@ -30,7 +31,6 @@ from discoplan.plan import (
     UnexpandedComposite,
     add_ordering,
     detect_threats,
-    establishments,
     init_plan,
 )
 from discoplan.search import (
@@ -165,7 +165,8 @@ def test_refine_causal_successor_count_matches_exhaustive_scan():
         for s in plan.steps:
             if s.sid == flaw.consumer or s.kind == "final":
                 continue
-            if next(establishments(plan.bindings, s, flaw.condition), None) is None:
+            found = establishments(plan.bindings, s.effects, flaw.condition, s.kind == KIND_INITIAL)
+            if next(found, None) is None:
                 continue
             if add_ordering(plan, s.sid, flaw.consumer) is None:
                 continue
@@ -213,7 +214,8 @@ def _two_step_refine_causal(plan, flaw, domain):
     for s in plan.steps + fresh:
         if s.sid == flaw.consumer or s.kind == "final":
             continue
-        b = next(establishments(plan.bindings, s, flaw.condition), None)
+        found = establishments(plan.bindings, s.effects, flaw.condition, s.kind == KIND_INITIAL)
+        b = next(found, None)
         if b is None:
             continue
         link = CausalLink(s.sid, flaw.condition, flaw.consumer)
@@ -301,8 +303,7 @@ def _open_subgoal_plan(domain):
     orderings = {(0, s) for s in (2, 3, 4)} | {(s, 1) for s in (2, 3, 4)} | {(3, 2)}
     links = (CausalLink(2, p, 1), CausalLink(3, q, 2), CausalLink(4, r, 1))
     plan = make_plan(steps, orderings, links, flaws=(UnexpandedComposite(2),))
-    kb = knowledge_base(domain, Problem("g", "subgoals", init=(q,), goals=(p, r)))
-    (expanded,) = refine_decomposition(plan, UnexpandedComposite(2), domain, kb)
+    (expanded,) = refine_decomposition(plan, UnexpandedComposite(2), domain, ())
     return expanded
 
 
@@ -366,8 +367,7 @@ def test_refine_decomposition_single_kb_binding():
     plan, flaw = step_leftmost(
         domain, problem, stop=lambda p, f: isinstance(f, UnexpandedComposite)
     )
-    kb = knowledge_base(domain, problem)
-    succ = refine_decomposition(plan, flaw, domain, kb)
+    succ = refine_decomposition(plan, flaw, domain, problem.facts)
     assert len(succ) == 1
     child = succ[0]
     (deco,) = child.decomposition_links
@@ -385,7 +385,7 @@ def test_refine_decomposition_no_schema_backtracks():
     plan = init_plan(problem)
     succ = refine_causal(plan, plan.flaws[0], domain)
     expansion = next(f for f in succ[0].flaws if isinstance(f, UnexpandedComposite))
-    assert refine_decomposition(succ[0], expansion, domain, knowledge_base(domain, problem)) == []
+    assert refine_decomposition(succ[0], expansion, domain, problem.facts) == []
 
 
 def _cycle_world(schema):
@@ -429,15 +429,13 @@ OTHER_BOTH_WAYS = DecompositionSchema(
 )
 def test_an_expansion_that_closes_a_cycle_gets_no_successor(schema, policy):
     domain, plan = _cycle_world(schema)
-    kb = knowledge_base(domain, Problem("p", "loop"))
-    assert refine_decomposition(plan, plan.flaws[0], domain, kb, policy) == []
+    assert refine_decomposition(plan, plan.flaws[0], domain, (), policy) == []
 
 
 def test_an_expansion_reusing_a_step_ordered_after_the_parent_is_cyclic():
     domain, plan = _cycle_world(REUSE_ACT)
-    kb = knowledge_base(domain, Problem("p", "loop"))
     # Under both branches only the fresh act step is left.
-    (child,) = refine_decomposition(plan, plan.flaws[0], domain, kb)
+    (child,) = refine_decomposition(plan, plan.flaws[0], domain, ())
     assert child.decomposition_links[0].members == (6,) and check_invariants(child) == []
     # Reusing step 3 as the expansion would: (2, 3) becomes (5, 3), and step
     # 3 joins the subplan from begin 4 to end 5. The pairs on the parent that
@@ -463,8 +461,7 @@ def test_refine_decomposition_can_share_a_member_between_parents():
         return isinstance(flaw, UnexpandedComposite) and len(plan.decomposition_links) == 1
 
     plan, flaw = step_leftmost(domain, problem, stop=second_expansion)
-    kb = knowledge_base(domain, problem)
-    succ = refine_decomposition(plan, flaw, domain, kb)
+    succ = refine_decomposition(plan, flaw, domain, problem.facts)
     existing = set(plan.decomposition_links[0].members)
     sharing = [
         p
@@ -859,7 +856,7 @@ def test_threat_detection_examines_under_a_tenth_of_the_link_step_pairs(monkeypa
 
 
 def test_kb_matching_and_link_assignment_leave_no_reference_cycles():
-    kb = knowledge_base(load_domain("discourse.dpd"), load_problem("multirole.dpp"))
+    facts = load_problem("multirole.dpp").facts
     x = Variable("x")
     label_step = {
         "start": flat_step(0, eff=(lit("p", L), lit("p", B))),
@@ -870,7 +867,7 @@ def test_kb_matching_and_link_assignment_leave_no_reference_cycles():
     gc.collect()
     gc.disable()
     try:
-        assert len(list(kb_satisfy(kb, [lit("causes", x, Variable("y"))], EMPTY_BINDINGS))) > 1
+        assert len(list(kb_satisfy(facts, [lit("causes", x, Variable("y"))], EMPTY_BINDINGS))) > 1
         bindings, chosen = next(extensions(links, options, EMPTY_BINDINGS))
         assert chosen == (((1, 0), CausalLink(0, lit("p", x), 1)),)
         assert bindings.codesignates(x, L)
@@ -894,6 +891,41 @@ def test_link_options_skip_a_precondition_an_earlier_link_took():
     # The first link's effect binds ?x, so the second link uses the same
     # effect, and takes whichever precondition the first one left.
     assert taken == [((1, 0), (1, 1)), ((1, 1), (1, 0))] * 2
+
+
+PICK = """
+(domain pick (kb-predicates (likes 2)) (predicates (done 1) (greeted 1))
+  (action (header (serve ?x)) (composite) (pre) (eff (done ?x)))
+  (action (header (finish ?x ?y)) (pre) (eff (done ?x) (greeted ?y)))
+  (decomposition (header (serve ?x))
+    (constraints (likes ?x ?y) (not (likes ?y ?x)))
+    (steps (s1 (finish ?x ?y))) (links (s1 (done ?x) final))))
+"""
+
+
+@pytest.mark.parametrize("swapped", [False, True])
+def test_the_order_of_kb_constraints_does_not_change_the_plan(swapped):
+    # The negative constraint is tested once the positive one has bound ?y,
+    # in either declaration order, so serve(a) expands into finish(a, c).
+    text = PICK
+    if swapped:
+        text = text.replace(
+            "(likes ?x ?y) (not (likes ?y ?x))", "(not (likes ?y ?x)) (likes ?x ?y)"
+        )
+    domain, diags = parse_domain(text, "pick")
+    assert domain is not None, diags
+    problem, diags = parse_problem(
+        "(problem p (domain pick) (facts (likes a b) (likes b a) (likes a c)) (goal (done a)))", "p"
+    )
+    assert problem is not None, diags
+    out = solve(domain, problem)
+    assert isinstance(out, Solution)
+    plan = out.plan
+    finish = [s for s in plan.steps if s.name == "finish"]
+    assert [tuple(plan.bindings.resolve(t) for t in s.params) for s in finish] == [
+        (Constant("a"), Constant("c"))
+    ]
+    assert [s.name for s in plan.steps if s.name == "serve"] == ["serve"]
 
 
 def _fanout_problem(n):
@@ -954,7 +986,6 @@ def test_refine_decomposition_matches_a_product_then_filter_enumeration():
     ]
     compared = adopting = 0
     for domain, problem in worlds:
-        kb = knowledge_base(domain, problem)
         visited, successor_sets = step_leftmost(domain, problem, SearchConfig(max_steps=1000))
         nodes = visited + [p for _, _, succ in successor_sets for p in succ]
         for plan in nodes:
@@ -962,8 +993,8 @@ def test_refine_decomposition_matches_a_product_then_filter_enumeration():
                 if not isinstance(flaw, UnexpandedComposite):
                     continue
                 for policy in search_module.REUSE_POLICIES:
-                    got = refine_decomposition(plan, flaw, domain, kb, policy)
-                    assert got == decompose_by_product(plan, flaw, domain, kb, policy)
+                    got = refine_decomposition(plan, flaw, domain, problem.facts, policy)
+                    assert got == decompose_by_product(plan, flaw, domain, problem.facts, policy)
                     compared += 1
                     adopting += any(
                         set(c.decomposition_links[-1].members) & {s.sid for s in plan.steps}
@@ -1095,17 +1126,16 @@ def _relay_expansion_fixture(user_supported):
 
 def test_internal_link_cannot_resupply_a_supported_reused_step():
     domain = _relay_domain()
-    kb = knowledge_base(domain, Problem("p", "relay", goals=(lit("done"),)))
 
     plan, flaw = _relay_expansion_fixture(user_supported=True)
-    succ = refine_decomposition(plan, flaw, domain, kb)
+    succ = refine_decomposition(plan, flaw, domain, ())
     assert succ, "fresh realizations must still exist"
     for child in succ:
         (deco,) = child.decomposition_links
         assert 2 not in deco.members  # the supported user is never adopted
 
     open_plan, flaw = _relay_expansion_fixture(user_supported=False)
-    succ = refine_decomposition(open_plan, flaw, domain, kb)
+    succ = refine_decomposition(open_plan, flaw, domain, ())
     adopting = [c for c in succ if 2 in c.decomposition_links[0].members]
     assert adopting, "an open user step is adoptable"
     child = adopting[0]
@@ -1158,12 +1188,11 @@ def test_prefer_reuse_commits_to_an_adoptable_step():
     # With an open user step available, prefer-reuse offers only the
     # adopting realization, while the default also keeps a fresh branch.
     domain = _relay_domain()
-    kb = knowledge_base(domain, Problem("p", "relay", goals=(lit("done"),)))
     plan, flaw = _relay_expansion_fixture(user_supported=False)
-    committed = refine_decomposition(plan, flaw, domain, kb, "prefer-reuse")
+    committed = refine_decomposition(plan, flaw, domain, (), "prefer-reuse")
     assert committed
     assert all(2 in child.decomposition_links[0].members for child in committed)
-    both = refine_decomposition(plan, flaw, domain, kb, "both-branches")
+    both = refine_decomposition(plan, flaw, domain, (), "both-branches")
     assert len(both) > len(committed)
     assert any(2 not in child.decomposition_links[0].members for child in both)
 
@@ -1261,12 +1290,11 @@ def test_a_fresh_step_keeps_its_operators_bindings(bindings, init, goal, args):
 
 def test_a_fresh_schema_step_keeps_its_operators_bindings():
     domain, problem = link_world("(bindings (neq ?x ?y))", "(obj a)", "(paired a a)")
-    kb = knowledge_base(domain, problem)
     plan = init_plan(problem)
     (parent,) = [p for p in refine_causal(plan, plan.flaws[0], domain) if p.steps[-1].name == "pair"]
     flaw = UnexpandedComposite(parent.steps[-1].sid)
     # The one realization makes a fresh link(a, a), which its neq forbids.
-    assert refine_decomposition(parent, flaw, domain, kb) == []
-    assert decompose_by_product(parent, flaw, domain, kb) == []
+    assert refine_decomposition(parent, flaw, domain, problem.facts) == []
+    assert decompose_by_product(parent, flaw, domain, problem.facts) == []
     loose = link_world("", "(obj a)", "(paired a a)")[0]
-    assert len(refine_decomposition(parent, flaw, loose, kb)) == 1
+    assert len(refine_decomposition(parent, flaw, loose, problem.facts)) == 1
