@@ -152,14 +152,16 @@ def _literal_arity_issues(lit: Literal, arities: dict[str, int], where: str) -> 
 def _check_functors(terms, functors: dict[str, int], where: str, issues: list[str]) -> None:
     """Record the first arity of each functor in `terms` in `functors`, and
     report any later use with another arity to `issues`, in term order."""
-    for t in terms:
+    todo = list(reversed(terms))
+    while todo:
+        t = todo.pop()
         if isinstance(t, Compound):
             seen = functors.setdefault(t.functor, len(t.args))
             if seen != len(t.args):
                 issues.append(
                     f"{where}: functor {t.functor} used with arities {seen} and {len(t.args)}"
                 )
-            _check_functors(t.args, functors, where, issues)
+            todo.extend(reversed(t.args))
 
 
 def _domain_functors(domain: Domain, issues: list[str]) -> dict[str, int]:

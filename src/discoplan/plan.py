@@ -16,8 +16,9 @@ everything b reaches to a and to every step that reaches a. A plan that is
 constructed, pruning's included, extends an empty closure; a child of
 `Plan.evolve`, expansions included, extends its parent's by the pairs it
 adds, since any pair it drops is implied by those. A child that also keeps
-its parent's causal links as a prefix and every interval derives its threats
-from its parent's, if those are known. Under such a change "possibly
+its parent's causal links as a prefix derives its threats from its parent's,
+if those are known. An interval it adds must come with the pairs on the
+expanded step moved onto its boundaries, as an expansion's do. Then "possibly
 between" can only become false (the closure only grows) and `unify` can only
 start failing (the bindings only grow: `evolve` must only receive bindings
 that extend the parent's), so no old (link, step) pair becomes a threat. A
@@ -28,8 +29,9 @@ visits only three kinds of link: each new link, tested against all steps;
 each old link whose signature a new step carries, tested against the new
 steps; and, when the bindings or orderings changed, each old link with known
 threats, which are re-tested. Every other link keeps the parent's threats.
-Any other plan scans its threats from scratch; the tests' invariant checker
-compares closure and threats with its own from-scratch computation.
+Only a plan built from nothing (the search's root, a pruned solution) scans
+its threats from scratch; the tests' invariant checker compares closure and
+threats with its own from-scratch computation.
 
 Record cost model. Decomposition links and flaws are named tuples (see
 `model`): cheap to define at import, hashed as the tuple of their fields as
@@ -186,9 +188,9 @@ class Plan:
         implied by pairs added here, as when an expansion replaces (a, parent)
         by (a, begin) and (begin, parent). A child that drops steps is built
         afresh. Any other extends the parent's closure by the pairs it adds,
-        and derives its threats from the parent's only: when those are known
-        and the child keeps the links as a prefix and every interval (see the
-        module docstring).
+        and derives its threats from the parent's when those are known and the
+        child keeps the links as a prefix; an interval added here must come
+        with its parent's pairs moved onto its boundaries (module docstring).
         """
         unknown = changes.keys() - _PLAN_FIELDS
         if unknown:
@@ -203,11 +205,7 @@ class Plan:
         if child.steps is not self.steps or child.orderings is not self.orderings:
             fresh, added = child.steps[len(self.steps):], child.orderings - self.orderings
             state["_index"], state["_reach"] = _extend_closure(self, fresh, added)
-        derives = (
-            self._threats is not None
-            and child._intervals == self._intervals
-            and _extends(child.causal_links, self.causal_links)
-        )
+        derives = self._threats is not None and _extends(child.causal_links, self.causal_links)
         state.update(_threats=None, _base=self if derives else None)
         return child
 

@@ -141,14 +141,14 @@ def _bounded_repr(obj: Compound | Literal) -> str:
 
 
 def variables_in(obj) -> Iterator[Variable]:
-    if isinstance(obj, Variable):
-        yield obj
-    elif isinstance(obj, Compound):
-        for a in obj.args:
-            yield from variables_in(a)
-    elif isinstance(obj, Literal):
-        for a in obj.args:
-            yield from variables_in(a)
+    """Each variable occurrence in a term or literal, left to right."""
+    todo = [obj]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, Variable):
+            yield t
+        elif isinstance(t, (Compound, Literal)):
+            todo.extend(reversed(t.args))
 
 
 def is_ground(obj) -> bool:

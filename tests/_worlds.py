@@ -151,6 +151,12 @@ def check_invariants(plan: Plan) -> list[str]:
             issues.append(f"end {d.end} does not copy the effects of parent {d.parent}")
         if plan.step(d.begin).effects != parent.preconditions:
             issues.append(f"begin {d.begin} does not copy the preconditions of parent {d.parent}")
+        # Threats derive across an expansion only if it moved every pair on
+        # the parent onto the parent's boundaries.
+        own = {(d.begin, d.parent), (d.parent, d.end)}
+        for pair in sorted(plan.orderings - own):
+            if d.parent in pair:
+                issues.append(f"ordering {pair} names expanded parent {d.parent}")
     opens, unexpanded = scan_flaws(plan)
     agenda = set(plan.flaws)
     if agenda != opens | unexpanded:

@@ -134,6 +134,26 @@ def test_a_problem_literal_with_a_functor_of_another_arity_is_diagnosed(part):
     ]
 
 
+def test_validation_follows_an_operator_term_deeper_than_the_recursion_limit():
+    x = Variable("x")
+
+    def domain_with(arg):
+        op = ActionOperator("act", (x,), (), (lit("p", arg),))
+        return Domain(name="d", predicates={"p": 1}, operators=(op,))
+
+    def chain(inner):
+        for _ in range(1200):
+            inner = Compound("f", (inner,))
+        return inner
+
+    assert validate_domain(domain_with(chain(x))) == []
+    # g is met with one argument at the bottom of the chain, then with two.
+    clash = Compound("h", (chain(Compound("g", (x,))), Compound("g", (x, x))))
+    assert validate_domain(domain_with(clash)) == [
+        "operator act: functor g used with arities 1 and 2"
+    ]
+
+
 def test_validate_domain_is_pure_and_idempotent():
     domain = load_domain("discourse.dpd")
     assert validate_domain(domain) == validate_domain(domain) == []

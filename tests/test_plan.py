@@ -306,34 +306,39 @@ def test_a_fresh_step_is_tested_only_against_links_of_its_signature(monkeypatch)
 
 
 def _expand_wrecker(plan, end_preconditions=None):
-    """`plan` with step 4 expanded into boundary steps 5..6 and no members;
-    the end step copies the wrecker's effects unless `end_preconditions`."""
+    """`plan` with step 4 expanded into boundary steps 5..6 and no members,
+    its pairs moved onto them as an expansion moves them; the end step copies
+    the wrecker's effects unless `end_preconditions`."""
     wrecker = plan.step(4)
     if end_preconditions is None:
         end_preconditions = wrecker.effects
     begin = Step(5, KIND_BEGIN, (), (), wrecker.preconditions, KIND_BEGIN)
     end = Step(6, KIND_END, (), tuple(end_preconditions), (), KIND_END)
+    moved = {(a, 5) if b == 4 else (6, b) if a == 4 else (a, b) for a, b in plan.orderings}
     return plan.evolve(
         steps=plan.steps + (begin, end),
-        orderings=plan.orderings | {(0, 5), (5, 4), (4, 6), (6, 1)},
+        orderings=frozenset(moved | {(5, 4), (4, 6)}),
         decomposition_links=plan.decomposition_links + (DecompositionLink(4, 5, 6, (), ()),),
         flaws=tuple(OpenCondition(6, p) for p in end.preconditions),
     )
 
 
-def test_threats_are_rescanned_when_intervals_change():
-    plan = _deleter_plan(wrecker_after_user=True)
-    assert detect_threats(plan) == []
-    # Step 4 now spans boundary steps 5..6, and 5 may come before the user.
+@pytest.mark.parametrize("wrecker_after_user", [False, True])
+def test_an_expansion_derives_its_threats_from_its_parent(wrecker_after_user):
+    plan = _deleter_plan(wrecker_after_user)
+    threats = [] if wrecker_after_user else [Threat(4, plan.causal_links[0])]
+    assert detect_threats(plan) == threats
+    # Step 4 now spans boundary steps 5..6, ordered as step 4 was, so its
+    # threat is kept if it may fall between maker and user and none is added.
     child = _expand_wrecker(plan)
-    assert child._base is None
+    assert child._base is plan
     assert (child.begin_of(4), child.end_of(4)) == (5, 6)
-    assert detect_threats(child) == [Threat(4, plan.causal_links[0])]
+    assert detect_threats(child) == threats
     assert check_invariants(child) == []
 
 
 def test_a_change_of_members_alone_keeps_the_maintained_threats():
-    plan = _expand_wrecker(_deleter_plan(wrecker_after_user=True))
+    plan = _expand_wrecker(_deleter_plan())
     assert detect_threats(plan)
     (d,) = plan.decomposition_links
     child = plan.evolve(decomposition_links=(d._replace(members=(4,)),))

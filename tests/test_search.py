@@ -750,6 +750,21 @@ def test_an_unreachable_goal_ends_the_search_before_the_first_node():
     assert out == Exhausted(SearchStats(0, 0, 0), unreachable=problem.goals)
 
 
+def _fanout_problem(n):
+    """n goal beliefs whose shared cause is credible: one support per goal."""
+    goals = [f"g{i}" for i in range(n)]
+    problem, diags = parse_problem(
+        "(problem f (domain discourse) (facts {}) (init (credible c) {}) (goal {}))".format(
+            " ".join(f"(causes c {g})" for g in goals),
+            " ".join(f"(credible (causes c {g}))" for g in goals),
+            " ".join(f"(bel {g})" for g in goals),
+        ),
+        "f",
+    )
+    assert problem is not None, diags
+    return problem
+
+
 def _regress_problem():
     problem, diags = parse_problem(REGRESS, "r")
     assert problem is not None, diags
@@ -776,8 +791,8 @@ def test_maintained_threats_and_closure_match_a_scan_at_every_regress_node(monke
     out = solve(load_domain("discourse.dpd"), _regress_problem(), config)
     assert isinstance(out, BudgetExceeded)
     assert len(audited) == out.stats.nodes_expanded == 300
-    # The nodes reach past an expansion, whose threats are scanned afresh,
-    # into incrementally maintained ones.
+    # The nodes reach past expansions, whose threats derive from their
+    # parents' as every other child's do.
     assert any(p.decomposition_links for p in audited)
     assert any(detect_threats(p) for p in audited)
 
@@ -786,9 +801,12 @@ def test_maintained_threats_and_closure_match_a_scan_at_every_regress_node(monke
 def test_maintained_threats_and_closure_match_a_scan_under_each_flaw_policy(monkeypatch, policy):
     # fifo and lifo pick a threat by its position, so the order must match too.
     audited = _audit_every_node(monkeypatch)
-    for dname, pname in CORPUS_PROBLEMS:
+    worlds = [(load_domain(dname), load_problem(pname)) for dname, pname in CORPUS_PROBLEMS]
+    # Most fanout nodes sit below an expansion.
+    worlds.append((load_domain("discourse.dpd"), _fanout_problem(5)))
+    for domain, problem in worlds:
         config = SearchConfig(flaw_policy=policy, max_nodes=400)
-        out = solve(load_domain(dname), load_problem(pname), config)
+        out = solve(domain, problem, config)
         assert len(audited) == out.stats.nodes_expanded
         audited.clear()
 
@@ -811,18 +829,23 @@ def _check_threats_by_brute_force(monkeypatch):
 
 @pytest.mark.parametrize("policy", ["threats-first", "fifo"])
 @pytest.mark.parametrize(
-    "pair", [("sidefx.dpd", "sidefx.dpp"), ("switches.dpd", "switches-demo.dpp")]
+    "pair",
+    [
+        ("sidefx.dpd", partial(load_problem, "sidefx.dpp")),
+        ("switches.dpd", partial(load_problem, "switches-demo.dpp")),
+        ("discourse.dpd", partial(_fanout_problem, 5)),
+    ],
 )
 def test_signature_filtered_threats_match_brute_force_at_every_node(monkeypatch, policy, pair):
     counts = _check_threats_by_brute_force(monkeypatch)
-    out = solve(load_domain(pair[0]), load_problem(pair[1]), SearchConfig(flaw_policy=policy))
+    out = solve(load_domain(pair[0]), pair[1](), SearchConfig(flaw_policy=policy))
     assert isinstance(out, Solution)
     assert len(counts) == out.stats.nodes_expanded
 
 
 def test_signature_filtered_threats_match_brute_force_at_every_regress_node(monkeypatch):
-    # The corpus solves above meet no threat; this one meets many, in
-    # threat sets maintained across evolve and rescanned after expansions.
+    # The solves above meet no threat; this one meets many, in threat sets
+    # maintained across evolve, expansions included.
     counts = _check_threats_by_brute_force(monkeypatch)
     config = SearchConfig(max_depth=2, max_nodes=200)
     out = solve(load_domain("discourse.dpd"), _regress_problem(), config)
@@ -853,6 +876,30 @@ def test_threat_detection_examines_under_a_tenth_of_the_link_step_pairs(monkeypa
     # A rescan of every link against every step at every node examines all
     # of `link_step_pairs`; only new links, new steps and known threats are examined.
     assert 0 < examined * 10 < link_step_pairs
+
+
+def test_only_the_root_scans_its_threats_from_scratch(monkeypatch):
+    scratch_scans = examined = 0
+    scan_threats, threatens = plan_module._scan_threats, plan_module._threatens
+
+    def counted_scan_threats(plan, base=None):
+        nonlocal scratch_scans
+        scratch_scans += base is None
+        return scan_threats(plan, base)
+
+    def counted_threatens(*args):
+        nonlocal examined
+        examined += 1
+        return threatens(*args)
+
+    monkeypatch.setattr(plan_module, "_scan_threats", counted_scan_threats)
+    monkeypatch.setattr(plan_module, "_threatens", counted_threatens)
+    out = solve(load_domain("discourse.dpd"), _fanout_problem(8), SearchConfig(max_steps=1000))
+    assert isinstance(out, Solution)
+    # Expansion children derive their threats from their parents' too, so
+    # only the root, which has no links, is scanned from scratch.
+    assert scratch_scans == 1
+    assert examined == 456
 
 
 def test_kb_matching_and_link_assignment_leave_no_reference_cycles():
@@ -926,21 +973,6 @@ def test_the_order_of_kb_constraints_does_not_change_the_plan(swapped):
         (Constant("a"), Constant("c"))
     ]
     assert [s.name for s in plan.steps if s.name == "serve"] == ["serve"]
-
-
-def _fanout_problem(n):
-    """n goal beliefs whose shared cause is credible: one support per goal."""
-    goals = [f"g{i}" for i in range(n)]
-    problem, diags = parse_problem(
-        "(problem f (domain discourse) (facts {}) (init (credible c) {}) (goal {}))".format(
-            " ".join(f"(causes c {g})" for g in goals),
-            " ".join(f"(credible (causes c {g}))" for g in goals),
-            " ".join(f"(bel {g})" for g in goals),
-        ),
-        "f",
-    )
-    assert problem is not None, diags
-    return problem
 
 
 def _twin_marks_world():
