@@ -16,7 +16,7 @@ from .terms import (
     Variable,
     add_noncodesignation,
     apply,
-    rename_fresh,
+    rename,
     unify,
     unify_terms,
 )

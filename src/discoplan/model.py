@@ -204,7 +204,7 @@ def validate_domain(domain: Domain) -> list[str]:
         names.add(op.name)
         header_vars = set(op.params)
         for c in op.constraints:
-            header_vars.update(variables_in_constraint(c))
+            header_vars.update(variables_in(c.left), variables_in(c.right))
         for lit in op.preconditions + op.effects:
             issues.extend(_literal_arity_issues(lit, domain.predicates, where))
             if lit.predicate in domain.kb_predicates:
@@ -249,10 +249,6 @@ def validate_domain(domain: Domain) -> list[str]:
         for lit in schema.constraints:
             issues.extend(_literal_arity_issues(lit, domain.kb_predicates, f"{where} constraints"))
     return issues
-
-
-def variables_in_constraint(c: BindingConstraint) -> Iterator[Variable]:
-    yield from variables_in(Literal("_", (c.left, c.right)))
 
 
 def validate_problem(domain: Domain, problem: Problem) -> list[str]:

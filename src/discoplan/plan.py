@@ -51,7 +51,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .model import Problem
-from .terms import BindingSet, EMPTY_BINDINGS, Literal, Term, rename_fresh, unify
+from .terms import BindingSet, EMPTY_BINDINGS, Literal, Term, rename, unify
 
 KIND_INITIAL = "initial"
 KIND_FINAL = "final"
@@ -244,7 +244,7 @@ def _extend_closure(base: Plan | None, fresh, pairs):
 def init_plan(problem: Problem) -> Plan:
     """Null initial step carrying the initial state, null final step carrying the goals."""
     initial = Step(0, "initial", (), (), tuple(problem.init), KIND_INITIAL)
-    goals = tuple(rename_fresh(problem.goals, 1))
+    goals = rename(problem.goals, 1)
     final = Step(1, "final", (), goals, (), KIND_FINAL)
     return Plan(
         steps=(initial, final),

@@ -55,8 +55,7 @@ from .terms import (
     Term,
     add_noncodesignation,
     extensions,
-    rename_fresh,
-    rename_term,
+    rename,
     unify,
     unify_terms,
 )
@@ -111,28 +110,12 @@ class BudgetExceeded(NamedTuple):
 SearchOutcome = Solution | Exhausted | BudgetExceeded
 
 
-def _instantiate_operator(op, sid: int, iid: int, depth: int) -> Step:
-    return Step(
-        sid=sid,
-        name=op.name,
-        params=tuple(rename_term(v, iid) for v in op.params),
-        preconditions=tuple(rename_fresh(op.preconditions, iid)),
-        effects=tuple(rename_fresh(op.effects, iid)),
-        kind=KIND_COMPOSITE if op.composite else KIND_PRIMITIVE,
-        depth=depth,
-    )
-
-
-def _constrain(constraints, iid: int, bindings: BindingSet | None) -> BindingSet | None:
-    """`bindings` under the eq/neq `constraints` of an operator or a schema,
-    renamed with `iid`; None if `bindings` is None or they cannot hold."""
-    if bindings is None or not constraints:
-        return bindings
-    renamed = tuple(
-        c._replace(left=rename_term(c.left, iid), right=rename_term(c.right, iid))
-        for c in constraints
-    )
-    return apply_binding_constraints(renamed, bindings)
+def _fresh_step(op, sid: int, iid: int, depth: int) -> tuple[Step, tuple]:
+    """A new step `sid` of operator `op`, renamed apart with `iid`, and the
+    operator's eq/neq constraints renamed with it."""
+    op = rename(op, iid)
+    kind = KIND_COMPOSITE if op.composite else KIND_PRIMITIVE
+    return Step(sid, op.name, op.params, op.preconditions, op.effects, kind, depth), op.constraints
 
 
 def _with_membership(plan: Plan, producer: int, consumer: int, changes: dict) -> dict | None:
@@ -185,29 +168,29 @@ def refine_causal(plan: Plan, flaw: OpenCondition, domain: Domain) -> list[Plan]
     condition = flaw.condition
     signature = (condition.predicate, condition.positive)
     fresh = tuple(
-        _instantiate_operator(op, new_sid, new_iid, consumer.depth)
+        _fresh_step(op, new_sid, new_iid, consumer.depth)
         for op in domain.operators
         if signature in {(e.predicate, e.positive) for e in op.effects}
     )
     # Reuse, smallest step id first, of each step with an effect of the
     # condition's predicate and sign, and of the initial step for a negative
     # condition (closed-world support); then a fresh step per operator with
-    # such an effect, declaration order.
+    # such an effect, declaration order. A reused step adds no constraints.
     reusable = tuple(
-        s
+        (s, ())
         for s in plan.steps
         if s.sid != flaw.consumer
         and (signature in s.signatures or (s.kind == KIND_INITIAL and not condition.positive))
     )
-    for s in reusable + fresh:
+    for s, constraints in reusable + fresh:
         pairs = ordering_pairs(plan, s.sid, flaw.consumer)
         if pairs is None:
             continue
         # Only the first establishment is tried, so a later one that would
         # succeed is never reached: the completeness gap of ROADMAP item 1.
         b = next(establishments(plan.bindings, s.effects, condition, s.kind == KIND_INITIAL), None)
-        if s.sid == new_sid:
-            b = _constrain(domain.operator(s.name).constraints, new_iid, b)
+        if b is not None:
+            b = apply_binding_constraints(constraints, b)
         if b is None:
             continue
         link = CausalLink(s.sid, condition, flaw.consumer)
@@ -240,8 +223,8 @@ def _unify_args(params, args, bindings: BindingSet) -> BindingSet | None:
     return bindings
 
 
-def _step_options(plan, parent, domain, sigma, policy, template, bindings, chosen):
-    """The realizations of one schema step template, as `extensions` options.
+def _step_options(plan, parent, domain, policy, template, bindings, chosen):
+    """The realizations of one renamed schema step template, as `extensions` options.
 
     First each plan step of the template's action that no earlier template
     adopted, smallest id first (none under "prefer-new"); then a fresh step,
@@ -249,9 +232,8 @@ def _step_options(plan, parent, domain, sigma, policy, template, bindings, chose
     action. A realization is kept only if its params unify with the
     template's args and, for a fresh step, its operator's bindings hold.
     Fresh steps are numbered in template order, after the two boundary steps
-    and after iid `sigma`.
+    and after the schema's iid, `plan.next_iid`.
     """
-    args = tuple(rename_term(a, sigma) for a in template.args)
     reusable = [
         s
         for s in plan.steps
@@ -264,15 +246,18 @@ def _step_options(plan, parent, domain, sigma, policy, template, bindings, chose
     adopted = {s.sid for s in chosen}
     for s in reusable:
         if s.sid not in adopted:
-            b = _unify_args(s.params, args, bindings)
+            b = _unify_args(s.params, template.args, bindings)
             if b is not None:
                 yield b, s
     if policy == "prefer-reuse" and reusable:
         return
     fresh = sum(s.sid >= plan.next_sid for s in chosen)
     op = domain.operator(template.action)
-    step = _instantiate_operator(op, plan.next_sid + 2 + fresh, sigma + 1 + fresh, parent.depth + 1)
-    b = _constrain(op.constraints, sigma + 1 + fresh, _unify_args(step.params, args, bindings))
+    sid, iid = plan.next_sid + 2 + fresh, plan.next_iid + 1 + fresh
+    step, constraints = _fresh_step(op, sid, iid, parent.depth + 1)
+    b = _unify_args(step.params, template.args, bindings)
+    if b is not None:
+        b = apply_binding_constraints(constraints, b)
     if b is not None:
         yield b, step
 
@@ -317,28 +302,27 @@ def refine_decomposition(
     """
     parent = plan.step(flaw.step)
     out = []
+    options = partial(_step_options, plan, parent, domain, reuse_policy)
     for schema in domain.schemata_for(parent.name):
-        sigma = plan.next_iid
-        header = tuple(rename_term(t, sigma) for t in schema.params)
-        b0 = _unify_args(header, parent.params, plan.bindings)
-        if b0 is None or len(header) != len(parent.params):
+        schema = rename(schema, plan.next_iid)
+        b0 = _unify_args(schema.params, parent.params, plan.bindings)
+        if b0 is None:
             continue
-        constraints = rename_fresh(schema.constraints, sigma)
-        options = partial(_step_options, plan, parent, domain, sigma, reuse_policy)
-        for b1 in kb_satisfy(facts, constraints, b0):
-            b2 = _constrain(schema.bindings, sigma, b1)
+        for b1 in kb_satisfy(facts, schema.constraints, b0):
+            b2 = apply_binding_constraints(schema.bindings, b1)
             if b2 is None:
                 continue
             for b3, realized in extensions(schema.steps, options, b2):
-                child = _expand(plan, parent, flaw, schema, sigma, b3, realized, constraints)
+                child = _expand(plan, parent, flaw, schema, b3, realized)
                 if child is not None:
                     out.append(child)
     return out
 
 
-def _expand(plan, parent, flaw, schema, sigma, bindings, realized, constraints):
-    """The child in which `realized[i]` realizes the schema's i-th step template;
-    None if the link templates have no assignment or the orderings a cycle."""
+def _expand(plan, parent, flaw, schema, bindings, realized):
+    """The child in which `realized[i]` realizes the i-th step template of
+    `schema`, renamed with `plan.next_iid`; None if the link templates have no
+    assignment or the orderings a cycle."""
     begin_sid = plan.next_sid
     end_sid = begin_sid + 1
     new_steps = tuple(s for s in realized if s.sid >= begin_sid)
@@ -360,9 +344,8 @@ def _expand(plan, parent, flaw, schema, sigma, bindings, realized, constraints):
             if s.sid >= begin_sid or OpenCondition(s.sid, p) in plan.flaws
         ]
 
-    templates = [t._replace(condition=rename_fresh([t.condition], sigma)[0]) for t in schema.links]
     options = partial(_link_options, label_step, open_map)
-    assignment = next(extensions(templates, options, bindings), None)
+    assignment = next(extensions(schema.links, options, bindings), None)
     if assignment is None:
         return None
     bindings, chosen = assignment
@@ -417,7 +400,7 @@ def _expand(plan, parent, flaw, schema, sigma, bindings, realized, constraints):
         begin=begin_sid,
         end=end_sid,
         members=tuple(sorted(members)),
-        constraints=tuple(constraints),
+        constraints=schema.constraints,
     )
     child = plan.evolve(
         steps=plan.steps + (begin, end) + new_steps,
@@ -427,7 +410,7 @@ def _expand(plan, parent, flaw, schema, sigma, bindings, realized, constraints):
         decomposition_links=plan.decomposition_links + (dlink,),
         flaws=tuple(flaws),
         next_sid=end_sid + 1 + len(new_steps),
-        next_iid=sigma + 1 + len(new_steps),
+        next_iid=plan.next_iid + 1 + len(new_steps),
     )
     if not child.is_acyclic:
         return None

@@ -12,10 +12,10 @@ tuples differ in length or in the type of the second field. Terms are
 DAGs: a variable bound to a compound that mentions further bound
 variables can reach one subterm along many paths, so a
 resolved term may be exponentially larger as a tree than the store that
-describes it. Every deep operation here (the occurs check, the groundness
-test, resolve, the codesignation test, decomposition during unification,
-term ordering and apply) therefore visits each distinct subterm, or each
-distinct pair of subterms, once per call: a set or memo keyed by id()
+describes it. Every deep operation here (renaming apart, the occurs check,
+the groundness test, resolve, the codesignation test, decomposition during
+unification, term ordering and apply) therefore visits each distinct subterm,
+or each distinct pair of subterms, once per call: a set or memo keyed by id()
 stands in for the tree walk. Each keyed subterm is reachable from the
 call's arguments or from the assignments, which a call only ever extends,
 so its id() cannot be reused while the table lives; tables last for one
@@ -28,7 +28,7 @@ unbound class by that one name, wherever the term comes from.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 
 class ArityMismatchError(Exception):
@@ -165,20 +165,47 @@ def is_ground(obj) -> bool:
     return True
 
 
-def rename_term(t: Term, iid: int) -> Term:
-    if isinstance(t, Variable):
-        return Variable(t.name, iid)
-    if isinstance(t, Compound):
-        return Compound(t.functor, tuple(rename_term(a, iid) for a in t.args))
-    return t
+# The types `rename` keeps as they are: constants, names, labels and flags.
+_KEPT = frozenset({Constant, str, int, bool})
 
 
-def rename_fresh(literals: Iterable[Literal], iid: int) -> list[Literal]:
-    """Stamp every variable with the given instantiation id, keeping structure."""
-    return [
-        Literal(l.predicate, tuple(rename_term(a, iid) for a in l.args), l.positive)
-        for l in literals
-    ]
+def rename(x, iid: int):
+    """`x` with every variable stamped with instantiation id `iid`.
+
+    `x` is a term, a literal, or a tuple or named tuple of them nested to
+    any depth, such as an `ActionOperator`, a `DecompositionSchema` or one
+    of their parts. Constants, strings and integers are kept; each tuple
+    comes back as a tuple of its own type; any other value, a list, set or
+    dict among them, raises TypeError. Each distinct compound is rebuilt
+    once, without recursion, so a compound shared within `x` stays one
+    object.
+    """
+    return _rename(x, iid, {})
+
+
+def _rename(x, iid: int, memo: dict):
+    kind = type(x)
+    if kind is Variable:
+        return Variable(x.name, iid)
+    if kind in _KEPT:
+        return x
+    if kind is not Compound:
+        if not isinstance(x, tuple):
+            raise TypeError(f"cannot rename a {kind.__name__}")
+        return tuple.__new__(kind, [_rename(a, iid, memo) for a in x])
+    # Compounds can nest past the recursion limit, so each is rebuilt from an
+    # explicit stack, compound arguments first; its other arguments are
+    # leaves, renamed one call deep.
+    todo = [x]
+    while todo:
+        t = todo.pop()
+        pending = [a for a in t.args if type(a) is Compound and id(a) not in memo]
+        if pending:
+            todo += [t, *pending]
+        elif id(t) not in memo:
+            args = [memo[id(a)] if type(a) is Compound else _rename(a, iid, memo) for a in t.args]
+            memo[id(t)] = Compound(t.functor, tuple(args))
+    return memo[id(x)]
 
 
 def _walk(t: Term, asg: Mapping) -> Term:

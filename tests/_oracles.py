@@ -357,12 +357,12 @@ def nested_loop_join(facts, constraints, bindings):
 def operators_achieving(domain, goal: Literal) -> list:
     """The operators with an effect that unifies with `goal` under empty
     bindings; effects are renamed to iid -1, which no plan step uses."""
-    from discoplan.terms import rename_fresh, unify
+    from discoplan.terms import rename, unify
 
     return [
         op
         for op in domain.operators
-        if any(unify(e, goal) is not None for e in rename_fresh(op.effects, -1))
+        if any(unify(e, goal) is not None for e in rename(op.effects, -1))
     ]
 
 
@@ -379,9 +379,9 @@ def decompose_by_product(plan, flaw, domain, facts, policy="both-branches"):
     `search._expand` builds the child of each survivor.
     """
     from discoplan import search
-    from discoplan.model import BindingConstraint, apply_binding_constraints
+    from discoplan.model import apply_binding_constraints
     from discoplan.plan import KIND_COMPOSITE, KIND_PRIMITIVE, Step
-    from discoplan.terms import rename_fresh, rename_term, unify_terms
+    from discoplan.terms import rename, unify_terms
 
     def unify_all(pairs, b):
         for x, y in pairs:
@@ -393,15 +393,12 @@ def decompose_by_product(plan, flaw, domain, facts, policy="both-branches"):
     out = []
     for schema in domain.schemata_for(parent.name):
         sigma = plan.next_iid
-        header = [rename_term(h, sigma) for h in schema.params]
+        header = rename(schema.params, sigma)
         b0 = unify_all(zip(header, parent.params), plan.bindings)
         if b0 is None or len(header) != len(parent.params):
             continue
-        constraints = rename_fresh(schema.constraints, sigma)
-        static = tuple(
-            BindingConstraint(c.kind, rename_term(c.left, sigma), rename_term(c.right, sigma))
-            for c in schema.bindings
-        )
+        constraints = rename(schema.constraints, sigma)
+        static = rename(schema.bindings, sigma)
         choices = []
         for t in schema.steps:
             reusable = [
@@ -434,26 +431,21 @@ def decompose_by_product(plan, flaw, domain, facts, policy="both-branches"):
                         s = Step(
                             plan.next_sid + 2 + fresh,
                             op.name,
-                            tuple(rename_term(v, iid) for v in op.params),
-                            tuple(rename_fresh(op.preconditions, iid)),
-                            tuple(rename_fresh(op.effects, iid)),
+                            rename(op.params, iid),
+                            rename(op.preconditions, iid),
+                            rename(op.effects, iid),
                             KIND_COMPOSITE if op.composite else KIND_PRIMITIVE,
                             parent.depth + 1,
                         )
-                        renamed = tuple(
-                            BindingConstraint(c.kind, rename_term(c.left, iid), rename_term(c.right, iid))
-                            for c in op.constraints
-                        )
+                        renamed = rename(op.constraints, iid)
                         fresh += 1
-                    b = unify_all(zip(s.params, [rename_term(a, sigma) for a in t.args]), b)
+                    b = unify_all(zip(s.params, rename(t.args, sigma)), b)
                     if b is not None:
                         b = apply_binding_constraints(renamed, b)
                     realized.append(s)
                 if b is None:
                     continue
-                child = search._expand(
-                    plan, parent, flaw, schema, sigma, b, tuple(realized), constraints
-                )
+                child = search._expand(plan, parent, flaw, rename(schema, sigma), b, tuple(realized))
                 if child is not None:
                     out.append(child)
     return out

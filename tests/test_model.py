@@ -287,7 +287,7 @@ def test_operators_achieving_unknown_predicate_is_empty():
 
 
 def test_operators_achieving_equals_exhaustive_filter():
-    from discoplan.terms import rename_fresh
+    from discoplan.terms import rename
 
     domain = load_domain("discourse.dpd")
     goals = [
@@ -301,6 +301,6 @@ def test_operators_achieving_equals_exhaustive_filter():
         want = [
             op.name
             for op in domain.operators
-            if any(unify(e, goal) is not None for e in rename_fresh(op.effects, -1))
+            if any(unify(e, goal) is not None for e in rename(op.effects, -1))
         ]
         assert got == want

@@ -207,7 +207,7 @@ def _two_step_refine_causal(plan, flaw, domain):
     new_sid, new_iid = plan.next_sid, plan.next_iid
     signature = (flaw.condition.predicate, flaw.condition.positive)
     fresh = tuple(
-        search_module._instantiate_operator(op, new_sid, new_iid, consumer.depth)
+        search_module._fresh_step(op, new_sid, new_iid, consumer.depth)[0]
         for op in domain.operators
         if signature in {(e.predicate, e.positive) for e in op.effects}
     )
@@ -1058,6 +1058,25 @@ def test_decomposition_builds_each_consistent_realization_once(monkeypatch):
     # Building every combination of reuse choices and filtering it afterwards
     # makes 1 534 calls for the same 15 children.
     assert calls == children == 15
+
+
+def test_solve_follows_an_operator_term_deeper_than_the_recursion_limit():
+    # The chain validate_domain accepts (see test_model.py): renaming the
+    # operator apart and unifying its effect with the goal take no
+    # recursion per level.
+    x = Variable("x")
+
+    def chain(inner):
+        for _ in range(1200):
+            inner = Compound("f", (inner,))
+        return inner
+
+    op = ActionOperator("act", (x,), (), (lit("p", chain(x)),))
+    domain = Domain(name="d", predicates={"p": 1}, operators=(op,))
+    out = solve(domain, Problem("deep", "d", goals=(lit("p", chain(B)),)))
+    assert isinstance(out, Solution)
+    (step,) = [s for s in out.plan.steps if s.name == "act"]
+    assert out.plan.bindings.resolve(step.params[0]) == B
 
 
 def test_flaw_policies_all_reach_a_solution():

@@ -20,9 +20,16 @@ from discoplan.terms import (
     apply,
     compare_terms,
     is_ground,
-    rename_fresh,
+    rename,
     unify,
     unify_terms,
+)
+from discoplan.model import (
+    ActionOperator,
+    BindingConstraint,
+    DecompositionSchema,
+    LinkTemplate,
+    StepTemplate,
 )
 from discoplan.search import _separation_pairs
 from _oracles import (
@@ -152,23 +159,82 @@ def test_apply_is_idempotent_on_random_literals():
         assert apply(bs, once) == once
 
 
-def test_rename_fresh_stamps_instantiation_id():
-    out = rename_fresh([lit("bel", P)], 7)
-    assert out == [lit("bel", Variable("p", 7))]
+def test_rename_stamps_instantiation_id():
+    out = rename((lit("bel", P),), 7)
+    assert out == (lit("bel", Variable("p", 7)),)
 
 
 def test_two_instantiations_share_no_variables():
-    template = [lit("bel", P), lit("credible", Variable("q"))]
-    first = rename_fresh(template, 1)
-    second = rename_fresh(template, 2)
+    template = (lit("bel", P), lit("credible", Variable("q")))
+    first = rename(template, 1)
+    second = rename(template, 2)
     vars_first = set(collect_variables(first))
     vars_second = set(collect_variables(second))
     assert not (vars_first & vars_second)
 
 
+def test_rename_keeps_the_names_labels_and_flags_of_an_operator_and_a_schema():
+    x, y = Variable("x"), Variable("y")
+    op = ActionOperator(
+        "inform",
+        (x, y),
+        (lit("knows", x),),
+        (lit("bel", Compound("f", (y, A))),),
+        (BindingConstraint("neq", x, y),),
+        composite=True,
+    )
+    x3, y3 = Variable("x", 3), Variable("y", 3)
+    assert rename(op, 3) == ActionOperator(
+        "inform",
+        (x3, y3),
+        (lit("knows", x3),),
+        (lit("bel", Compound("f", (y3, A))),),
+        (BindingConstraint("neq", x3, y3),),
+        composite=True,
+    )
+    schema = DecompositionSchema(
+        "inform",
+        (x, y),
+        (lit("causes", x, y, positive=False),),
+        (StepTemplate("s1", "tell", (x,)),),
+        (LinkTemplate("s1", lit("told", y), "final"),),
+        (BindingConstraint("eq", x, A),),
+        (("start", "s1"),),
+    )
+    renamed = rename(schema, 4)
+    x4, y4 = Variable("x", 4), Variable("y", 4)
+    assert type(renamed) is DecompositionSchema
+    assert renamed == DecompositionSchema(
+        "inform",
+        (x4, y4),
+        (lit("causes", x4, y4, positive=False),),
+        (StepTemplate("s1", "tell", (x4,)),),
+        (LinkTemplate("s1", lit("told", y4), "final"),),
+        (BindingConstraint("eq", x4, A),),
+        (("start", "s1"),),
+    )
+
+
+def test_rename_keeps_a_shared_subterm_one_object():
+    shared = Compound("f", (P,))
+    out = rename(lit("p", Compound("g", (shared, shared)), shared), 2)
+    inner = out.args[0]
+    assert inner.args[0] is inner.args[1] is out.args[1]
+    assert inner.args[0] == Compound("f", (Variable("p", 2),))
+
+
+def test_rename_returns_a_tuple_as_a_tuple_and_rejects_other_containers():
+    out = rename((P, A, (P,)), 5)
+    assert type(out) is tuple and type(out[2]) is tuple
+    assert out == (Variable("p", 5), A, (Variable("p", 5),))
+    for container in ([P], {P}, {P: A}, (lit("p", P), [P])):
+        with pytest.raises(TypeError):
+            rename(container, 5)
+
+
 def test_rename_then_unify_with_original_gives_variable_class():
     original = lit("bel", P)
-    renamed = rename_fresh([original], 3)[0]
+    renamed = rename(original, 3)
     out = unify(original, renamed, EMPTY_BINDINGS)
     assert out is not None
     # The class has no ground representative, just the two variables.
