@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import importlib.util
+import random
 import sys
 from pathlib import Path
 
@@ -53,6 +54,30 @@ def _workloads_module():
 def bench_workload(name: str, seed: int, out: Path):
     """The benchmark's workload `name` at `seed`, its files written under `out`."""
     return _workloads_module().build(name, seed, CORPUS, out)
+
+
+# The fuzz alphabet of acceptance criterion 7.
+FUZZ_ALPHABET = "()?#;ab1 \n\t-_~%\\\"'é("
+# Three texts nested or unbalanced far past any recursion limit.
+DEEP_TEXTS = ("(" * 30_000, ")" * 30_000, "(f " * 4_000 + "a" + ")" * 4_000)
+
+
+def fuzz_texts():
+    """Acceptance criterion 7's 10 000 seed-4242 texts: every fourth a corpus
+    text with a random stretch replaced, the rest random over FUZZ_ALPHABET."""
+    rng = random.Random(4242)
+    corpus_texts = [
+        (CORPUS / n).read_text()
+        for n in ("discourse.dpd", "lucentio.dpp", "switches.dpd", "toggle.dpd")
+    ]
+    for i in range(10_000):
+        if i % 4 == 0:
+            base = rng.choice(corpus_texts)
+            pos = rng.randrange(len(base))
+            glitch = "".join(rng.choice(FUZZ_ALPHABET) for _ in range(rng.randrange(1, 8)))
+            yield base[:pos] + glitch + base[pos + rng.randrange(0, 12):]
+        else:
+            yield "".join(rng.choice(FUZZ_ALPHABET) for _ in range(rng.randrange(0, 120)))
 
 
 def lit(predicate: str, *args, positive: bool = True) -> Literal:

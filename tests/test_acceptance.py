@@ -1,6 +1,5 @@
 """Acceptance criteria. Each test prints one PASS/FAIL line for its criterion."""
 import itertools
-import random
 import time
 from contextlib import contextmanager
 
@@ -15,7 +14,7 @@ from discoplan.oracle import verify_soundness
 from discoplan.search import SearchConfig, Solution, solve
 from discoplan.terms import Compound, Constant, Literal, apply
 from _oracles import brute_force, recursive_intended
-from _worlds import CORPUS, lit, load_domain, load_problem
+from _worlds import CORPUS, DEEP_TEXTS, fuzz_texts, lit, load_domain, load_problem
 
 A, B, C = Constant("a"), Constant("b"), Constant("c")
 L = Constant("l")
@@ -242,23 +241,10 @@ def test_criterion_6_determinism(tmp_path):
 
 def test_criterion_7_parser_robustness():
     with criterion(7, "fuzzed inputs never crash and the corpus round-trips"):
-        rng = random.Random(4242)
-        alphabet = "()?#;ab1 \n\t-_~%\\\"'é("
-        corpus_texts = [
-            (CORPUS / n).read_text()
-            for n in ("discourse.dpd", "lucentio.dpp", "switches.dpd", "toggle.dpd")
-        ]
-        for text in ("(" * 30_000, ")" * 30_000, "(f " * 4_000 + "a" + ")" * 4_000):
+        for text in DEEP_TEXTS:
             domain, diags = parse_domain(text)
             assert domain is not None or diags
-        for i in range(10_000):
-            if i % 4 == 0:
-                base = rng.choice(corpus_texts)
-                pos = rng.randrange(len(base))
-                glitch = "".join(rng.choice(alphabet) for _ in range(rng.randrange(1, 8)))
-                text = base[:pos] + glitch + base[pos + rng.randrange(0, 12):]
-            else:
-                text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 120)))
+        for text in fuzz_texts():
             domain, diags = parse_domain(text)
             assert domain is not None or diags
             problem, pdiags = parse_problem(text)
