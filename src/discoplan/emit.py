@@ -19,7 +19,7 @@ from .intention import IntentionReport
 from .language import parse_literal, parse_term
 from .oracle import PlanView
 from .plan import CausalLink, DecompositionLink, Plan, Step
-from .sexp import Diagnostic, read
+from .sexp import Diagnostic, read_plain
 from .terms import BindingSet, Compound, Literal, Term, apply
 
 FORMATS = ("json", "dot", "text")
@@ -294,10 +294,11 @@ def _reload(text, parse, memo: dict):
         value = memo.get((text, parse))
         if value is not None:
             return value
-        forms, diags = read(text, "<plan-file>")
-        parse_diags: list[Diagnostic] = []
-        value = parse(forms[0], parse_diags) if len(forms) == 1 and not diags else None
-        if value is not None and not parse_diags:
+        # No span is ever printed for a plan-file text, so it is read plain.
+        forms = read_plain(text)
+        diags: list[Diagnostic] = []
+        value = parse(forms[0], diags) if forms is not None and len(forms) == 1 else None
+        if value is not None and not diags:
             memo[text, parse] = value
             return value
     raise PlanFileError(f"bad {parse.__name__.removeprefix('parse_')} text {text!r}")

@@ -18,6 +18,16 @@ Grammar sketch (see docs/formats.md for the EBNF):
 Literals are `(pred TERM ...)` or `(not (pred TERM ...))`; variables are
 `?name`. Parsing is total: malformed input produces diagnostics, never an
 exception, and one bad form does not stop its siblings.
+
+Lowering is one set of functions over nodes in `sexp.read_plain`'s shape:
+an atom is a `str`, a list a `tuple` of its items. Cost model: spans are
+built only on the diagnostic path. `parse_domain` and `parse_problem` lower
+`read_plain`'s forms, which carry no spans, and return that value when the
+pass reports nothing. Only when `read_plain` finds a parenthesis that does
+not balance, or the lowering reports a diagnostic, is the text read again
+with `sexp.read` and lowered again over `sexp.locate`'s nodes, which are
+the same strings and tuples each carrying its span; so every diagnostic
+gets its `file:line:column` from that second pass alone.
 """
 from __future__ import annotations
 
@@ -30,12 +40,13 @@ from .model import (
     Problem,
     StepTemplate,
 )
-from .sexp import Diagnostic, SAtom, SList, SNode, SourceSpan, read
+from .sexp import Diagnostic, LocatedAtom, SourceSpan, locate, read, read_plain
 from .terms import Compound, Constant, Literal, Term, Variable, is_ground
 
 
-def _err(diags: list[Diagnostic], node: SNode, message: str) -> None:
-    diags.append(Diagnostic(node.span, message))
+def _err(diags: list[Diagnostic], node, message: str) -> None:
+    # A node of `read_plain` has no span; its pass is rerun located when it reports.
+    diags.append(Diagnostic(getattr(node, "span", None), message))
 
 
 # Term nesting is finite and bounded by the parsed input; the cap keeps
@@ -43,11 +54,10 @@ def _err(diags: list[Diagnostic], node: SNode, message: str) -> None:
 MAX_TERM_DEPTH = 200
 
 
-def parse_term(node: SNode, diags: list[Diagnostic], depth: int = 0) -> Term | None:
-    if isinstance(node, SAtom):
-        text = node.text
-        if text.startswith("?"):
-            body = text[1:]
+def parse_term(node, diags: list[Diagnostic], depth: int = 0) -> Term | None:
+    if isinstance(node, str):
+        if node.startswith("?"):
+            body = node[1:]
             if not body:
                 _err(diags, node, "variable with empty name")
                 return None
@@ -56,19 +66,19 @@ def parse_term(node: SNode, diags: list[Diagnostic], depth: int = 0) -> Term | N
                 if name and tail.lstrip("-").isdigit():
                     return Variable(name, int(tail))
             return Variable(body, 0)
-        return Constant(text)
+        return Constant(node)
     if depth >= MAX_TERM_DEPTH:
         _err(diags, node, f"term nesting deeper than {MAX_TERM_DEPTH}")
         return None
-    if not node.items:
+    if not node:
         _err(diags, node, "empty compound term")
         return None
-    head = node.items[0]
-    if not isinstance(head, SAtom):
+    head = node[0]
+    if not isinstance(head, str):
         _err(diags, node, "compound term functor must be a symbol")
         return None
-    args = _parse_terms(node.items[1:], diags, depth + 1)
-    return None if args is None else Compound(head.text, args)
+    args = _parse_terms(node[1:], diags, depth + 1)
+    return None if args is None else Compound(head, args)
 
 
 def _parse_terms(nodes, diags, depth: int = 0) -> tuple[Term, ...] | None:
@@ -82,7 +92,7 @@ def _parse_terms(nodes, diags, depth: int = 0) -> tuple[Term, ...] | None:
     return tuple(out)
 
 
-def parse_literal(node: SNode, diags: list[Diagnostic]) -> Literal | None:
+def parse_literal(node, diags: list[Diagnostic]) -> Literal | None:
     """The literal `node` writes; each `(not ...)` around it flips its sign.
 
     Negations are unwrapped in a loop, so however deep they nest they cannot
@@ -90,22 +100,22 @@ def parse_literal(node: SNode, diags: list[Diagnostic]) -> Literal | None:
     """
     positive = True
     while True:
-        if not isinstance(node, SList) or not node.items:
+        if isinstance(node, str) or not node:
             _err(diags, node, "literal must be a non-empty list")
             return None
-        head = node.items[0]
-        if not (isinstance(head, SAtom) and head.text == "not"):
+        head = node[0]
+        if not (isinstance(head, str) and head == "not"):
             break
-        if len(node.items) != 2:
+        if len(node) != 2:
             _err(diags, node, "negation takes exactly one literal")
             return None
         positive = not positive
-        node = node.items[1]
-    if not isinstance(head, SAtom):
+        node = node[1]
+    if not isinstance(head, str):
         _err(diags, node, "literal predicate must be a symbol")
         return None
-    args = _parse_terms(node.items[1:], diags)
-    return None if args is None else Literal(head.text, args, positive)
+    args = _parse_terms(node[1:], diags)
+    return None if args is None else Literal(head, args, positive)
 
 
 def _parse_literals(nodes, diags, ground: str = "") -> list[Literal]:
@@ -123,64 +133,63 @@ def _parse_literals(nodes, diags, ground: str = "") -> list[Literal]:
     return out
 
 
-def _clauses(form: SList, start: int, where: str, diags):
+def _clauses(form: tuple, start: int, where: str, diags):
     """Yield (head, clause) for each `(head ...)` item of `form` from `start` on;
     report any other item."""
-    for clause in form.items[start:]:
-        if isinstance(clause, SList) and clause.items and isinstance(clause.items[0], SAtom):
-            yield clause.items[0].text, clause
+    for clause in form[start:]:
+        if isinstance(clause, tuple) and clause and isinstance(clause[0], str):
+            yield clause[0], clause
         else:
             _err(diags, clause, f"expected a clause list inside {where}")
 
 
-def _parse_predicates(form: SList, diags) -> dict[str, int]:
+def _parse_predicates(form: tuple, diags) -> dict[str, int]:
     out: dict[str, int] = {}
-    for item in form.items[1:]:
+    for item in form[1:]:
         if (
-            isinstance(item, SList)
-            and len(item.items) == 2
-            and isinstance(item.items[0], SAtom)
-            and isinstance(item.items[1], SAtom)
-            and item.items[1].text.isdigit()
+            isinstance(item, tuple)
+            and len(item) == 2
+            and isinstance(item[0], str)
+            and isinstance(item[1], str)
+            and item[1].isdigit()
         ):
-            out[item.items[0].text] = int(item.items[1].text)
+            out[item[0]] = int(item[1])
         else:
             _err(diags, item, "expected (predicate arity)")
     return out
 
 
-def _parse_header(form: SList, diags) -> tuple[str, tuple[Term, ...]] | None:
-    items = form.items
-    if len(items) != 2 or not isinstance(items[1], SList) or not items[1].items:
+def _parse_header(form: tuple, diags) -> tuple[str, tuple[Term, ...]] | None:
+    if len(form) != 2 or isinstance(form[1], str) or not form[1]:
         _err(diags, form, "expected (header (name args...))")
         return None
-    inner = items[1]
-    if not isinstance(inner.items[0], SAtom):
+    inner = form[1]
+    if not isinstance(inner[0], str):
         _err(diags, inner, "action name must be a symbol")
         return None
-    args = _parse_terms(inner.items[1:], diags)
-    return None if args is None else (inner.items[0].text, args)
+    args = _parse_terms(inner[1:], diags)
+    return None if args is None else (inner[0], args)
 
 
-def _parse_bindings(form: SList, diags) -> tuple[BindingConstraint, ...]:
+def _parse_bindings(form: tuple, diags) -> tuple[BindingConstraint, ...]:
     out = []
-    for item in form.items[1:]:
+    for item in form[1:]:
         if (
-            isinstance(item, SList)
-            and len(item.items) == 3
-            and isinstance(item.items[0], SAtom)
-            and item.items[0].text in ("eq", "neq")
+            isinstance(item, tuple)
+            and len(item) == 3
+            and isinstance(item[0], str)
+            and item[0] in ("eq", "neq")
         ):
-            left = parse_term(item.items[1], diags)
-            right = parse_term(item.items[2], diags)
+            left = parse_term(item[1], diags)
+            right = parse_term(item[2], diags)
             if left is not None and right is not None:
-                out.append(BindingConstraint(item.items[0].text, left, right))
+                out.append(BindingConstraint(item[0], left, right))
         else:
             _err(diags, item, "expected (eq T T) or (neq T T)")
     return tuple(out)
 
 
-def _parse_action(form: SList, diags) -> ActionOperator | None:
+def _parse_action(form: tuple, diags) -> ActionOperator | None:
     header = None
     composite = False
     pre: list[Literal] = []
@@ -192,9 +201,9 @@ def _parse_action(form: SList, diags) -> ActionOperator | None:
         elif head == "composite":
             composite = True
         elif head == "pre":
-            pre += _parse_literals(clause.items[1:], diags)
+            pre += _parse_literals(clause[1:], diags)
         elif head == "eff":
-            eff += _parse_literals(clause.items[1:], diags)
+            eff += _parse_literals(clause[1:], diags)
         elif head == "bindings":
             bindings = _parse_bindings(clause, diags)
         else:
@@ -209,58 +218,54 @@ def _parse_action(form: SList, diags) -> ActionOperator | None:
     return ActionOperator(name, params, tuple(pre), tuple(eff), bindings, composite)
 
 
-def _parse_steps(form: SList, diags) -> tuple[StepTemplate, ...]:
+def _parse_steps(form: tuple, diags) -> tuple[StepTemplate, ...]:
     out = []
-    for item in form.items[1:]:
+    for item in form[1:]:
         if (
-            isinstance(item, SList)
-            and len(item.items) == 2
-            and isinstance(item.items[0], SAtom)
-            and isinstance(item.items[1], SList)
-            and item.items[1].items
-            and isinstance(item.items[1].items[0], SAtom)
+            isinstance(item, tuple)
+            and len(item) == 2
+            and isinstance(item[0], str)
+            and isinstance(item[1], tuple)
+            and item[1]
+            and isinstance(item[1][0], str)
         ):
-            inner = item.items[1]
-            args = _parse_terms(inner.items[1:], diags)
+            inner = item[1]
+            args = _parse_terms(inner[1:], diags)
             if args is not None:
-                out.append(StepTemplate(item.items[0].text, inner.items[0].text, args))
+                out.append(StepTemplate(item[0], inner[0], args))
         else:
             _err(diags, item, "expected (label (action args...))")
     return tuple(out)
 
 
-def _parse_links(form: SList, diags) -> tuple[LinkTemplate, ...]:
+def _parse_links(form: tuple, diags) -> tuple[LinkTemplate, ...]:
     out = []
-    for item in form.items[1:]:
+    for item in form[1:]:
         if (
-            isinstance(item, SList)
-            and len(item.items) == 3
-            and isinstance(item.items[0], SAtom)
-            and isinstance(item.items[2], SAtom)
+            isinstance(item, tuple)
+            and len(item) == 3
+            and isinstance(item[0], str)
+            and isinstance(item[2], str)
         ):
-            cond = parse_literal(item.items[1], diags)
+            cond = parse_literal(item[1], diags)
             if cond is not None:
-                out.append(LinkTemplate(item.items[0].text, cond, item.items[2].text))
+                out.append(LinkTemplate(item[0], cond, item[2]))
         else:
             _err(diags, item, "expected (producer-label LIT consumer-label)")
     return tuple(out)
 
 
-def _parse_orderings(form: SList, diags) -> tuple[tuple[str, str], ...]:
+def _parse_orderings(form: tuple, diags) -> tuple[tuple[str, str], ...]:
     out = []
-    for item in form.items[1:]:
-        if (
-            isinstance(item, SList)
-            and len(item.items) == 2
-            and all(isinstance(x, SAtom) for x in item.items)
-        ):
-            out.append((item.items[0].text, item.items[1].text))
+    for item in form[1:]:
+        if isinstance(item, tuple) and len(item) == 2 and all(isinstance(x, str) for x in item):
+            out.append((item[0], item[1]))
         else:
             _err(diags, item, "expected (before-label after-label)")
     return tuple(out)
 
 
-def _parse_decomposition(form: SList, diags) -> DecompositionSchema | None:
+def _parse_decomposition(form: tuple, diags) -> DecompositionSchema | None:
     header = None
     constraints: list[Literal] = []
     steps: tuple[StepTemplate, ...] = ()
@@ -271,7 +276,7 @@ def _parse_decomposition(form: SList, diags) -> DecompositionSchema | None:
         if head == "header":
             header = _parse_header(clause, diags)
         elif head == "constraints":
-            constraints += _parse_literals(clause.items[1:], diags)
+            constraints += _parse_literals(clause[1:], diags)
         elif head == "steps":
             steps = _parse_steps(clause, diags)
         elif head == "links":
@@ -289,30 +294,7 @@ def _parse_decomposition(form: SList, diags) -> DecompositionSchema | None:
     return DecompositionSchema(name, args, tuple(constraints), steps, links, bindings, orderings)
 
 
-def _top_form(text: str, filename: str, keyword: str) -> tuple[SList | None, list[Diagnostic]]:
-    """The text's single `(keyword NAME ...)` form, or None after a diagnostic."""
-    forms, diags = read(text, filename)
-    if len(forms) != 1 or not isinstance(forms[0], SList):
-        _err(diags, forms[0] if forms else SAtom("", SourceSpan(filename, 1, 1)),
-             f"expected a single ({keyword} ...) form")
-        return None, diags
-    form = forms[0]
-    if (
-        len(form.items) < 2
-        or not isinstance(form.items[0], SAtom)
-        or form.items[0].text != keyword
-        or not isinstance(form.items[1], SAtom)
-    ):
-        _err(diags, form, f"expected ({keyword} NAME ...)")
-        return None, diags
-    return form, diags
-
-
-def parse_domain(text: str, filename: str = "<domain>") -> tuple[Domain | None, list[Diagnostic]]:
-    """Lower domain text to a Domain; (None, diagnostics) when structure is broken."""
-    form, diags = _top_form(text, filename, "domain")
-    if form is None:
-        return None, diags
+def _lower_domain(form: tuple, diags) -> Domain:
     predicates: dict[str, int] = {}
     kb_predicates: dict[str, int] = {}
     operators: list[ActionOperator] = []
@@ -332,37 +314,69 @@ def parse_domain(text: str, filename: str = "<domain>") -> tuple[Domain | None, 
                 schemata.append(schema)
         else:
             _err(diags, clause, f"unknown domain clause {head}")
-    if diags:
-        return None, diags
-    return (
-        Domain(form.items[1].text, predicates, kb_predicates, tuple(operators), tuple(schemata)),
-        diags,
-    )
+    return Domain(form[1], predicates, kb_predicates, tuple(operators), tuple(schemata))
 
 
-def parse_problem(text: str, filename: str = "<problem>") -> tuple[Problem | None, list[Diagnostic]]:
-    form, diags = _top_form(text, filename, "problem")
-    if form is None:
-        return None, diags
+def _lower_problem(form: tuple, diags) -> Problem:
     domain_name = ""
     lits: dict[str, list[Literal]] = {"facts": [], "init": [], "goal": []}
     for head, clause in _clauses(form, 2, "problem", diags):
         if head == "domain":
-            if len(clause.items) == 2 and isinstance(clause.items[1], SAtom):
-                domain_name = clause.items[1].text
+            if len(clause) == 2 and isinstance(clause[1], str):
+                domain_name = clause[1]
             else:
                 _err(diags, clause, "expected (domain NAME)")
         elif head in lits:
             ground = "" if head == "goal" else head
-            lits[head] += _parse_literals(clause.items[1:], diags, ground)
+            lits[head] += _parse_literals(clause[1:], diags, ground)
         else:
             _err(diags, clause, f"unknown problem clause {head}")
     if not domain_name:
         _err(diags, form, "problem without (domain NAME)")
-    if diags:
-        return None, diags
     facts, init, goals = (tuple(lits[k]) for k in ("facts", "init", "goal"))
-    return Problem(form.items[1].text, domain_name, facts, init, goals), diags
+    return Problem(form[1], domain_name, facts, init, goals)
+
+
+def _lower(forms: list, keyword: str, lower, diags, nowhere):
+    """`lower` applied to the single `(keyword NAME ...)` form among `forms`, or
+    None after a diagnostic; `nowhere` is the node a text without forms is
+    reported at."""
+    if len(forms) != 1 or isinstance(forms[0], str):
+        _err(diags, forms[0] if forms else nowhere, f"expected a single ({keyword} ...) form")
+        return None
+    form = forms[0]
+    if (
+        len(form) < 2
+        or not isinstance(form[0], str)
+        or form[0] != keyword
+        or not isinstance(form[1], str)
+    ):
+        _err(diags, form, f"expected ({keyword} NAME ...)")
+        return None
+    return lower(form, diags)
+
+
+def _parse(text: str, filename: str, keyword: str, lower):
+    """(value, []) from the plain pass when it reports nothing; otherwise
+    (None, diagnostics) from the located pass."""
+    forms = read_plain(text)
+    if forms is not None:
+        diags: list[Diagnostic] = []
+        value = _lower(forms, keyword, lower, diags, "")
+        if not diags:
+            return value, diags
+    forms, diags = read(text, filename)
+    value = _lower(locate(forms), keyword, lower, diags, LocatedAtom("", SourceSpan(filename, 1, 1)))
+    return (None if diags else value), diags
+
+
+def parse_domain(text: str, filename: str = "<domain>") -> tuple[Domain | None, list[Diagnostic]]:
+    """Lower domain text to a Domain; (None, diagnostics) when structure is broken."""
+    return _parse(text, filename, "domain", _lower_domain)
+
+
+def parse_problem(text: str, filename: str = "<problem>") -> tuple[Problem | None, list[Diagnostic]]:
+    return _parse(text, filename, "problem", _lower_problem)
 
 
 # ---------------------------------------------------------------------------

@@ -158,13 +158,13 @@ def test_plan_view_reload_reads_each_distinct_text_once_per_call(monkeypatch):
     once = Counter(set(terms)) + Counter(set(literals))
     assert once.total() < len(terms) + len(literals)
     texts = []
-    read = discoplan.emit.read
+    read_plain = discoplan.emit.read_plain
 
-    def counted_read(text, filename):
+    def counted_read(text):
         texts.append(text)
-        return read(text, filename)
+        return read_plain(text)
 
-    monkeypatch.setattr(discoplan.emit, "read", counted_read)
+    monkeypatch.setattr(discoplan.emit, "read_plain", counted_read)
     for _ in range(2):
         texts.clear()
         plan_view_from_dict(data)

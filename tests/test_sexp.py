@@ -1,4 +1,5 @@
-"""S-expression reader: pinned spans, and agreement with the reference scanner."""
+"""S-expression reader: pinned spans, agreement with the reference scanner, and
+agreement of the plain reader and the located nodes with the spanned reader."""
 import itertools
 import random
 import re
@@ -6,12 +7,20 @@ import sys
 
 from hypothesis import given, settings, strategies as st
 
-from discoplan.sexp import Diagnostic, SAtom, SList, SourceSpan, read
+from discoplan.sexp import (
+    Diagnostic,
+    LocatedAtom,
+    LocatedList,
+    SAtom,
+    SList,
+    SourceSpan,
+    locate,
+    read,
+    read_plain,
+)
 from _oracles import reference_read
-from _worlds import CORPUS
+from _worlds import CORPUS, DEEP_TEXTS, FUZZ_ALPHABET
 
-# The fuzz alphabet of acceptance criterion 7.
-FUZZ_ALPHABET = "()?#;ab1 \n\t-_~%\\\"'é("
 SPACES = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
 CORPUS_TEXTS = [p.read_text(encoding="utf-8") for p in sorted(CORPUS.iterdir())]
 
@@ -129,7 +138,113 @@ def test_reader_matches_reference_on_crlf_text():
         _agrees(crlf + ")\r\n")
 
 
+ANY_TEXT = st.text(
+    alphabet=st.one_of(st.sampled_from("();\n\r\t \x0b\x1c\x85\u2028"), st.characters())
+)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.text(alphabet=st.one_of(st.sampled_from("();\n\r\t \x0b\x1c\x85\u2028"), st.characters())))
+@given(ANY_TEXT)
 def test_reader_matches_reference_on_any_text(text):
     _agrees(text)
+
+
+def _stripped(node):
+    """A node of `read` with its spans stripped: an atom as its text, a list
+    as the tuple of its items."""
+    if isinstance(node, SAtom):
+        return node.text
+    return tuple(_stripped(item) for item in node.items)
+
+
+def _located_agrees(node, located) -> None:
+    """`located` is `node` in the plain shape, each located node with its span."""
+    stack = [(node, located)]
+    while stack:
+        node, located = stack.pop()
+        assert located.span == node.span
+        if isinstance(node, SAtom):
+            assert type(located) is LocatedAtom and located == node.text
+        else:
+            assert type(located) is LocatedList and len(located) == len(node.items)
+            stack.extend(zip(node.items, located))
+
+
+def _plain_agrees(text: str) -> None:
+    """`read_plain` gives `read`'s forms without spans when `read` reports
+    nothing, and None exactly when `read` reports a parenthesis; `locate`
+    gives `read`'s forms in the plain shape with their spans."""
+    forms, diags = read(text, "f")
+    plain = read_plain(text)
+    unbalanced = [
+        d for d in diags
+        if d.message in ("unbalanced closing parenthesis", "unclosed parenthesis")
+    ]
+    assert (plain is None) == bool(unbalanced), repr(text)
+    if not diags:
+        assert type(plain) is list, repr(text)
+        assert plain == [_stripped(f) for f in forms], repr(text)
+        pending = list(plain)
+        while pending:
+            node = pending.pop()
+            assert type(node) in (str, tuple), repr(text)
+            if type(node) is tuple:
+                pending.extend(node)
+    located = locate(forms)
+    assert len(located) == len(forms)
+    for node, loc in zip(forms, located):
+        _located_agrees(node, loc)
+
+
+def test_plain_reader_matches_read_on_every_short_string():
+    alphabet = "".join(dict.fromkeys(FUZZ_ALPHABET))
+    for n in range(4):
+        for chars in itertools.product(alphabet, repeat=n):
+            _plain_agrees("".join(chars))
+
+
+def test_plain_reader_matches_read_on_random_strings_and_corpus_mutations():
+    rng = random.Random(9)
+    for i in range(3_000):
+        if i % 3 == 0:
+            base = rng.choice(CORPUS_TEXTS)
+            pos = rng.randrange(len(base))
+            glitch = "".join(rng.choice(FUZZ_ALPHABET) for _ in range(rng.randrange(1, 8)))
+            _plain_agrees(base[:pos] + glitch + base[pos + rng.randrange(0, 12):])
+        else:
+            _plain_agrees("".join(rng.choice(FUZZ_ALPHABET) for _ in range(rng.randrange(0, 160))))
+
+
+def test_plain_reader_matches_read_on_every_blank_code_point():
+    for ch in SPACES:
+        _plain_agrees(f"(a{ch}b{ch}){ch}c{ch}")
+        _plain_agrees(f"(a ;{ch}) b\n){ch}(")
+        _plain_agrees(f"{ch};{ch}(\n{ch}x")
+
+
+def test_plain_reader_matches_read_on_crlf_text_and_the_corpus():
+    for text in CORPUS_TEXTS:
+        _plain_agrees(text)
+        assert read_plain(text) is not None
+        crlf = text.replace("\n", "\r\n")
+        _plain_agrees(crlf)
+        _plain_agrees(crlf.replace("(", "", 1))
+        _plain_agrees(crlf + ")\r\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(ANY_TEXT)
+def test_plain_reader_matches_read_on_any_text(text):
+    _plain_agrees(text)
+
+
+def test_plain_reader_and_locate_take_any_depth_without_recursion():
+    for text in DEEP_TEXTS:
+        forms, diags = read(text, "f")
+        assert (read_plain(text) is None) == bool(diags)
+        for node, loc in zip(forms, locate(forms)):
+            _located_agrees(node, loc)
+    deepest = read_plain("(f " * 4_000 + "a" + ")" * 4_000)[0]
+    for _ in range(3_999):
+        deepest = deepest[1]
+    assert deepest == ("f", "a")
