@@ -151,11 +151,17 @@ def _literal_arity_issues(lit: Literal, arities: dict[str, int], where: str) -> 
 
 def _check_functors(terms, functors: dict[str, int], where: str, issues: list[str]) -> None:
     """Record the first arity of each functor in `terms` in `functors`, and
-    report any later use with another arity to `issues`, in term order."""
+    report any later use with another arity to `issues`, in term order.
+
+    Each distinct compound is visited once, so a subterm shared along many
+    paths is checked, and its clash reported, once.
+    """
+    visited = set()
     todo = list(reversed(terms))
     while todo:
         t = todo.pop()
-        if isinstance(t, Compound):
+        if isinstance(t, Compound) and id(t) not in visited:
+            visited.add(id(t))
             seen = functors.setdefault(t.functor, len(t.args))
             if seen != len(t.args):
                 issues.append(

@@ -141,13 +141,17 @@ def _bounded_repr(obj: Compound | Literal) -> str:
 
 
 def variables_in(obj) -> Iterator[Variable]:
-    """Each variable occurrence in a term or literal, left to right."""
+    """Each variable occurrence in a term or literal, left to right, visiting
+    each distinct subterm once: a subterm shared along many paths yields its
+    variables once."""
+    seen = set()
     todo = [obj]
     while todo:
         t = todo.pop()
         if isinstance(t, Variable):
             yield t
-        elif isinstance(t, (Compound, Literal)):
+        elif isinstance(t, (Compound, Literal)) and id(t) not in seen:
+            seen.add(id(t))
             todo.extend(reversed(t.args))
 
 

@@ -154,6 +154,29 @@ def test_validation_follows_an_operator_term_deeper_than_the_recursion_limit():
     ]
 
 
+def test_validation_visits_a_shared_subterm_once():
+    # t = (f t t), 40 levels deep: 2**40 paths lead to its bottom, which
+    # holds an unbound ?y and a g of one argument that clashes with (g ?x ?x).
+    x, y = Variable("x"), Variable("y")
+    t = Compound("g", (y,))
+    for _ in range(40):
+        t = Compound("f", (t, t))
+    op = ActionOperator("act", (x,), (), (lit("p", t, Compound("g", (x, x))),))
+    domain = Domain(name="d", predicates={"p": 2}, operators=(op,))
+    assert validate_domain(domain) == [
+        "operator act: functor g used with arities 1 and 2",
+        "operator act: variable ?y not bound by header or bindings",
+    ]
+    # The same shape in a ground problem literal, its g of two arguments.
+    u = Compound("g", (L, B))
+    for _ in range(40):
+        u = Compound("f", (u, u))
+    problem = Problem("q", "d", init=(lit("p", u, u),))
+    assert validate_problem(domain, problem) == [
+        "problem q init: functor g used with arities 1 and 2"
+    ]
+
+
 def test_validate_domain_is_pure_and_idempotent():
     domain = load_domain("discourse.dpd")
     assert validate_domain(domain) == validate_domain(domain) == []
