@@ -53,8 +53,10 @@ from discoplan.terms import (
     Constant,
     Literal,
     Variable,
+    add_noncodesignation,
     apply,
     extensions,
+    unify_terms,
 )
 from _oracles import brute_force, brute_force_threats, decompose_by_product, operators_achieving
 from _worlds import (
@@ -207,15 +209,23 @@ def _two_step_refine_causal(plan, flaw, domain):
     new_sid, new_iid = plan.next_sid, plan.next_iid
     signature = (flaw.condition.predicate, flaw.condition.positive)
     fresh = tuple(
-        search_module._fresh_step(op, new_sid, new_iid, consumer.depth)[0]
+        search_module._fresh_step(op, new_sid, new_iid, consumer.depth)
         for op in domain.operators
         if signature in {(e.predicate, e.positive) for e in op.effects}
     )
-    for s in plan.steps + fresh:
+    for s, constraints in tuple((s, ()) for s in plan.steps) + fresh:
         if s.sid == flaw.consumer or s.kind == "final":
             continue
         found = establishments(plan.bindings, s.effects, flaw.condition, s.kind == KIND_INITIAL)
         b = next(found, None)
+        # A fresh step brings its operator's eq/neq constraints, renamed with it.
+        for c in constraints:
+            if b is None:
+                break
+            if c.kind == "eq":
+                b = unify_terms(c.left, c.right, b)
+            else:
+                b = add_noncodesignation(b, c.left, c.right)
         if b is None:
             continue
         link = CausalLink(s.sid, flaw.condition, flaw.consumer)
@@ -359,6 +369,41 @@ def test_causal_successors_match_the_two_step_reference_along_searches(monkeypat
                 built += len(_causal_successors_checked(plan, flaw, domain))
                 compared += 1
     assert compared > 200 and built > compared
+
+
+@pytest.mark.parametrize(
+    "bindings, init, goal",
+    [
+        ("(bindings (neq ?x ?y))", "(obj a)", "(linked a a)"),
+        ("(bindings (neq ?x ?y))", "(obj a) (obj b)", "(linked a ?w) (paired ?w ?v)"),
+        ("(bindings (eq ?x ?y))", "(obj a) (obj b)", "(linked a ?w) (paired b ?v)"),
+    ],
+)
+def test_causal_successors_match_the_two_step_reference_under_operator_bindings(
+    monkeypatch, bindings, init, goal
+):
+    domain, problem = link_world(bindings, init, goal)
+    expanded = []
+
+    def recorded_detect_threats(plan):
+        expanded.append(plan)
+        return detect_threats(plan)
+
+    monkeypatch.setattr(search_module, "detect_threats", recorded_detect_threats)
+    solve(domain, problem, SearchConfig(max_nodes=60))
+    compared = 0
+    for plan in expanded:
+        detect_threats(plan)
+        for flaw in plan.flaws:
+            if isinstance(flaw, OpenCondition):
+                _causal_successors_checked(plan, flaw, domain)
+                compared += 1
+    assert compared
+    # At the root, `link` as a fresh step for (linked a a) would make a
+    # link(a, a) that its neq forbids: the step gets no successor.
+    if init == "(obj a)":
+        root = init_plan(problem)
+        assert _causal_successors_checked(root, root.flaws[0], domain) == []
 
 
 def test_refine_decomposition_single_kb_binding():
