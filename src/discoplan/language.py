@@ -63,7 +63,7 @@ def parse_term(node, diags: list[Diagnostic], depth: int = 0) -> Term | None:
                 return None
             if "#" in body:
                 name, _, tail = body.partition("#")
-                if name and tail.lstrip("-").isdigit():
+                if name and tail.lstrip("-").isdecimal():
                     return Variable(name, int(tail))
             return Variable(body, 0)
         return Constant(node)
@@ -151,7 +151,7 @@ def _parse_predicates(form: tuple, diags) -> dict[str, int]:
             and len(item) == 2
             and isinstance(item[0], str)
             and isinstance(item[1], str)
-            and item[1].isdigit()
+            and item[1].isdecimal()
         ):
             out[item[0]] = int(item[1])
         else:
@@ -358,7 +358,8 @@ def _lower(forms: list, keyword: str, lower, diags, nowhere):
 
 def _parse(text: str, filename: str, keyword: str, lower):
     """(value, []) from the plain pass when it reports nothing; otherwise
-    (None, diagnostics) from the located pass."""
+    (None, diagnostics) from the located pass, which lowers equal nodes and
+    so reports at least what the plain pass did."""
     forms = read_plain(text)
     if forms is not None:
         diags: list[Diagnostic] = []
@@ -366,8 +367,8 @@ def _parse(text: str, filename: str, keyword: str, lower):
         if not diags:
             return value, diags
     forms, diags = read(text, filename)
-    value = _lower(locate(forms), keyword, lower, diags, LocatedAtom("", SourceSpan(filename, 1, 1)))
-    return (None if diags else value), diags
+    _lower(locate(forms), keyword, lower, diags, LocatedAtom("", SourceSpan(filename, 1, 1)))
+    return None, diags
 
 
 def parse_domain(text: str, filename: str = "<domain>") -> tuple[Domain | None, list[Diagnostic]]:

@@ -213,6 +213,8 @@ DIAGNOSTICS = [
      ["f:1:29: negation takes exactly one literal"]),
     ("problem", _PROB.format("(goal ((p) a))"), ["f:1:29: literal predicate must be a symbol"]),
     ("domain", "(domain d (predicates (p x)))", ["f:1:23: expected (predicate arity)"]),
+    # A superscript is a digit that int() refuses, not a decimal arity.
+    ("domain", "(domain d (predicates (p ²)))", ["f:1:23: expected (predicate arity)"]),
     ("domain", "(domain d (action (header)))",
      ["f:1:19: expected (header (name args...))", "f:1:11: action without header"]),
     ("domain", "(domain d (action (header ((go) ?x))))",
@@ -266,6 +268,15 @@ def test_every_diagnostic_is_pinned(kind, text, expected):
     value, diags = parse(text, "f")
     assert value is None
     assert [str(d) for d in diags] == expected
+
+
+def test_a_variable_suffix_is_an_instantiation_id_only_when_decimal():
+    problem, diags = parse_problem(_PROB.format("(goal (p ?x#3 ?x#-2 ?x#² ?x#-²))"), "f")
+    assert diags == []
+    (goal,) = problem.goals
+    assert goal.args == (
+        Variable("x", 3), Variable("x", -2), Variable("x#²", 0), Variable("x#-²", 0)
+    )
 
 
 def test_reader_never_yields_an_empty_atom():
