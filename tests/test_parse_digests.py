@@ -24,15 +24,12 @@ DIGESTS = Path(__file__).resolve().parent / "parse_digests.json"
 PARSERS = {"domain": parse_domain, "problem": parse_problem}
 
 
-def _groups():
-    """{group: [(text, filename or None)]}; None keeps the parser's default name."""
-    return {
-        "fuzz": [(text, None) for text in fuzz_texts()],
-        "deep": [(text, None) for text in DEEP_TEXTS],
-        "corpus": [
-            (p.read_text(encoding="utf-8"), p.name) for p in sorted(CORPUS.iterdir())
-        ],
-    }
+# Each group's texts as (text, filename); None keeps the parser's default name.
+GROUPS = {
+    "fuzz": lambda: [(text, None) for text in fuzz_texts()],
+    "deep": lambda: [(text, None) for text in DEEP_TEXTS],
+    "corpus": lambda: [(p.read_text(encoding="utf-8"), p.name) for p in sorted(CORPUS.iterdir())],
+}
 
 
 def _digest(parse, texts) -> str:
@@ -46,20 +43,19 @@ def _digest(parse, texts) -> str:
     return h.hexdigest()
 
 
-def _table(groups) -> dict:
-    return {
-        f"{group}/{kind}": _digest(parse, texts)
-        for group, texts in groups.items()
-        for kind, parse in PARSERS.items()
-    }
+def _table(group: str) -> dict:
+    texts = GROUPS[group]()
+    return {f"{group}/{kind}": _digest(parse, texts) for kind, parse in PARSERS.items()}
 
 
-@pytest.mark.parametrize("group", ["fuzz", "deep", "corpus"])
+@pytest.mark.parametrize("group", GROUPS)
 def test_parsing_matches_its_digest(group):
     golden = json.loads(DIGESTS.read_text())
-    got = _table({group: _groups()[group]})
-    assert got == {k: v for k, v in golden.items() if k.startswith(group + "/")}
+    assert _table(group) == {k: v for k, v in golden.items() if k.startswith(group + "/")}
 
 
 if __name__ == "__main__":
-    DIGESTS.write_text(json.dumps(_table(_groups()), indent=1, sort_keys=True) + "\n")
+    table = {}
+    for group in GROUPS:
+        table.update(_table(group))
+    DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
