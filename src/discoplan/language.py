@@ -25,9 +25,9 @@ built only on the diagnostic path. `parse_domain` and `parse_problem` lower
 `read_plain`'s forms, which carry no spans, and return that value when the
 pass reports nothing. Only when `read_plain` finds a parenthesis that does
 not balance, or the lowering reports a diagnostic, is the text read again
-with `sexp.read` and lowered again over `sexp.locate`'s nodes, which are
-the same strings and tuples each carrying its span; so every diagnostic
-gets its `file:line:column` from that second pass alone.
+with `sexp.read` and lowered again over its nodes, which are the same
+strings and tuples each carrying its span; so every diagnostic gets its
+`file:line:column` from that second pass alone.
 """
 from __future__ import annotations
 
@@ -40,13 +40,25 @@ from .model import (
     Problem,
     StepTemplate,
 )
-from .sexp import Diagnostic, LocatedAtom, SourceSpan, locate, read, read_plain
+from .sexp import Diagnostic, LocatedAtom, SourceSpan, read, read_plain
 from .terms import Compound, Constant, Literal, Term, Variable, is_ground
 
 
 def _err(diags: list[Diagnostic], node, message: str) -> None:
     # A node of `read_plain` has no span; its pass is rerun located when it reports.
     diags.append(Diagnostic(getattr(node, "span", None), message))
+
+
+def _decimal(text: str, signed: bool = False) -> int | None:
+    """The int that `text` writes in decimal digits, after at most one `-`
+    when `signed`; None for any other text, or digits `int()` refuses."""
+    digits = text[1:] if signed and text.startswith("-") else text
+    if not digits.isdecimal():
+        return None
+    try:
+        return int(text)
+    except ValueError:  # more digits than the interpreter converts
+        return None
 
 
 # Term nesting is finite and bounded by the parsed input; the cap keeps
@@ -63,8 +75,9 @@ def parse_term(node, diags: list[Diagnostic], depth: int = 0) -> Term | None:
                 return None
             if "#" in body:
                 name, _, tail = body.partition("#")
-                if name and tail.lstrip("-").isdecimal():
-                    return Variable(name, int(tail))
+                instance = _decimal(tail, signed=True)
+                if name and instance is not None:
+                    return Variable(name, instance)
             return Variable(body, 0)
         return Constant(node)
     if depth >= MAX_TERM_DEPTH:
@@ -151,9 +164,9 @@ def _parse_predicates(form: tuple, diags) -> dict[str, int]:
             and len(item) == 2
             and isinstance(item[0], str)
             and isinstance(item[1], str)
-            and item[1].isdecimal()
+            and (arity := _decimal(item[1])) is not None
         ):
-            out[item[0]] = int(item[1])
+            out[item[0]] = arity
         else:
             _err(diags, item, "expected (predicate arity)")
     return out
@@ -367,7 +380,7 @@ def _parse(text: str, filename: str, keyword: str, lower):
         if not diags:
             return value, diags
     forms, diags = read(text, filename)
-    _lower(locate(forms), keyword, lower, diags, LocatedAtom("", SourceSpan(filename, 1, 1)))
+    _lower(forms, keyword, lower, diags, LocatedAtom("", SourceSpan(filename, 1, 1)))
     return None, diags
 
 

@@ -6,8 +6,8 @@ canonicalized to lowercase; `;` starts a line comment. `read_plain` gives
 the forms as nested tuples of atom strings, or None when a parenthesis does
 not balance. `read` gives every input a list of forms plus a list of
 diagnostics, and an error inside one form does not stop the scan of its
-siblings; `locate` turns its forms into the plain shape, each node carrying
-its span.
+siblings. Its forms have the plain shape, and each node carries its span:
+a `LocatedAtom` is a `str`, a `LocatedList` a `tuple`.
 
 Lexical rules: whitespace is what `str.isspace()` accepts, which is the
 class `\\s` of a `str` regex; only LF starts a new line; a column counts
@@ -18,12 +18,8 @@ is read by `read_plain`: one `_TOKEN.findall` over the whole text, then one
 Python step per token that appends a lowercased string or closes a tuple.
 `read` runs one regex pass per line: `_TOKEN.finditer` skips blanks and
 matches a whole token inside the regex engine, and building a span and a
-node per token dominates what is left. Spans, atoms, lists and diagnostics
-are named tuples, so reading a field is a C-level lookup. A named tuple's
-own constructor is a Python-level function, so `read` builds its nodes with
-`tuple.__new__(cls, fields)`, one C call per node; the nodes are the same as
-the constructor's. Callers read with `read_plain` first and run `read` and
-`locate` only when that read, or what they make of its forms, fails.
+node per token dominates what is left. Callers read with `read_plain` first
+and run `read` only when that read, or what they make of its forms, fails.
 """
 from __future__ import annotations
 
@@ -49,41 +45,45 @@ class Diagnostic(NamedTuple):
         return f"{self.span}: {self.message}"
 
 
-class SAtom(NamedTuple):
-    text: str
-    span: SourceSpan
-
-
-class SList(NamedTuple):
-    items: tuple
-    span: SourceSpan
-
-
-SNode = SAtom | SList
-
 # One token per match: a parenthesis, a comment to the end of the row, or an
 # atom. Blanks match no alternative, so `finditer` skips them.
 _TOKEN = re.compile(r"[()]|;.*|[^\s();]+")
 
-_new = tuple.__new__
+
+class LocatedAtom(str):
+    """An atom of `read` as its text, carrying its `span`."""
+
+    def __new__(cls, text: str, span: SourceSpan):
+        self = str.__new__(cls, text)
+        self.span = span
+        return self
 
 
-def read(text: str, filename: str = "<input>") -> tuple[list[SNode], list[Diagnostic]]:
+class LocatedList(tuple):
+    """A list of `read` as the tuple of its items, carrying its `span`."""
+
+    def __new__(cls, items, span: SourceSpan):
+        self = tuple.__new__(cls, items)
+        self.span = span
+        return self
+
+
+def read(text: str, filename: str = "<input>") -> tuple[list, list[Diagnostic]]:
     """Read every top-level form; diagnostics instead of exceptions.
 
     Iterative, so arbitrarily deep nesting degrades into diagnostics rather
     than exhausting the interpreter stack.
     """
     diags: list[Diagnostic] = []
-    top: list[SNode] = []
+    top: list = []
     items = top  # the items of the innermost unclosed list, or the top level
     # (open-paren span, enclosing items) for every unclosed list.
-    stack: list[tuple[SourceSpan, list[SNode]]] = []
+    stack: list[tuple[SourceSpan, list]] = []
     for line, row in enumerate(text.split("\n"), 1):
         for m in _TOKEN.finditer(row):
             tok = m.group()
             if tok == "(":
-                stack.append((_new(SourceSpan, (filename, line, m.start() + 1, 1)), items))
+                stack.append((SourceSpan(filename, line, m.start() + 1), items))
                 items = []
             elif tok == ")":
                 if not stack:
@@ -91,15 +91,15 @@ def read(text: str, filename: str = "<input>") -> tuple[list[SNode], list[Diagno
                     diags.append(Diagnostic(span, "unbalanced closing parenthesis"))
                     continue
                 span, outer = stack.pop()
-                outer.append(_new(SList, (tuple(items), span)))
+                outer.append(LocatedList(items, span))
                 items = outer
             elif tok[0] != ";":
-                span = _new(SourceSpan, (filename, line, m.start() + 1, len(tok)))
-                items.append(_new(SAtom, (tok.lower(), span)))
+                span = SourceSpan(filename, line, m.start() + 1, len(tok))
+                items.append(LocatedAtom(tok.lower(), span))
     while stack:
         span, outer = stack.pop()
         diags.append(Diagnostic(span, "unclosed parenthesis"))
-        outer.append(SList(tuple(items), span))
+        outer.append(LocatedList(items, span))
         items = outer
     return top, diags
 
@@ -128,44 +128,3 @@ def read_plain(text: str) -> list | None:
             items.append(tok.lower())
     return None if stack else top
 
-
-class LocatedAtom(str):
-    """An atom of `read` as its text, carrying its `span`."""
-
-    def __new__(cls, text: str, span: SourceSpan):
-        self = str.__new__(cls, text)
-        self.span = span
-        return self
-
-
-class LocatedList(tuple):
-    """A list of `read` as the tuple of its items, carrying its `span`."""
-
-    def __new__(cls, items, span: SourceSpan):
-        self = tuple.__new__(cls, items)
-        self.span = span
-        return self
-
-
-def locate(forms: list[SNode]) -> list:
-    """`read`'s forms in `read_plain`'s shape, every node carrying its span.
-
-    Iterative: every list is made after the lists inside it, so nesting of
-    any depth is converted without recursion.
-    """
-    lists = []
-    todo = [f for f in forms if type(f) is SList]
-    while todo:
-        node = todo.pop()
-        lists.append(node)
-        todo.extend(i for i in node.items if type(i) is SList)
-    made: dict[int, LocatedList] = {}
-
-    def located(node):
-        if type(node) is SAtom:
-            return LocatedAtom(node.text, node.span)
-        return made[id(node)]
-
-    for node in reversed(lists):
-        made[id(node)] = LocatedList(map(located, node.items), node.span)
-    return [located(f) for f in forms]

@@ -12,7 +12,7 @@ from functools import lru_cache
 
 from discoplan.model import Domain, Problem
 from discoplan.oracle import _holds, _match, _progress, execute
-from discoplan.sexp import Diagnostic, SAtom, SList, SNode, SourceSpan
+from discoplan.sexp import Diagnostic, LocatedAtom, LocatedList, SourceSpan
 from discoplan.terms import (
     Compound,
     Constant,
@@ -667,13 +667,13 @@ class _Scanner:
                 return
 
 
-def reference_read(text: str, filename: str = "<input>") -> tuple[list[SNode], list[Diagnostic]]:
+def reference_read(text: str, filename: str = "<input>") -> tuple[list, list[Diagnostic]]:
     """Reference for `sexp.read`: the character-at-a-time scanner it replaced."""
     sc = _Scanner(text, filename)
     diags: list[Diagnostic] = []
-    top: list[SNode] = []
+    top: list = []
     # Stack of (open-paren span, collected items) for every unclosed list.
-    stack: list[tuple[SourceSpan, list[SNode]]] = []
+    stack: list[tuple[SourceSpan, list]] = []
     while True:
         sc.skip_blank()
         ch = sc.peek()
@@ -693,7 +693,7 @@ def reference_read(text: str, filename: str = "<input>") -> tuple[list[SNode], l
                 )
                 continue
             span, items = stack.pop()
-            node = SList(tuple(items), span)
+            node = LocatedList(items, span)
             (stack[-1][1] if stack else top).append(node)
         else:
             start = sc.span()
@@ -701,11 +701,12 @@ def reference_read(text: str, filename: str = "<input>") -> tuple[list[SNode], l
             while sc.peek() and not sc.peek().isspace() and sc.peek() not in "();":
                 chars.append(sc.advance())
             word = "".join(chars)
-            atom = SAtom(word.lower(), SourceSpan(start.file, start.line, start.column, len(word)))
+            span = SourceSpan(start.file, start.line, start.column, len(word))
+            atom = LocatedAtom(word.lower(), span)
             (stack[-1][1] if stack else top).append(atom)
     while stack:
         span, items = stack.pop()
         diags.append(Diagnostic(span, "unclosed parenthesis"))
-        node = SList(tuple(items), span)
+        node = LocatedList(items, span)
         (stack[-1][1] if stack else top).append(node)
     return top, diags

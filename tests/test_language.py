@@ -10,7 +10,7 @@ from discoplan.language import (
     serialize_domain,
     serialize_problem,
 )
-from discoplan.sexp import SAtom, read
+from discoplan.sexp import LocatedAtom, LocatedList, read
 from discoplan.terms import Compound, Constant, Variable
 from _worlds import CORPUS, lit, load_domain, load_problem
 
@@ -116,7 +116,8 @@ def test_reader_tracks_line_and_column():
     forms, diags = read("(a\n  (b c)\n)")
     assert diags == []
     (form,) = forms
-    inner = form.items[1]
+    inner = form[1]
+    assert type(inner) is LocatedList and inner == ("b", "c")
     assert inner.span.line == 2
     assert inner.span.column == 3
 
@@ -165,6 +166,9 @@ def test_parser_survives_pathological_nesting():
     deep, diags = read("(" * 30_000 + ")" * 30_000)
     assert not diags
     assert len(deep) == 1
+    for _ in range(30_000):
+        (deep,) = deep
+    assert type(deep) is LocatedList and deep == () and deep.span.column == 30_000
     # a deep term inside an otherwise valid clause degrades into a diagnostic
     bomb = "(f " * 5_000 + "a" + ")" * 5_000
     text = f"(problem p (domain d) (goal (pred {bomb})))"
@@ -215,6 +219,9 @@ DIAGNOSTICS = [
     ("domain", "(domain d (predicates (p x)))", ["f:1:23: expected (predicate arity)"]),
     # A superscript is a digit that int() refuses, not a decimal arity.
     ("domain", "(domain d (predicates (p ²)))", ["f:1:23: expected (predicate arity)"]),
+    # So are more digits than int() converts.
+    pytest.param("domain", f"(domain d (predicates (p {'9' * 5_000})))",
+                 ["f:1:23: expected (predicate arity)"], id="domain-5000-digit-arity"),
     ("domain", "(domain d (action (header)))",
      ["f:1:19: expected (header (name args...))", "f:1:11: action without header"]),
     ("domain", "(domain d (action (header ((go) ?x))))",
@@ -271,11 +278,16 @@ def test_every_diagnostic_is_pinned(kind, text, expected):
 
 
 def test_a_variable_suffix_is_an_instantiation_id_only_when_decimal():
-    problem, diags = parse_problem(_PROB.format("(goal (p ?x#3 ?x#-2 ?x#² ?x#-²))"), "f")
+    # Two signs, or more digits than int() converts, are not a decimal id.
+    many = "9" * 5_000
+    problem, diags = parse_problem(
+        _PROB.format(f"(goal (p ?x#3 ?x#-2 ?x#² ?x#-² ?x#--1 ?x#{many} ?x#-{many}))"), "f"
+    )
     assert diags == []
     (goal,) = problem.goals
     assert goal.args == (
-        Variable("x", 3), Variable("x", -2), Variable("x#²", 0), Variable("x#-²", 0)
+        Variable("x", 3), Variable("x", -2), Variable("x#²", 0), Variable("x#-²", 0),
+        Variable("x#--1", 0), Variable(f"x#{many}", 0), Variable(f"x#-{many}", 0),
     )
 
 
@@ -292,10 +304,10 @@ def test_reader_never_yields_an_empty_atom():
         stack = list(read(text)[0])
         while stack:
             node = stack.pop()
-            if isinstance(node, SAtom):
-                assert node.text, repr(text)
+            if type(node) is LocatedAtom:
+                assert node, repr(text)
             else:
-                stack.extend(node.items)
+                stack.extend(node)
 
 
 def test_later_clauses_override_or_accumulate():

@@ -1,5 +1,5 @@
 """S-expression reader: pinned spans, agreement with the reference scanner, and
-agreement of the plain reader and the located nodes with the spanned reader."""
+agreement of the plain reader with the located one."""
 import itertools
 import random
 import re
@@ -7,17 +7,7 @@ import sys
 
 from hypothesis import given, settings, strategies as st
 
-from discoplan.sexp import (
-    Diagnostic,
-    LocatedAtom,
-    LocatedList,
-    SAtom,
-    SList,
-    SourceSpan,
-    locate,
-    read,
-    read_plain,
-)
+from discoplan.sexp import Diagnostic, LocatedAtom, LocatedList, SourceSpan, read, read_plain
 from _oracles import reference_read
 from _worlds import CORPUS, DEEP_TEXTS, FUZZ_ALPHABET
 
@@ -31,10 +21,10 @@ def _atoms(forms):
     stack = list(reversed(forms))
     while stack:
         node = stack.pop()
-        if isinstance(node, SAtom):
-            out.append((node.text, node.span.line, node.span.column, node.span.length))
+        if type(node) is LocatedAtom:
+            out.append((str(node), node.span.line, node.span.column, node.span.length))
         else:
-            stack.extend(reversed(node.items))
+            stack.extend(reversed(node))
     return out
 
 
@@ -78,20 +68,39 @@ def test_nested_unclosed_lists_are_reported_innermost_first():
         "f:1:1: unclosed parenthesis",
     ]
     (outer,) = forms
-    assert isinstance(outer, SList)
-    assert outer.items[1].items[1].span == SourceSpan("f", 3, 5)
+    assert type(outer) is LocatedList
+    assert outer[1][1].span == SourceSpan("f", 3, 5)
     assert _atoms(forms) == [("a", 1, 2, 1), ("b", 2, 4, 1), ("c", 3, 6, 1)]
 
 
+def _matches_reference(text: str) -> tuple[list, list[Diagnostic]]:
+    """`read`'s forms and diagnostics, once they are found to be the
+    reference scanner's: the same diagnostics, and one walk finds every node
+    of the same type, text and span.
+
+    A located node compares equal to a plain `str` or `tuple`, so `==` on
+    the forms alone would not compare spans."""
+    forms, diags = read(text, "f")
+    want_forms, want_diags = reference_read(text, "f")
+    assert repr(diags) == repr(want_diags), repr(text)
+    assert len(forms) == len(want_forms), repr(text)
+    pending = list(zip(forms, want_forms))
+    while pending:
+        got, want = pending.pop()
+        assert type(got) is type(want) and type(got) in (LocatedAtom, LocatedList), repr(text)
+        assert repr(got.span) == repr(want.span), repr(text)
+        if type(got) is LocatedAtom:
+            assert got == want, repr(text)
+        else:
+            assert len(got) == len(want), repr(text)
+            pending.extend(zip(got, want))
+    return forms, diags
+
+
 def _agrees(text: str) -> None:
-    """`read` gives what the reference scanner gives, and `read_plain` and
-    `locate` agree with `read` (see `_plain_agrees`)."""
-    got = read(text, "f")
-    want = reference_read(text, "f")
-    assert got == want, repr(text)
-    assert repr(got) == repr(want), repr(text)
-    assert hash(tuple(got[0])) == hash(tuple(want[0])), repr(text)
-    _plain_agrees(text)
+    """`read` gives what the reference scanner gives, and `read_plain` agrees
+    with `read` (see `_plain_agrees`)."""
+    _plain_agrees(text, *_matches_reference(text))
 
 
 def test_regex_blank_class_is_str_isspace():
@@ -148,32 +157,10 @@ def test_reader_matches_reference_on_any_text(text):
     _agrees(text)
 
 
-def _stripped(node):
-    """A node of `read` with its spans stripped: an atom as its text, a list
-    as the tuple of its items."""
-    if isinstance(node, SAtom):
-        return node.text
-    return tuple(_stripped(item) for item in node.items)
-
-
-def _located_agrees(node, located) -> None:
-    """`located` is `node` in the plain shape, each located node with its span."""
-    stack = [(node, located)]
-    while stack:
-        node, located = stack.pop()
-        assert located.span == node.span
-        if isinstance(node, SAtom):
-            assert type(located) is LocatedAtom and located == node.text
-        else:
-            assert type(located) is LocatedList and len(located) == len(node.items)
-            stack.extend(zip(node.items, located))
-
-
-def _plain_agrees(text: str) -> None:
-    """`read_plain` gives `read`'s forms without spans when `read` reports
-    nothing, and None exactly when `read` reports a parenthesis; `locate`
-    gives `read`'s forms in the plain shape with their spans."""
-    forms, diags = read(text, "f")
+def _plain_agrees(text: str, forms: list, diags: list[Diagnostic]) -> None:
+    """`read_plain` gives `read`'s forms `forms` as plain strings and tuples
+    when `read` reports nothing, and None exactly when `read` reports a
+    parenthesis."""
     plain = read_plain(text)
     unbalanced = [
         d for d in diags
@@ -182,25 +169,19 @@ def _plain_agrees(text: str) -> None:
     assert (plain is None) == bool(unbalanced), repr(text)
     if not diags:
         assert type(plain) is list, repr(text)
-        assert plain == [_stripped(f) for f in forms], repr(text)
+        assert plain == forms, repr(text)
         pending = list(plain)
         while pending:
             node = pending.pop()
             assert type(node) in (str, tuple), repr(text)
             if type(node) is tuple:
                 pending.extend(node)
-    located = locate(forms)
-    assert len(located) == len(forms)
-    for node, loc in zip(forms, located):
-        _located_agrees(node, loc)
 
 
-def test_plain_reader_and_locate_take_any_depth_without_recursion():
+def test_both_readers_take_any_depth_without_recursion():
     for text in DEEP_TEXTS:
-        forms, diags = read(text, "f")
+        _, diags = _matches_reference(text)
         assert (read_plain(text) is None) == bool(diags)
-        for node, loc in zip(forms, locate(forms)):
-            _located_agrees(node, loc)
     deepest = read_plain("(f " * 4_000 + "a" + ")" * 4_000)[0]
     for _ in range(3_999):
         deepest = deepest[1]
