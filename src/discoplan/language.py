@@ -74,7 +74,7 @@ def parse_term(node, diags: list[Diagnostic], depth: int = 0) -> Term | None:
                 _err(diags, node, "variable with empty name")
                 return None
             if "#" in body:
-                name, _, tail = body.partition("#")
+                name, _, tail = body.rpartition("#")
                 instance = _decimal(tail, signed=True)
                 if name and instance is not None:
                     return Variable(name, instance)

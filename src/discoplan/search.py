@@ -1,9 +1,10 @@
 """Plan-space search: causal refinement, decompositional refinement, threat resolution.
 
 The planner runs depth-first with chronological backtracking over an
-explicitly ordered successor list, so a fixed configuration makes the search
-a pure function of the domain and problem. Flaw selection is a fixed policy,
-never a backtrack point; only the choice of resolver branches.
+explicitly ordered stream of successors, each built only when the search
+takes it, so a fixed configuration makes the search a pure function of the
+domain and problem. Flaw selection is a fixed policy, never a backtrack
+point; only the choice of resolver branches.
 
 The statistics and the three outcomes are named tuples (see `model`).
 Outcomes of two kinds never compare equal: an `Exhausted` has three fields
@@ -17,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .model import (
     Domain,
@@ -152,22 +153,26 @@ def _with_membership(plan: Plan, producer: int, consumer: int, changes: dict) ->
 
 
 def refine_causal(plan: Plan, flaw: OpenCondition, domain: Domain) -> list[Plan]:
+    """Every successor of `_refine_causal`, as a list."""
+    return list(_refine_causal(plan, flaw, domain))
+
+
+def _refine_causal(plan: Plan, flaw: OpenCondition, domain: Domain):
     """One successor per reusable producer plus one per applicable operator.
 
     Each successor adds the causal link, its unifying binding constraints, the
     producer-before-consumer ordering, and for a fresh step its operator's
     bindings and open preconditions (plus an expansion flaw when composite).
     The ordering is tested on `plan`, so a producer it would put in a cycle
-    gets no successor and each successor is built with one `Plan.evolve`. An
-    empty list is the backtrack signal.
+    gets no successor and each successor is built with one `Plan.evolve`,
+    when it is taken; an operator is renamed apart only then too.
     """
-    out = []
     consumer = plan.step(flaw.consumer)
     flaws = tuple(f for f in plan.flaws if f != flaw)
     new_sid, new_iid = plan.next_sid, plan.next_iid
     condition = flaw.condition
     signature = (condition.predicate, condition.positive)
-    fresh = tuple(
+    fresh = (
         _fresh_step(op, new_sid, new_iid, consumer.depth)
         for op in domain.operators
         if signature in {(e.predicate, e.positive) for e in op.effects}
@@ -182,7 +187,7 @@ def refine_causal(plan: Plan, flaw: OpenCondition, domain: Domain) -> list[Plan]
         if s.sid != flaw.consumer
         and (signature in s.signatures or (s.kind == KIND_INITIAL and not condition.positive))
     )
-    for s, constraints in reusable + fresh:
+    for s, constraints in itertools.chain(reusable, fresh):
         pairs = ordering_pairs(plan, s.sid, flaw.consumer)
         if pairs is None:
             continue
@@ -210,8 +215,7 @@ def refine_causal(plan: Plan, flaw: OpenCondition, domain: Domain) -> list[Plan]
             changes["orderings"] = plan.orderings | pairs
         changes = _with_membership(plan, s.sid, flaw.consumer, changes)
         if changes is not None:
-            out.append(plan.evolve(**changes))
-    return out
+            yield plan.evolve(**changes)
 
 
 def _unify_args(params, args, bindings: BindingSet) -> BindingSet | None:
@@ -291,17 +295,21 @@ def refine_decomposition(
     facts: tuple[Literal, ...],
     reuse_policy: str = "both-branches",
 ) -> list[Plan]:
+    """Every successor of `_refine_decomposition`, as a list."""
+    return list(_refine_decomposition(plan, flaw, domain, facts, reuse_policy))
+
+
+def _refine_decomposition(plan, flaw, domain, facts, reuse_policy):
     """One successor per schema, kb-satisfying binding, and step realization choice.
 
     Adds the begin/end boundary steps (the begin step's effects copy the
     parent's preconditions; the end step's preconditions copy the parent's
     effects), the schema's internal links, orderings and bindings, and the
     decomposition link carrying the instantiated informational constraints.
-    The end step's unsupported preconditions open as flaws. An empty list is
-    the backtrack signal.
+    The end step's unsupported preconditions open as flaws. Each successor
+    is built when it is taken.
     """
     parent = plan.step(flaw.step)
-    out = []
     options = partial(_step_options, plan, parent, domain, reuse_policy)
     for schema in domain.schemata_for(parent.name):
         schema = rename(schema, plan.next_iid)
@@ -315,8 +323,7 @@ def refine_decomposition(
             for b3, realized in extensions(schema.steps, options, b2):
                 child = _expand(plan, parent, flaw, schema, b3, realized)
                 if child is not None:
-                    out.append(child)
-    return out
+                    yield child
 
 
 def _expand(plan, parent, flaw, schema, bindings, realized):
@@ -451,16 +458,22 @@ def _separation_pairs(bindings: BindingSet, effect: Literal, negated: Literal):
 
 
 def resolve_threat(plan: Plan, flaw: Threat) -> list[Plan]:
+    """Every successor of `_resolve_threat`, as a list."""
+    return list(_resolve_threat(plan, flaw))
+
+
+def _resolve_threat(plan: Plan, flaw: Threat):
     """Promotion, demotion, then one separation successor per blocking pair.
 
     `flaw` must be a current threat of `plan`, as `detect_threats(plan)`
-    reports it. Every returned successor provably removes this (step, link)
-    threat; an empty list is the backtrack signal.
+    reports it. Every successor provably removes this (step, link) threat;
+    each is built when it is taken.
     """
     link = flaw.link
-    promoted = add_ordering(plan, link.consumer, flaw.step)
-    demoted = add_ordering(plan, flaw.step, link.producer)
-    out = [p for p in (promoted, demoted) if p is not None]
+    for before, after in ((link.consumer, flaw.step), (flaw.step, link.producer)):
+        child = add_ordering(plan, before, after)
+        if child is not None:
+            yield child
     negated = link.negated
     effects = plan.step(flaw.step).effects
     for e in effects:
@@ -471,8 +484,7 @@ def resolve_threat(plan: Plan, flaw: Threat) -> list[Plan]:
             # A pair that blocks this effect may leave another effect of the
             # same step harmful; keep only separations that disarm them all.
             if b is not None and all(unify(f, negated, b) is None for f in effects):
-                out.append(plan.evolve(bindings=b))
-    return out
+                yield plan.evolve(bindings=b)
 
 
 def _elide_vertex(pairs: set, sid: int) -> set:
@@ -527,23 +539,19 @@ def _select_flaw(plan: Plan, threats: list[Threat], policy: str):
 
 def successors(
     plan: Plan, flaw: Flaw, domain: Domain, facts: tuple[Literal, ...], config: SearchConfig
-) -> tuple[list[Plan], int]:
-    """The resolvers of `flaw`, in search order, that stay within the depth and
-    step bounds, and the number of resolvers the step bound dropped.
+) -> Iterator[Plan]:
+    """The resolvers of `flaw`, in search order, each built when it is taken.
 
-    A composite at the depth bound gets no expansion; a successor with more
-    than `max_steps` steps is dropped. An empty list is the backtrack signal.
+    A composite at the depth bound gets no expansion. The step bound is the
+    caller's to apply. An exhausted iterator is the backtrack signal.
     """
     if isinstance(flaw, Threat):
-        out = resolve_threat(plan, flaw)
-    elif isinstance(flaw, OpenCondition):
-        out = refine_causal(plan, flaw, domain)
-    elif plan.step(flaw.step).depth + 1 > config.max_depth:
-        return [], 0
-    else:
-        out = refine_decomposition(plan, flaw, domain, facts, config.reuse_policy)
-    kept = [p for p in out if len(p.steps) <= config.max_steps]
-    return kept, len(out) - len(kept)
+        return _resolve_threat(plan, flaw)
+    if isinstance(flaw, OpenCondition):
+        return _refine_causal(plan, flaw, domain)
+    if plan.step(flaw.step).depth + 1 > config.max_depth:
+        return iter(())
+    return _refine_decomposition(plan, flaw, domain, facts, config.reuse_policy)
 
 
 def _relaxed_reachable(domain: Domain, init: tuple[Literal, ...]) -> tuple[set[str], set[str]]:
@@ -583,10 +591,12 @@ def solve(domain: Domain, problem: Problem, config: SearchConfig | None = None) 
     Returns Solution when a plan with an empty flaw agenda is reached (after
     pruning unused steps), Exhausted when the bounded space holds no solution,
     and BudgetExceeded when the node budget runs out first; either of the last
-    two counts the successors the step bound dropped. Only relaxed-reachable
-    operators and schemata are searched, and a positive goal whose predicate
-    is unreachable ends the search before the first node. Invalid input
-    raises `DomainValidationError`, one argument per validator line.
+    two counts the successors the step bound dropped. Each successor is built
+    when the search takes it, and one with more than `max_steps` steps is
+    counted and passed over. Only relaxed-reachable operators and schemata
+    are searched, and a positive goal whose predicate is unreachable ends the
+    search before the first node. Invalid input raises
+    `DomainValidationError`, one argument per validator line.
     """
     config = config or SearchConfig()
     issues = validate_domain(domain) + validate_problem(domain, problem)
@@ -619,8 +629,18 @@ def solve(domain: Domain, problem: Problem, config: SearchConfig | None = None) 
             stack.pop()
             backtracks += 1
             continue
+        # The root, alone at the bottom of the stack, is never dropped.
+        if len(plan.steps) > config.max_steps and len(stack) > 1:
+            over_max_steps += 1
+            continue
         nodes += 1
         if nodes > config.max_nodes:
+            # The successors still on the stack are built to count the step
+            # bound's drops among them, so the count covers every successor
+            # of every expanded node.
+            over_max_steps += sum(
+                len(p.steps) > config.max_steps for children in stack for p in children
+            )
             stats = SearchStats(nodes - 1, backtracks, max_stack_depth)
             return BudgetExceeded(stats, over_max_steps)
         threats = detect_threats(plan)
@@ -629,7 +649,5 @@ def solve(domain: Domain, problem: Problem, config: SearchConfig | None = None) 
             return Solution(
                 prune_unused(plan), SearchStats(nodes, backtracks, max_stack_depth)
             )
-        kept, dropped = successors(plan, flaw, domain, problem.facts, config)
-        over_max_steps += dropped
-        stack.append(iter(kept))
+        stack.append(successors(plan, flaw, domain, problem.facts, config))
     return Exhausted(SearchStats(nodes, backtracks, max_stack_depth), over_max_steps)

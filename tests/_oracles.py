@@ -366,6 +366,72 @@ def operators_achieving(domain, goal: Literal) -> list:
     ]
 
 
+def eager_solve(domain, problem, config):
+    """Reference for `solve`: every node builds all its successors before the
+    search takes the first.
+
+    The resolvers' lists are filtered by the step bound as they are built,
+    and the dropped successors counted then, so `over_max_steps` covers
+    every successor of every expanded node. Inputs are assumed valid.
+    """
+    from dataclasses import replace
+
+    from discoplan.plan import OpenCondition, Threat, detect_threats, init_plan
+    from discoplan.search import (
+        BudgetExceeded,
+        Exhausted,
+        SearchStats,
+        Solution,
+        _relaxed_reachable,
+        _select_flaw,
+        prune_unused,
+        refine_causal,
+        refine_decomposition,
+        resolve_threat,
+    )
+
+    predicates, operators = _relaxed_reachable(domain, problem.init)
+    unreachable = tuple(g for g in problem.goals if g.positive and g.predicate not in predicates)
+    if unreachable:
+        return Exhausted(SearchStats(0, 0, 0), unreachable=unreachable)
+    domain = replace(
+        domain,
+        operators=tuple(op for op in domain.operators if op.name in operators),
+        schemata=tuple(
+            s
+            for s in domain.schemata
+            if s.action in operators and all(t.action in operators for t in s.steps)
+        ),
+    )
+    nodes = backtracks = max_stack_depth = over_max_steps = 0
+    stack = [iter([init_plan(problem)])]
+    while stack:
+        max_stack_depth = max(max_stack_depth, len(stack))
+        plan = next(stack[-1], None)
+        if plan is None:
+            stack.pop()
+            backtracks += 1
+            continue
+        nodes += 1
+        if nodes > config.max_nodes:
+            return BudgetExceeded(SearchStats(nodes - 1, backtracks, max_stack_depth), over_max_steps)
+        flaw = _select_flaw(plan, detect_threats(plan), config.flaw_policy)
+        if flaw is None:
+            return Solution(prune_unused(plan), SearchStats(nodes, backtracks, max_stack_depth))
+        if isinstance(flaw, Threat):
+            out = resolve_threat(plan, flaw)
+        elif isinstance(flaw, OpenCondition):
+            out = refine_causal(plan, flaw, domain)
+        elif plan.step(flaw.step).depth + 1 > config.max_depth:
+            out = []
+        else:
+            out = refine_decomposition(plan, flaw, domain, problem.facts, config.reuse_policy)
+        kept = [p for p in out if len(p.steps) <= config.max_steps]
+        over_max_steps += len(out) - len(kept)
+        stack.append(iter(kept))
+    return Exhausted(SearchStats(nodes, backtracks, max_stack_depth), over_max_steps)
+
+
 def decompose_by_product(plan, flaw, domain, facts, policy="both-branches"):
     """Reference for refine_decomposition: every realization choice first, then filter.
 

@@ -209,8 +209,8 @@ def boundary_steps(init_effects=(), final_pre=()):
 def step_leftmost(domain, problem, config=None, stop=None, limit=300):
     """Walk the leftmost search branch; return (visited plans, all successor lists).
 
-    Successors come from `successors`, as in `solve`, so the depth and step
-    bounds of `config` apply.
+    Successors come from `successors`, as in `solve`, so the depth bound of
+    `config` applies; the step bound is applied here, as `solve` applies it.
 
     When `stop` is given, halt as soon as stop(plan, flaw) is true and return
     (plan, flaw) instead.
@@ -226,7 +226,11 @@ def step_leftmost(domain, problem, config=None, stop=None, limit=300):
             return plan, flaw
         if flaw is None:
             break
-        succ, _ = successors(plan, flaw, domain, problem.facts, config)
+        succ = [
+            p
+            for p in successors(plan, flaw, domain, problem.facts, config)
+            if len(p.steps) <= config.max_steps
+        ]
         successor_sets.append((plan, flaw, succ))
         if not succ:
             break

@@ -7,6 +7,7 @@ import pytest
 from discoplan.language import (
     parse_domain,
     parse_problem,
+    parse_term,
     serialize_domain,
     serialize_problem,
 )
@@ -289,6 +290,20 @@ def test_a_variable_suffix_is_an_instantiation_id_only_when_decimal():
         Variable("x", 3), Variable("x", -2), Variable("x#²", 0), Variable("x#-²", 0),
         Variable("x#--1", 0), Variable(f"x#{many}", 0), Variable(f"x#-{many}", 0),
     )
+
+
+def test_every_variable_reads_back_from_its_text():
+    # The id follows the last "#", so a name holding "#" and a sign, such
+    # as that of ?x#-, keeps its text when an id is appended.
+    checked = 0
+    for n in range(1, 6):
+        for body in itertools.product("#ab1-_", repeat=n):
+            v = parse_term("?" + "".join(body), [])
+            for w in (v, *(Variable(v.name, iid) for iid in (1, 2, 3))):
+                assert parse_term(str(w), []) == w, w
+                checked += 1
+    assert parse_term("?x#-#2", []) == Variable("x#-", 2)
+    assert checked == 37_320
 
 
 def test_reader_never_yields_an_empty_atom():

@@ -1,5 +1,6 @@
 """Randomized cross-checks: bounded search against brute force, audits on every win,
-and the reachability prune against the unpruned search.
+the reachability prune against the unpruned search, and the search against
+one that builds every successor list up front.
 
 Domains are generated with delete effects and lifted parameters so threat
 resolution and separation get real exercise. Bounds are matched: a plan of
@@ -7,6 +8,7 @@ at most five steps holds at most three primitives, the brute-force horizon.
 """
 import os
 import random
+from collections import Counter
 import subprocess
 import sys
 from pathlib import Path
@@ -18,9 +20,9 @@ from discoplan.model import ActionOperator, Domain, Problem, validate_domain, va
 from discoplan.oracle import verify_soundness
 from discoplan.search import BudgetExceeded, SearchConfig, Solution, solve
 from discoplan.terms import Constant, Literal, Variable, variables_in
-from _oracles import brute_force
+from _oracles import brute_force, eager_solve
 from _worlds import load_domain, load_problem
-from test_golden import CONFIGS
+from test_golden import CONFIGS, PAIRS
 
 CONSTS = [Constant("a"), Constant("b")]
 PREDS = [("p", 1), ("q", 1), ("r", 0)]
@@ -161,6 +163,44 @@ def test_the_reachability_prune_changes_no_outcome_or_plan(monkeypatch):
     assert len(root_pruned) > 1000
     for domain, problem, _ in root_pruned:
         assert brute_force(domain, problem, 3) == []
+
+
+def _outcome(out):
+    """(outcome kind, stats, step-bound drops, plan file of a solution)."""
+    plan = plan_to_dict(out.plan) if isinstance(out, Solution) else None
+    return type(out).__name__, out.stats, getattr(out, "over_max_steps", None), plan
+
+
+def test_the_search_ends_as_the_eager_search_does():
+    # Bounds small enough that budgets run out with successors over the
+    # step bound still unbuilt on the stack, and that searches exhaust.
+    cases = [
+        (domain, problem, SearchConfig(max_nodes=3, max_steps=4))
+        for seed in range(1, 11)
+        for domain, problem in _cases(random.Random(seed))
+    ]
+    cases += [
+        (load_domain(f"{d}.dpd"), load_problem(f"{p}.dpp"),
+         SearchConfig(flaw_policy=flaw, reuse_policy=reuse, max_nodes=50, max_steps=10))
+        for d, p, flaw, reuse in CONFIGS
+    ]
+    # The root has two steps: a bound of one drops every child, never it.
+    cases += [
+        (load_domain(f"{d}.dpd"), load_problem(f"{p}.dpp"), SearchConfig(max_steps=1))
+        for d, p in PAIRS
+    ]
+    kinds = Counter()
+    for case in cases:
+        got = _outcome(solve(*case))
+        assert got == _outcome(eager_solve(*case))
+        kinds[got[0], bool(got[2])] += 1
+    assert kinds["BudgetExceeded", True] > 1 and kinds["Exhausted", True] > 1
+    assert kinds["Solution", False] > 500
+    # Three of multirole's twelve drops sit among successors not yet taken
+    # when its 50-node budget runs out.
+    config = SearchConfig(flaw_policy="fifo", reuse_policy="prefer-reuse", max_nodes=50, max_steps=10)
+    out = solve(load_domain("discourse.dpd"), load_problem("multirole.dpp"), config)
+    assert out.over_max_steps == 12
 
 
 HIERARCHY = """

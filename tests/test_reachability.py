@@ -24,6 +24,9 @@ KEPT = {
     ("language", "serialize_domain"): "criterion 7 names the parse/serialize round trip",
     ("language", "serialize_problem"): "criterion 7 names the parse/serialize round trip",
     ("language", "_binding_text"): "the round trip's serializers write bindings with it",
+    ("search", "refine_causal"): "bench/layers.py traces it and counts its list",
+    ("search", "refine_decomposition"): "bench/layers.py traces it and counts its list",
+    ("search", "resolve_threat"): "bench/layers.py traces it and counts its list",
 }
 
 

@@ -1082,7 +1082,7 @@ def test_refine_decomposition_matches_a_product_then_filter_enumeration():
 
 
 def test_decomposition_builds_each_consistent_realization_once(monkeypatch):
-    expand, refine = search_module._expand, search_module.refine_decomposition
+    expand, refine = search_module._expand, search_module._refine_decomposition
     calls = children = 0
 
     def counted_expand(*args):
@@ -1092,17 +1092,56 @@ def test_decomposition_builds_each_consistent_realization_once(monkeypatch):
 
     def counted_refine(*args):
         nonlocal children
-        out = refine(*args)
-        children += len(out)
-        return out
+        for child in refine(*args):
+            children += 1
+            yield child
 
     monkeypatch.setattr(search_module, "_expand", counted_expand)
-    monkeypatch.setattr(search_module, "refine_decomposition", counted_refine)
+    monkeypatch.setattr(search_module, "_refine_decomposition", counted_refine)
     out = solve(load_domain("discourse.dpd"), _fanout_problem(8), SearchConfig(max_steps=1000))
     assert isinstance(out, Solution)
-    # Building every combination of reuse choices and filtering it afterwards
-    # makes 1 534 calls for the same 15 children.
-    assert calls == children == 15
+    # Each call builds an expansion child that the search takes.
+    assert calls == children == 8
+
+
+def _solve_counting_evolves(monkeypatch, domain, problem, config):
+    """The outcome of `solve` and the `Plan.evolve` calls made outside `prune_unused`."""
+    evolve, prune = search_module.Plan.evolve, search_module.prune_unused
+    calls = 0
+    pruning = False
+
+    def counted_evolve(self, **changes):
+        nonlocal calls
+        calls += not pruning
+        return evolve(self, **changes)
+
+    def uncounted_prune(plan):
+        nonlocal pruning
+        pruning = True
+        try:
+            return prune(plan)
+        finally:
+            pruning = False
+
+    monkeypatch.setattr(search_module.Plan, "evolve", counted_evolve)
+    monkeypatch.setattr(search_module, "prune_unused", uncounted_prune)
+    return solve(domain, problem, config), calls
+
+
+def test_the_search_builds_only_the_children_it_takes(monkeypatch):
+    discourse = load_domain("discourse.dpd")
+    out, built = _solve_counting_evolves(
+        monkeypatch, discourse, _fanout_problem(8), SearchConfig(max_steps=1000)
+    )
+    assert isinstance(out, Solution)
+    # Every expanded node but the root is one child built, and no other.
+    assert built == out.stats.nodes_expanded - 1 == 33
+    # An exhausted search takes every child: those it expands and those
+    # over the step bound, which are built to learn their size.
+    config = SearchConfig(max_nodes=200, max_steps=6, flaw_policy="fifo")
+    out, built = _solve_counting_evolves(monkeypatch, discourse, load_problem("multirole.dpp"), config)
+    assert isinstance(out, Exhausted)
+    assert built == out.stats.nodes_expanded - 1 + out.over_max_steps == 339
 
 
 def test_solve_follows_an_operator_term_deeper_than_the_recursion_limit():
