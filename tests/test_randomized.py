@@ -8,9 +8,9 @@ at most five steps holds at most three primitives, the brute-force horizon.
 """
 import os
 import random
-from collections import Counter
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 from discoplan import search as search_module

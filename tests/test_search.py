@@ -1125,7 +1125,10 @@ def _solve_counting_evolves(monkeypatch, domain, problem, config):
 
     monkeypatch.setattr(search_module.Plan, "evolve", counted_evolve)
     monkeypatch.setattr(search_module, "prune_unused", uncounted_prune)
-    return solve(domain, problem, config), calls
+    try:
+        return solve(domain, problem, config), calls
+    finally:
+        monkeypatch.undo()
 
 
 def test_the_search_builds_only_the_children_it_takes(monkeypatch):
