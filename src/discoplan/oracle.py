@@ -44,6 +44,7 @@ from .terms import (
     Variable,
     apply,
     is_ground,
+    rebuild,
     unify,
 )
 
@@ -166,21 +167,18 @@ def _reachability(sids, pairs) -> dict[int, set[int]]:
     return out
 
 
-def _skolem_term(t: Term, table: dict[Variable, Constant]) -> Term:
-    if isinstance(t, Variable):
-        if t not in table:
-            table[t] = Constant(f"sk:{t.name}:{t.iid}")
-        return table[t]
-    if isinstance(t, Compound):
-        return Compound(t.functor, tuple(_skolem_term(a, table) for a in t.args))
-    return t
-
-
 def _skolemize(lit: Literal, table: dict[Variable, Constant]) -> Literal:
     """`lit` with each variable made a constant of its own; `lit` itself if it has none."""
     if is_ground(lit):
         return lit
-    return Literal(lit.predicate, tuple(_skolem_term(a, table) for a in lit.args), lit.positive)
+
+    def skolem(t: Term) -> Term:
+        if type(t) is not Variable:
+            return t
+        return table.setdefault(t, Constant(f"sk:{t.name}:{t.iid}"))
+
+    memo: dict = {}
+    return Literal(lit.predicate, tuple(rebuild(a, skolem, memo) for a in lit.args), lit.positive)
 
 
 def _match_all(patterns, terms, env: dict[Variable, Term]) -> bool:

@@ -58,7 +58,7 @@ from .terms import (
     extensions,
     rename,
     unify,
-    unify_terms,
+    unify_args,
 )
 
 FLAW_POLICIES = ("threats-first", "fifo", "lifo")
@@ -218,15 +218,6 @@ def _refine_causal(plan: Plan, flaw: OpenCondition, domain: Domain):
             yield plan.evolve(**changes)
 
 
-def _unify_args(params, args, bindings: BindingSet) -> BindingSet | None:
-    """Unify `params` with `args` pairwise, left to right; None on the first failure."""
-    for p, a in zip(params, args):
-        bindings = unify_terms(p, a, bindings)
-        if bindings is None:
-            return None
-    return bindings
-
-
 def _step_options(plan, parent, domain, policy, template, bindings, chosen):
     """The realizations of one renamed schema step template, as `extensions` options.
 
@@ -250,7 +241,7 @@ def _step_options(plan, parent, domain, policy, template, bindings, chosen):
     adopted = {s.sid for s in chosen}
     for s in reusable:
         if s.sid not in adopted:
-            b = _unify_args(s.params, template.args, bindings)
+            b = unify_args(s.params, template.args, bindings)
             if b is not None:
                 yield b, s
     if policy == "prefer-reuse" and reusable:
@@ -259,7 +250,7 @@ def _step_options(plan, parent, domain, policy, template, bindings, chosen):
     op = domain.operator(template.action)
     sid, iid = plan.next_sid + 2 + fresh, plan.next_iid + 1 + fresh
     step, constraints = _fresh_step(op, sid, iid, parent.depth + 1)
-    b = _unify_args(step.params, template.args, bindings)
+    b = unify_args(step.params, template.args, bindings)
     if b is not None:
         b = apply_binding_constraints(constraints, b)
     if b is not None:
@@ -313,7 +304,7 @@ def _refine_decomposition(plan, flaw, domain, facts, reuse_policy):
     options = partial(_step_options, plan, parent, domain, reuse_policy)
     for schema in domain.schemata_for(parent.name):
         schema = rename(schema, plan.next_iid)
-        b0 = _unify_args(schema.params, parent.params, plan.bindings)
+        b0 = unify_args(schema.params, parent.params, plan.bindings)
         if b0 is None:
             continue
         for b1 in kb_satisfy(facts, schema.constraints, b0):

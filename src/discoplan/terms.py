@@ -21,6 +21,17 @@ call's arguments or from the assignments, which a call only ever extends,
 so its id() cannot be reused while the table lives; tables last for one
 call.
 
+One path per job. `rebuild` is the one copy of a term: renaming apart,
+resolve, apply and the soundness audit's skolemizing all go through it.
+`unify_args` is the one unifier: `unify`, `unify_terms` and the matching of
+decomposition headers and step templates call it. Every deep walk here
+(rebuild, the occurs check, the groundness test, variables_in, unification
+and term ordering) runs from an explicit stack, so a term may nest deeper
+than the recursion limit. The printers `Compound.__str__` and
+`Literal.__str__` still recurse, and so do `emit.functional` and
+`oracle._match`; the reader caps terms at depth 200, so only a
+library-built term can reach the limit there.
+
 Naming. Unification binds the later of two unbound variables, in (name,
 iid) order, to the earlier, so the root of every unbound codesignation
 class is its smallest variable. Resolving a term therefore writes each
@@ -169,6 +180,36 @@ def is_ground(obj) -> bool:
     return True
 
 
+def rebuild(t: Term, leaf, memo: dict) -> Term:
+    """`t` with each subterm `s` replaced by `leaf(s)`; a compound that
+    `leaf` returns is rebuilt in turn.
+
+    Compounds can nest past the recursion limit, so they are rebuilt from an
+    explicit stack, compound arguments first. `memo` maps the id() of each
+    compound rebuilt so far to its copy, so each distinct compound is
+    rebuilt once per `memo` and a shared subterm stays one object. Since a
+    dead object's id() can be reused, `leaf` returns only compounds that
+    outlive `memo`, such as subterms of `t` or of a binding store.
+    """
+    t = leaf(t)
+    if type(t) is not Compound:
+        return t
+    todo = [t]
+    while todo:
+        c = todo.pop()
+        if type(c) is tuple:  # (compound, leaves), once its compounds are rebuilt
+            c, args = c[0], [memo.get(id(a), a) for a in c[1]]
+        else:
+            args = [*map(leaf, c.args)]
+            if Compound in map(type, args):
+                pending = [a for a in args if type(a) is Compound and id(a) not in memo]
+                todo += [(c, args), *pending]
+                continue
+        if id(c) not in memo:
+            memo[id(c)] = Compound(c.functor, tuple(args))
+    return memo[id(t)]
+
+
 # The types `rename` keeps as they are: constants, names, labels and flags.
 _KEPT = frozenset({Constant, str, int, bool})
 
@@ -184,32 +225,18 @@ def rename(x, iid: int):
     once, without recursion, so a compound shared within `x` stays one
     object.
     """
-    return _rename(x, iid, {})
+    return _rename(x, lambda t: Variable(t.name, iid) if type(t) is Variable else t, {})
 
 
-def _rename(x, iid: int, memo: dict):
+def _rename(x, leaf, memo: dict):
     kind = type(x)
-    if kind is Variable:
-        return Variable(x.name, iid)
+    if kind is Variable or kind is Compound:
+        return rebuild(x, leaf, memo)
     if kind in _KEPT:
         return x
-    if kind is not Compound:
-        if not isinstance(x, tuple):
-            raise TypeError(f"cannot rename a {kind.__name__}")
-        return tuple.__new__(kind, [_rename(a, iid, memo) for a in x])
-    # Compounds can nest past the recursion limit, so each is rebuilt from an
-    # explicit stack, compound arguments first; its other arguments are
-    # leaves, renamed one call deep.
-    todo = [x]
-    while todo:
-        t = todo.pop()
-        pending = [a for a in t.args if type(a) is Compound and id(a) not in memo]
-        if pending:
-            todo += [t, *pending]
-        elif id(t) not in memo:
-            args = [memo[id(a)] if type(a) is Compound else _rename(a, iid, memo) for a in t.args]
-            memo[id(t)] = Compound(t.functor, tuple(args))
-    return memo[id(x)]
+    if not isinstance(x, tuple):
+        raise TypeError(f"cannot rename a {kind.__name__}")
+    return tuple.__new__(kind, [_rename(a, leaf, memo) for a in x])
 
 
 def _walk(t: Term, asg: Mapping) -> Term:
@@ -224,13 +251,7 @@ def _walk(t: Term, asg: Mapping) -> Term:
 def _resolve(t: Term, asg: Mapping, memo: dict) -> Term:
     """`t` with every bound variable substituted; each shared subterm is resolved once."""
     t = _walk(t, asg)
-    if not isinstance(t, Compound):
-        return t
-    out = memo.get(id(t))
-    if out is None:
-        out = Compound(t.functor, tuple(_resolve(a, asg, memo) for a in t.args))
-        memo[id(t)] = out
-    return out
+    return t if type(t) is not Compound else rebuild(t, lambda s: _walk(s, asg), memo)
 
 
 def _occurs(v: Variable, t: Term, asg: Mapping) -> bool:
@@ -254,31 +275,31 @@ def _cmp(a, b) -> int:
 _RANK = {Constant: 0, Variable: 1, Compound: 2}
 
 
-def _compare(x: Term, y: Term, asg: Mapping, memo: dict) -> int:
-    """compare_terms of x and y resolved under `asg`; zero iff they codesignate."""
-    x = _walk(x, asg)
-    y = _walk(y, asg)
-    if x is y:
-        return 0
-    rank = _RANK[type(x)]
-    if rank != _RANK[type(y)]:
-        return rank - _RANK[type(y)]
-    if rank == 0:
-        return _cmp(x.name, y.name)
-    if rank == 1:
-        return _cmp((x.name, x.iid), (y.name, y.iid))
-    c = memo.get((id(x), id(y)))
-    if c is None:
-        c = _cmp(x.functor, y.functor)
-        if not c:
-            for a, b in zip(x.args, y.args):
-                c = _compare(a, b, asg, memo)
-                if c:
-                    break
-            else:
-                c = _cmp(len(x.args), len(y.args))
-        memo[(id(x), id(y))] = c
-    return c
+def _compare(x: Term, y: Term, asg: Mapping) -> int:
+    """compare_terms of x and y resolved under `asg`; zero iff they codesignate.
+
+    Pairs wait on a stack, a compound pair's arities below its argument
+    pairs; the first difference decides. A compound pair met again compared
+    equal already, since a difference ends the walk."""
+    seen = set()
+    stack = [(x, y)]
+    while stack:
+        x, y = stack.pop()
+        x, y = _walk(x, asg), _walk(y, asg)
+        kind = type(x)
+        if x is y or (kind is Compound and (id(x), id(y)) in seen):
+            continue
+        if kind is not type(y):
+            return _RANK[kind] - _RANK[type(y)]
+        c = _cmp(x.functor, y.functor) if kind is Compound else _cmp(x, y)
+        if c:
+            return c
+        if kind is Compound:
+            seen.add((id(x), id(y)))
+            if len(x.args) != len(y.args):
+                stack.append((len(x.args), len(y.args)))
+            stack += reversed([*zip(x.args, y.args)])
+    return 0
 
 
 def compare_terms(x: Term, y: Term) -> int:
@@ -289,7 +310,7 @@ def compare_terms(x: Term, y: Term) -> int:
     functor, then their arguments lexicographically, then arity. Negative,
     zero or positive as x is below, equal to or above y.
     """
-    return _compare(x, y, {}, {})
+    return _compare(x, y, {})
 
 
 class BindingSet(NamedTuple):
@@ -315,7 +336,7 @@ class BindingSet(NamedTuple):
 
     def codesignates(self, x: Term, y: Term) -> bool:
         """True iff x and y resolve to the same term."""
-        return _compare(x, y, self.assignments, {}) == 0
+        return _compare(x, y, self.assignments) == 0
 
 
 EMPTY_BINDINGS = BindingSet({})
@@ -361,19 +382,21 @@ def _unify_pairs(pairs: list[tuple[Term, Term]], asg: dict) -> bool:
     return True
 
 
-def _finish(bindings: BindingSet, asg: dict) -> BindingSet | None:
+def unify_args(xs, ys, bindings: BindingSet = EMPTY_BINDINGS) -> BindingSet | None:
+    """Minimal extension of `bindings` making each term of `xs` codesignate
+    with the term of `ys` at its position, or None."""
+    asg = dict(bindings.assignments)
+    if not _unify_pairs(list(zip(xs, ys)), asg):
+        return None
     # Eager consistency: reject if any forbidden pair now codesignates.
     for x, y in bindings.distinct:
-        if _compare(x, y, asg, {}) == 0:
+        if _compare(x, y, asg) == 0:
             return None
     return BindingSet(asg, bindings.distinct)
 
 
 def unify_terms(x: Term, y: Term, bindings: BindingSet = EMPTY_BINDINGS) -> BindingSet | None:
-    asg = dict(bindings.assignments)
-    if not _unify_pairs([(x, y)], asg):
-        return None
-    return _finish(bindings, asg)
+    return unify_args((x,), (y,), bindings)
 
 
 def unify(a: Literal, b: Literal, bindings: BindingSet = EMPTY_BINDINGS) -> BindingSet | None:
@@ -388,10 +411,7 @@ def unify(a: Literal, b: Literal, bindings: BindingSet = EMPTY_BINDINGS) -> Bind
         raise ArityMismatchError(
             f"predicate {a.predicate} used with arities {len(a.args)} and {len(b.args)}"
         )
-    asg = dict(bindings.assignments)
-    if not _unify_pairs(list(zip(a.args, b.args)), asg):
-        return None
-    return _finish(bindings, asg)
+    return unify_args(a.args, b.args, bindings)
 
 
 def add_noncodesignation(bindings: BindingSet, x: Term, y: Term) -> BindingSet | None:

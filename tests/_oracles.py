@@ -21,6 +21,7 @@ from discoplan.terms import (
     Variable,
     apply,
     is_ground,
+    unify_terms,
     variables_in,
 )
 
@@ -432,6 +433,17 @@ def eager_solve(domain, problem, config):
     return Exhausted(SearchStats(nodes, backtracks, max_stack_depth), over_max_steps)
 
 
+def pairwise_unify(params, args, bindings):
+    """Reference for `terms.unify_args`: unify `params` with `args` pairwise,
+    left to right, one store copy and one check of `distinct` per pair; None
+    on the first failure."""
+    for p, a in zip(params, args):
+        bindings = unify_terms(p, a, bindings)
+        if bindings is None:
+            return None
+    return bindings
+
+
 def decompose_by_product(plan, flaw, domain, facts, policy="both-branches"):
     """Reference for refine_decomposition: every realization choice first, then filter.
 
@@ -447,20 +459,14 @@ def decompose_by_product(plan, flaw, domain, facts, policy="both-branches"):
     from discoplan import search
     from discoplan.model import apply_binding_constraints
     from discoplan.plan import KIND_COMPOSITE, KIND_PRIMITIVE, Step
-    from discoplan.terms import rename, unify_terms
-
-    def unify_all(pairs, b):
-        for x, y in pairs:
-            if b is not None:
-                b = unify_terms(x, y, b)
-        return b
+    from discoplan.terms import rename
 
     parent = plan.step(flaw.step)
     out = []
     for schema in domain.schemata_for(parent.name):
         sigma = plan.next_iid
         header = rename(schema.params, sigma)
-        b0 = unify_all(zip(header, parent.params), plan.bindings)
+        b0 = pairwise_unify(header, parent.params, plan.bindings)
         if b0 is None or len(header) != len(parent.params):
             continue
         constraints = rename(schema.constraints, sigma)
@@ -505,7 +511,8 @@ def decompose_by_product(plan, flaw, domain, facts, policy="both-branches"):
                         )
                         renamed = rename(op.constraints, iid)
                         fresh += 1
-                    b = unify_all(zip(s.params, rename(t.args, sigma)), b)
+                    if b is not None:
+                        b = pairwise_unify(s.params, rename(t.args, sigma), b)
                     if b is not None:
                         b = apply_binding_constraints(renamed, b)
                     realized.append(s)

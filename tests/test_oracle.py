@@ -705,6 +705,16 @@ def test_a_capped_audit_of_a_plan_file_unifies_nothing_and_grounds_each_literal_
     assert len(grounded) >= 8
 
 
+def test_skolemize_keeps_a_shared_subterm_one_object():
+    # (f t t) nested 20 times: 21 distinct subterms, 2**20 leaves as a tree.
+    t = Variable("x")
+    for _ in range(20):
+        t = Compound("f", (t, t))
+    (out,) = oracle._skolemize(lit("p", t), {}).args
+    assert out.args[0] is out.args[1]
+    assert is_ground(out)
+
+
 def _paint_domain():
     x = Variable("x")
     return Domain(

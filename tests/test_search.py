@@ -5,7 +5,7 @@ from functools import partial
 
 import pytest
 
-from discoplan import plan as plan_module, search as search_module
+from discoplan import oracle, plan as plan_module, search as search_module
 from discoplan.language import parse_domain, parse_problem
 from discoplan.model import (
     ActionOperator,
@@ -55,6 +55,7 @@ from discoplan.terms import (
     Variable,
     add_noncodesignation,
     apply,
+    compare_terms,
     extensions,
     unify_terms,
 )
@@ -1160,10 +1161,22 @@ def test_solve_follows_an_operator_term_deeper_than_the_recursion_limit():
 
     op = ActionOperator("act", (x,), (), (lit("p", chain(x)),))
     domain = Domain(name="d", predicates={"p": 1}, operators=(op,))
-    out = solve(domain, Problem("deep", "d", goals=(lit("p", chain(B)),)))
+    goal = lit("p", chain(B))
+    out = solve(domain, Problem("deep", "d", goals=(goal,)))
     assert isinstance(out, Solution)
     (step,) = [s for s in out.plan.steps if s.name == "act"]
-    assert out.plan.bindings.resolve(step.params[0]) == B
+    bindings = out.plan.bindings
+    assert bindings.resolve(step.params[0]) == B
+    # Resolving, applying and skolemizing the effect rebuild it without
+    # recursion. compare_terms, not ==, since tuple == recurses in C.
+    (effect,) = step.effects
+    assert compare_terms(bindings.resolve(effect.args[0]), goal.args[0]) == 0
+    applied = apply(bindings, effect)
+    assert compare_terms(applied.args[0], goal.args[0]) == 0
+    assert oracle._skolemize(applied, {}) is applied
+    (param,) = step.params
+    (skolemized,) = oracle._skolemize(effect, {}).args
+    assert compare_terms(skolemized, chain(Constant(f"sk:x:{param.iid}"))) == 0
 
 
 def test_flaw_policies_all_reach_a_solution():

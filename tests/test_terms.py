@@ -5,7 +5,7 @@ import time
 from functools import cmp_to_key
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from discoplan.terms import (
     REPR_LIMIT,
@@ -22,6 +22,7 @@ from discoplan.terms import (
     is_ground,
     rename,
     unify,
+    unify_args,
     unify_terms,
 )
 from discoplan.model import (
@@ -41,6 +42,7 @@ from _oracles import (
     naive_occurs,
     naive_resolve,
     naive_term_key,
+    pairwise_unify,
 )
 
 A, B, L = Constant("a"), Constant("b"), Constant("l")
@@ -398,6 +400,32 @@ def test_is_ground_follows_a_chain_deeper_than_the_recursion_limit():
     assert not is_ground(u) and not is_ground(lit("p", A, u))
 
 
+def test_compare_terms_orders_arities_after_the_arguments_they_share():
+    # Validated input gives each functor one arity; the order is total anyway.
+    terms = [Compound("f", (A, B)), Compound("f", (B,)), Compound("f", (A,)), Compound("g", ())]
+    for x in terms:
+        for y in terms:
+            kx, ky = naive_term_key(x), naive_term_key(y)
+            assert _sign(compare_terms(x, y)) == (kx > ky) - (kx < ky)
+
+
+def test_compare_and_the_distinct_check_follow_chains_deeper_than_the_recursion_limit():
+    def chain(leaf):
+        for _ in range(1200):
+            leaf = Compound("g", (leaf,))
+        return leaf
+
+    x = Variable("x")
+    # Two chains that are equal but share no compound.
+    assert compare_terms(chain(A), chain(A)) == 0
+    assert compare_terms(chain(A), chain(B)) < 0 < compare_terms(chain(x), chain(B))
+    apart = add_noncodesignation(EMPTY_BINDINGS, chain(x), chain(A))
+    assert apart is not None
+    # Each unify compares the stored pair down to its leaves.
+    assert unify(lit("p", x), lit("p", B), apart) is not None
+    assert unify(lit("p", x), lit("p", A), apart) is None
+
+
 def test_repr_spells_each_shared_subterm_once_and_is_bounded():
     xs, bs = _chain("x", EMPTY_BINDINGS)
     resolved = bs.resolve(xs[0])
@@ -462,6 +490,38 @@ def test_dag_walks_agree_with_tree_expansion(store):
             assert bs.codesignates(x, y) == (rx == ry)
             kx, ky = naive_term_key(rx), naive_term_key(ry)
             assert _sign(compare_terms(bs.resolve(x), bs.resolve(y))) == (kx > ky) - (kx < ky)
+
+
+@st.composite
+def unify_case(draw):
+    """A shared store with up to two forbidden pairs, and two equally long lists of pool terms."""
+    pool, bs = draw(shared_store())
+    for _ in range(draw(st.integers(0, 2))):
+        apart = add_noncodesignation(bs, draw(st.sampled_from(pool)), draw(st.sampled_from(pool)))
+        bs = bs if apart is None else apart
+    n = draw(st.integers(0, 4))
+    xs = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    ys = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    return bs, xs, ys
+
+
+@settings(max_examples=300, deadline=None)
+@given(unify_case())
+# The second pair fails after the first has bound ?x.
+@example((EMPTY_BINDINGS, [VARS[0], VARS[0]], [A, B]))
+# Neither pair alone makes the forbidden ?x and ?y codesignate; the two together do.
+@example(
+    (add_noncodesignation(EMPTY_BINDINGS, VARS[0], VARS[1]), [VARS[0], VARS[1]], [VARS[2], VARS[2]])
+)
+def test_unify_args_agrees_with_unifying_pair_by_pair(case):
+    bs, xs, ys = case
+    got, want = unify_args(xs, ys, bs), pairwise_unify(xs, ys, bs)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.distinct == want.distinct
+        # Which variable points at which term may differ; what each resolves to may not.
+        for v in VARS:
+            assert compare_terms(got.resolve(v), want.resolve(v)) == 0
 
 
 FIELDS = {
